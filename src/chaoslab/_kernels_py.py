@@ -1,12 +1,15 @@
 """Pure numpy implementations of the hot kernels.
 
 These mirror the compiled extension in chaoslab._kernels exactly; the
-backend is chosen once at import time in chaoslab.kernels.  Everything here
-is vectorized so the fallback stays usable, but the compiled path is an
-order of magnitude faster on the long lattice runs.
+backend is chosen once at import time in chaoslab.kernels.  The right-hand
+sides are vectorized, and the two trajectory loops run on the shared RK4
+driver chaoslab.util.rk4, which applies the compiled loops' blow-up rule.
+The compiled path is still far faster on the long lattice runs.
 """
 
 import numpy as np
+
+from .util import rk4
 
 BACKEND = "python"
 
@@ -80,28 +83,9 @@ def pdnls_rk4(q0, h2inv, two_omega_sq, alpha, beta, eps, dt, steps, sample_every
     Returns (samples, blowup_step); blowup_step is -1 on success, else the
     first step index at which the state became non-finite.
     """
-    q = np.array(q0, dtype=np.complex128)
-    n_samples = steps // sample_every + 1
-    samples = np.empty((n_samples, q.size), dtype=np.complex128)
-    samples[0] = q
-    idx = 1
     args = (h2inv, two_omega_sq, alpha, beta, eps)
-    # overflow is expected on the way to blow-up detection
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            k1 = pdnls_rhs(q, *args)
-            k2 = pdnls_rhs(q + 0.5 * dt * k1, *args)
-            k3 = pdnls_rhs(q + 0.5 * dt * k2, *args)
-            k4 = pdnls_rhs(q + dt * k3, *args)
-            q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # same blow-up rule as the compiled kernel: huge counts as gone
-            if not (np.all(np.abs(q.real) < 1e150)
-                    and np.all(np.abs(q.imag) < 1e150)):
-                return samples[:idx], step
-            if step % sample_every == 0:
-                samples[idx] = q
-                idx += 1
-    return samples[:idx], -1
+    return rk4(lambda q: pdnls_rhs(q, *args), np.array(q0, dtype=np.complex128),
+               dt, steps, sample_every)
 
 
 def dashed_rhs(op, om, sub, sup, pair):
@@ -120,29 +104,16 @@ def dashed_rhs(op, om, sub, sup, pair):
 
 
 def dashed_rk4(op0, om0, sub, sup, pair, dt, steps, sample_every):
-    """RK4 trajectory of the dashed-line model; mirrors pdnls_rk4."""
-    op = float(op0)
-    om = np.array(om0, dtype=np.float64)
-    n_samples = steps // sample_every + 1
-    op_samples = np.empty(n_samples)
-    om_samples = np.empty((n_samples, om.size))
-    op_samples[0] = op
-    om_samples[0] = om
-    idx = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            a1, b1 = dashed_rhs(op, om, sub, sup, pair)
-            a2, b2 = dashed_rhs(op + 0.5 * dt * a1, om + 0.5 * dt * b1,
-                                sub, sup, pair)
-            a3, b3 = dashed_rhs(op + 0.5 * dt * a2, om + 0.5 * dt * b2,
-                                sub, sup, pair)
-            a4, b4 = dashed_rhs(op + dt * a3, om + dt * b3, sub, sup, pair)
-            op = op + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            om = om + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            if not (abs(op) < 1e150 and np.all(np.abs(om) < 1e150)):
-                return op_samples[:idx], om_samples[:idx], step
-            if step % sample_every == 0:
-                op_samples[idx] = op
-                om_samples[idx] = om
-                idx += 1
-    return op_samples[:idx], om_samples[:idx], -1
+    """RK4 trajectory of the dashed-line model; mirrors pdnls_rk4.
+
+    The driver integrates the stacked vector (omega_p, omega).
+    """
+
+    def rhs(y):
+        dy = np.empty_like(y)
+        dy[0], dy[1:] = dashed_rhs(y[0], y[1:], sub, sup, pair)
+        return dy
+
+    y0 = np.concatenate(([float(op0)], np.asarray(om0, dtype=np.float64)))
+    samples, blowup_step = rk4(rhs, y0, dt, steps, sample_every)
+    return samples[:, 0], samples[:, 1:], blowup_step

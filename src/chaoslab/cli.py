@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .errors import NumericError, PreconditionError
+from .util import check_schedule
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -75,12 +76,21 @@ def _float_pair(text: str):
 
 def _load_config_file(path: str) -> dict:
     """Flat key=value text, or a manifest/report JSON with a 'config' map."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read config file {path!r}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
-        return obj.get("config", obj)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PreconditionError(f"malformed config file {path!r}: {exc}") from exc
+        config = obj.get("config", obj)
+        if not isinstance(config, dict):
+            raise PreconditionError(f"config in {path!r} is not a key-value map")
+        return config
     out = {}
     for line in text.splitlines():
         line = line.strip()
@@ -165,8 +175,9 @@ def _cmd_euler_sim(args) -> int:
     cfg = {"box": args.box, "dt": args.dt, "steps": args.steps,
            "sample_every": args.sample_every, "rng_seed": args.rng_seed,
            "amplitude": args.amplitude, "decay": args.decay}
-    if args.box < 1 or args.dt <= 0 or args.steps < 1:
-        raise PreconditionError("box >= 1, dt > 0, steps >= 1 required")
+    check_schedule(args.dt, args.steps, args.sample_every)
+    if args.box < 1 or args.steps < 1:
+        raise PreconditionError("box >= 1 and steps >= 1 required")
     run = _Run("euler-sim", cfg, args.output_dir)
     rng = np.random.default_rng(args.rng_seed)
     state = CoefficientField.random(args.box, rng, decay=args.decay)
@@ -179,7 +190,12 @@ def _cmd_euler_sim(args) -> int:
     t = 0.0
     while remaining > 0:
         chunk = min(sample_every, remaining)
-        current = integrate_galerkin(current, args.dt, chunk)
+        try:
+            current = integrate_galerkin(current, args.dt, chunk)
+        except NumericError as exc:
+            step = args.steps - remaining + exc.step
+            raise NumericError(f"vorticity state blew up at step {step}",
+                               step=step) from exc
         remaining -= chunk
         t += chunk * args.dt
         rows.append((t, current.energy(), current.enstrophy()))
@@ -196,6 +212,7 @@ def _cmd_dashed_line(args) -> int:
 
     cfg = {"gamma": args.gamma, "epsilon": args.epsilon, "trunc": args.trunc,
            "dt": args.dt, "steps": args.steps, "sample_every": args.sample_every,
+           "kick": args.kick,
            "from_analytic": list(args.from_analytic) if args.from_analytic else None}
     run = _Run("dashed-line", cfg, args.output_dir)
     params = DashedLineParams(gamma=args.gamma, epsilon=args.epsilon,
@@ -360,7 +377,9 @@ def _cmd_shadow(args) -> int:
                             linear_map_system, palmer_assembly)
 
     cfg = {"map": args.map, "word": args.word, "m": args.m, "delta": args.delta,
-           "rng_seed": args.rng_seed}
+           "rng_seed": args.rng_seed, "gamma": args.gamma, "N": args.N,
+           "omega": args.omega, "alpha": args.alpha, "beta": args.beta,
+           "epsilon": args.epsilon}
     run = _Run("shadow", cfg, args.output_dir)
     rng = np.random.default_rng(args.rng_seed)
 
@@ -374,9 +393,7 @@ def _cmd_shadow(args) -> int:
     elif args.map == "dashed-line":
         from .dashed_line import DashedLineParams, flow_map
         params = DashedLineParams(gamma=args.gamma, epsilon=0.0, trunc=5)
-        fmap, fjac = flow_map(params, dt=0.05, steps=10)
-        from .shadowing import MapSystem
-        system = MapSystem(dimension=params.size + 1, map=fmap, jacobian=fjac)
+        system = flow_map(params, dt=0.05, steps=10)
         x0 = np.concatenate(([args.gamma], np.zeros(params.size)))
         from .dashed_line import HeteroclinicParams, analytic_heteroclinic
         het = HeteroclinicParams(tau0=0.0, theta0=0.0, kappa_sign=1)
@@ -389,9 +406,7 @@ def _cmd_shadow(args) -> int:
         params = NLSParams(N=args.N, omega=args.omega, alpha=args.alpha,
                            beta=args.beta, epsilon=args.epsilon)
         dt = 0.5 * params.max_stable_dt()
-        fmap, fjac = flow_map(params, dt=dt, steps=20)
-        from .shadowing import MapSystem
-        system = MapSystem(dimension=2 * args.N, map=fmap, jacobian=fjac)
+        system = flow_map(params, dt=dt, steps=20)
         sad = discrete_saddle(params)
         x0 = np.concatenate([sad.state.q.real, sad.state.q.imag])
         kick = 1e-3 * rng.standard_normal(2 * args.N)
@@ -540,13 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Use --config values as defaults, with explicit flags winning."""
-    if "--config" not in argv:
+    """Use --config[=]PATH values as defaults, with explicit flags winning."""
+    path = None
+    for i, token in enumerate(argv):
+        if token.startswith("--config="):
+            path = token.split("=", 1)[1]
+        elif token == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    overrides = _load_config_file(argv[idx + 1])
+    overrides = _load_config_file(path)
     command = argv[0]
     sub_actions = next(a for a in parser._actions
                        if isinstance(a, argparse._SubParsersAction))

@@ -26,6 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import NumericError, PreconditionError
 from .fourier import coef_A
+from .util import check_schedule
 
 BASE_POINT = (-3, -2)
 DIRECTION = (1, 1)
@@ -162,10 +163,7 @@ class Trajectory:
 def integrate(state0: DashedLineState, params: DashedLineParams, dt: float,
               steps: int, sample_every: int = 1) -> Trajectory:
     """Fixed-step RK4; raises NumericError with the step index on blow-up."""
-    if dt <= 0:
-        raise PreconditionError("dt must be positive")
-    if sample_every < 1:
-        raise PreconditionError("sample_every must be >= 1")
+    check_schedule(dt, steps, sample_every)
     if state0.omega.size != params.size:
         raise PreconditionError("state size does not match params truncation")
     op_s, om_s, blow = kernels.dashed_rk4(state0.omega_p, state0.omega,
@@ -297,10 +295,10 @@ def quadratic_invariant(state: DashedLineState) -> float:
 def flow_map(params: DashedLineParams, dt: float, steps: int):
     """Time-(dt*steps) flow map with the exact variational RK4 Jacobian.
 
-    Returns (map, jacobian) callables on stacked vectors
-    (omega_p, omega_{-Nt}..omega_{Nt}); suitable for the shadowing tools.
+    A MapSystem on stacked vectors (omega_p, omega_{-Nt}..omega_{Nt}) for
+    the shadowing tools.
     """
-    size = params.size
+    from .shadowing import rk4_flow_system
 
     def unpack(x):
         return DashedLineState(float(x[0]), np.array(x[1:]))
@@ -313,26 +311,4 @@ def flow_map(params: DashedLineParams, dt: float, steps: int):
     def jac_vec(x):
         return model_jacobian(unpack(x), params)
 
-    def fmap(x):
-        y = np.array(x, dtype=float)
-        for _ in range(steps):
-            k1 = rhs_vec(y)
-            k2 = rhs_vec(y + 0.5 * dt * k1)
-            k3 = rhs_vec(y + 0.5 * dt * k2)
-            k4 = rhs_vec(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
-
-    def fjac(x):
-        y = np.array(x, dtype=float)
-        jac = np.eye(size + 1)
-        for _ in range(steps):
-            k1 = rhs_vec(y); a1 = jac_vec(y) @ jac
-            k2 = rhs_vec(y + 0.5 * dt * k1); a2 = jac_vec(y + 0.5 * dt * k1) @ (jac + 0.5 * dt * a1)
-            k3 = rhs_vec(y + 0.5 * dt * k2); a3 = jac_vec(y + 0.5 * dt * k2) @ (jac + 0.5 * dt * a2)
-            k4 = rhs_vec(y + dt * k3); a4 = jac_vec(y + dt * k3) @ (jac + dt * a3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            jac = jac + (dt / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        return jac
-
-    return fmap, fjac
+    return rk4_flow_system(rhs_vec, jac_vec, params.size + 1, dt, steps)

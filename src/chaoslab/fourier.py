@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
+from .util import check_schedule, rk4
 
 Vec = tuple[int, int]
 
@@ -293,27 +294,23 @@ def enstrophy_derivative(state: CoefficientField) -> float:
     return float(np.sum(np.real(np.conj(state._data) * rhs._data)))
 
 
-def integrate_galerkin(state: CoefficientField, dt: float, steps: int,
-                       observer=None) -> CoefficientField:
-    """Fixed-step RK4 on the coefficient box.
+def integrate_galerkin(state: CoefficientField, dt: float,
+                       steps: int) -> CoefficientField:
+    """Fixed-step RK4 on the coefficient box; returns the final state.
 
-    ``observer(step, state_array)`` is invoked after every accepted step when
-    given; the returned field is the final state.
+    Raises NumericError with the step index, counted from this call, on
+    blow-up.
     """
-    if dt <= 0:
-        raise PreconditionError("dt must be positive")
-    w = state._data.copy()
     box = state.box
-    for step in range(1, steps + 1):
-        k1 = kernels.galerkin_rhs(w, box)
-        k2 = kernels.galerkin_rhs(w + 0.5 * dt * k1, box)
-        k3 = kernels.galerkin_rhs(w + 0.5 * dt * k2, box)
-        k4 = kernels.galerkin_rhs(w + dt * k3, box)
-        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if observer is not None:
-            observer(step, w)
+    sample_every = max(steps, 1)
+    check_schedule(dt, steps, sample_every)
+    samples, blowup_step = rk4(lambda w: kernels.galerkin_rhs(w, box),
+                               state._data, dt, steps, sample_every)
+    if blowup_step >= 0:
+        raise NumericError(f"vorticity state blew up at step {blowup_step}",
+                           step=blowup_step)
     out = CoefficientField(box)
-    out._data[:, :] = w
+    out._data[:, :] = samples[-1]
     return out
 
 

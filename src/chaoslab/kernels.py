@@ -3,7 +3,10 @@
 The compiled extension is preferred when present; the pure numpy fallback is
 used otherwise, or when CHAOSLAB_PURE_PYTHON=1 is set in the environment.
 Both expose the same functions with identical semantics (see
-benchmarks/bench_kernels.py for a side-by-side timing).
+benchmarks/bench_kernels.py for a side-by-side timing).  The numpy
+pdnls_rk4 and dashed_rk4 run on the shared driver chaoslab.util.rk4; the
+compiled ones are fused loops with the same blow-up rule but no check of
+the step schedule, so callers validate it with chaoslab.util.check_schedule.
 """
 
 import os

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericError, PreconditionError
+from .util import check_schedule
 
 
 @dataclass
@@ -376,8 +377,7 @@ def simulate(state0: NLSLatticeState, p: NLSParams, dt: float, steps: int,
     The explicit step bound dt <= 0.1 h^2 guards the stiff lattice Laplacian;
     blow-up raises NumericError with the failing step index.
     """
-    if dt <= 0:
-        raise PreconditionError("dt must be positive")
+    check_schedule(dt, steps, sample_every)
     if enforce_dt_bound and dt > p.max_stable_dt() * (1 + 1e-12):
         raise PreconditionError(
             f"dt={dt} above the stability bound 0.1*h^2={p.max_stable_dt():.3e}")
@@ -394,7 +394,9 @@ def simulate(state0: NLSLatticeState, p: NLSParams, dt: float, steps: int,
 
 def flow_map(p: NLSParams, dt: float, steps: int):
     """Stroboscopic (time dt*steps) map on stacked real vectors, with the
-    variational-RK4 Jacobian; for use with the shadowing tools."""
+    variational-RK4 Jacobian, as a MapSystem for the shadowing tools."""
+    from .shadowing import rk4_flow_system
+
     N = p.N
 
     def to_c(x):
@@ -409,29 +411,7 @@ def flow_map(p: NLSParams, dt: float, steps: int):
     def jac_r(x):
         return pdnls_jacobian_full(to_c(x), p)
 
-    def fmap(x):
-        y = np.array(x, dtype=float)
-        for _ in range(steps):
-            k1 = rhs_r(y)
-            k2 = rhs_r(y + 0.5 * dt * k1)
-            k3 = rhs_r(y + 0.5 * dt * k2)
-            k4 = rhs_r(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
-
-    def fjac(x):
-        y = np.array(x, dtype=float)
-        jac = np.eye(2 * N)
-        for _ in range(steps):
-            k1 = rhs_r(y); a1 = jac_r(y) @ jac
-            k2 = rhs_r(y + 0.5 * dt * k1); a2 = jac_r(y + 0.5 * dt * k1) @ (jac + 0.5 * dt * a1)
-            k3 = rhs_r(y + 0.5 * dt * k2); a3 = jac_r(y + 0.5 * dt * k2) @ (jac + 0.5 * dt * a2)
-            k4 = rhs_r(y + dt * k3); a4 = jac_r(y + dt * k3) @ (jac + dt * a3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            jac = jac + (dt / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        return jac
-
-    return fmap, fjac
+    return rk4_flow_system(rhs_r, jac_r, 2 * N, dt, steps)
 
 
 # -- symbol extraction ----------------------------------------------------------

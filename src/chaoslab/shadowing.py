@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, PreconditionError
+from .util import rk4
 
 
 @dataclass
@@ -73,19 +74,19 @@ def rk4_flow_system(rhs, jacobian, dimension: int, dt: float,
                     steps: int) -> MapSystem:
     """Time-(dt*steps) map of a smooth flow as a MapSystem.
 
-    The Jacobian is the exact derivative of the numerical map (variational
-    RK4 with the same stages), so validate_jacobian holds to roundoff.
+    The map runs the shared RK4 driver and raises NumericError with the step
+    index on blow-up.  The Jacobian is the exact derivative of the numerical
+    map (variational RK4 with the same stages), so validate_jacobian holds
+    to roundoff.
     """
 
     def fmap(x):
-        y = np.array(x, dtype=float)
-        for _ in range(steps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
+        samples, blowup_step = rk4(rhs, np.array(x, dtype=float), dt, steps,
+                                   max(steps, 1))
+        if blowup_step >= 0:
+            raise NumericError(f"flow map blew up at step {blowup_step}",
+                               step=blowup_step)
+        return samples[-1]
 
     def fjac(x):
         y = np.array(x, dtype=float)

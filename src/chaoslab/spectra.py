@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, PreconditionError
 from .fourier import ClassIndex, class_intersects_disk, coef_A, det2, norm_sq, zeta
@@ -192,6 +191,10 @@ def continued_fraction_eigen(op: ClassOperator, seed: complex,
 
 def spectral_mapping_check(op: ClassOperator, t: float) -> float:
     """Hausdorff distance between eig(expm(t*L)) and exp(t*eig(L))."""
+    # imported here: scipy.linalg costs a quarter second of start-up and no
+    # other function needs it
+    import scipy.linalg
+
     if t == 0:
         raise PreconditionError("t must be nonzero")
     if op.dimension > 200:

@@ -1,8 +1,58 @@
-"""Small shared numeric helpers."""
+"""Small shared numeric helpers, including the one fixed-step RK4 driver."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import PreconditionError
+
+
+def _below_blowup_limit(y: np.ndarray) -> bool:
+    """The blow-up rule, shared with the compiled kernels: every real and
+    imaginary part below 1e150 (max propagates nan, which fails it)."""
+    if np.iscomplexobj(y):
+        return np.abs(y.real).max() < 1e150 and np.abs(y.imag).max() < 1e150
+    return np.abs(y).max() < 1e150
+
+
+def check_schedule(dt: float, steps: int, sample_every: int) -> None:
+    """Reject a step schedule outside dt > 0, steps >= 0, sample_every >= 1."""
+    if not dt > 0:
+        raise PreconditionError("dt must be positive")
+    if steps < 0:
+        raise PreconditionError("steps must be >= 0")
+    if sample_every < 1:
+        raise PreconditionError("sample_every must be >= 1")
+
+
+def rk4(rhs, y0, dt: float, steps: int, sample_every: int):
+    """Fixed-step RK4 trajectory of dy/dt = rhs(y) from y0.
+
+    Returns (samples, blowup_step).  samples holds y0 and the state after
+    every sample_every-th step; blowup_step is -1 on success, else the first
+    step after which the state broke the blow-up rule, and samples then ends
+    with the last sample taken before it.  A negative dt integrates backward
+    in time, as the compiled kernels allow.
+    """
+    check_schedule(abs(dt), steps, sample_every)
+    y = np.array(y0)
+    samples = np.empty((steps // sample_every + 1,) + y.shape, dtype=y.dtype)
+    samples[0] = y
+    idx = 1
+    # overflow is expected on the way to blow-up detection
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not _below_blowup_limit(y):
+                return samples[:idx], step
+            if step % sample_every == 0:
+                samples[idx] = y
+                idx += 1
+    return samples[:idx], -1
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,6 +7,12 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 
+def pytest_report_header(config):
+    # the numpy backend runs the lattice RK4 loops hundreds of times slower
+    import chaoslab
+    return f"chaoslab kernels backend: {chaoslab.BACKEND}"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230517)

@@ -24,16 +24,43 @@ class TestDispatch:
         assert run_cli(["spectrum", "--bogus", "1"], tmp_path) == 2
 
     def test_precondition_exit_code(self, tmp_path):
-        # omega outside the lattice window
-        code = run_cli(["nls-sim", "--N", "7", "--omega", "1.0", "--steps", "10"],
-                       tmp_path)
-        assert code == 4
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{not json\n")
+        cases = [
+            # omega outside the lattice window
+            ["nls-sim", "--N", "7", "--omega", "1.0", "--steps", "10"],
+            # a sampling interval below one, in every integrating subcommand
+            ["euler-sim", "--box", "3", "--steps", "10", "--sample-every", "0"],
+            ["nls-sim", "--steps", "10", "--sample-every", "0"],
+            ["dashed-line", "--steps", "10", "--sample-every", "0"],
+            # a config file that is missing or does not parse
+            ["nls-sim", "--config", str(tmp_path / "missing.cfg")],
+            ["nls-sim", f"--config={malformed}"],
+        ]
+        for args in cases:
+            assert run_cli(args, tmp_path / "out") == 4, args
 
     def test_numeric_failure_exit_code(self, tmp_path):
-        # kick the dashed-line model hard enough to blow up
-        code = run_cli(["dashed-line", "--epsilon", "1.0", "--kick", "1e4",
-                        "--dt", "0.05", "--steps", "200000"], tmp_path)
+        cases = [
+            # kick the dashed-line model hard enough to blow up
+            ["dashed-line", "--epsilon", "1.0", "--kick", "1e4",
+             "--dt", "0.05", "--steps", "200000"],
+            # a vorticity step far too large for the amplitude
+            ["euler-sim", "--box", "3", "--dt", "10", "--amplitude", "100"],
+        ]
+        for i, args in enumerate(cases):
+            out = tmp_path / str(i)
+            assert run_cli(args, out) == 3, args
+            for path in out.glob("*"):
+                assert b"nan" not in read(path), path
+
+    def test_euler_blowup_step_counts_from_start(self, tmp_path, capsys):
+        # one step per sampling chunk: the blow-up in the second step is
+        # reported at its step from the start of the run, not of the chunk
+        code = run_cli(["euler-sim", "--box", "3", "--dt", "10",
+                        "--amplitude", "100", "--sample-every", "1"], tmp_path)
         assert code == 3
+        assert "blew up at step 2" in capsys.readouterr().err
 
     def test_spectrum_benchmark_value(self, tmp_path):
         code = run_cli(["spectrum", "--khat", "-3,-2", "--p", "1,1",
@@ -104,28 +131,40 @@ class TestConfigFiles:
                      "--output-dir", str(tmp_path / "o")]) == 4
 
     def test_manifest_roundtrip_reproduces_outputs(self, tmp_path):
-        a = tmp_path / "a"
-        assert run_cli(["euler-sim", "--box", "4", "--steps", "60",
-                        "--sample-every", "20", "--rng-seed", "3"], a) == 0
-        b = tmp_path / "b"
-        code = main(["euler-sim", "--config", str(a / "manifest.json"),
-                     "--output-dir", str(b)])
-        assert code == 0
-        assert read(a / "energy.csv") == read(b / "energy.csv")
-        assert read(a / "final_state.json") == read(b / "final_state.json")
+        cases = [
+            (["euler-sim", "--box", "4", "--steps", "60",
+              "--sample-every", "20", "--rng-seed", "3"],
+             ["energy.csv", "final_state.json"]),
+            (["dashed-line", "--kick", "0.3", "--steps", "50",
+              "--sample-every", "10"], ["trajectory.csv"]),
+            (["shadow", "--map", "dashed-line", "--gamma", "1.5",
+              "--word", "1", "--m", "2"], ["pseudo_orbit.csv"]),
+        ]
+        for i, (args, outputs) in enumerate(cases):
+            a = tmp_path / f"a{i}"
+            assert run_cli(args, a) == 0
+            b = tmp_path / f"b{i}"
+            code = main([args[0], "--config", str(a / "manifest.json"),
+                         "--output-dir", str(b)])
+            assert code == 0
+            for name in outputs:
+                assert read(a / name) == read(b / name), (args, name)
 
     def test_chaotic_demo_config_parses(self, tmp_path):
         # the recorded chaotic regime must stay loadable; run a short prefix
         cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs",
                                 "chaotic_demo.cfg")
-        out = tmp_path / "out"
-        code = main(["nls-sim", "--config", cfg_path, "--steps", "2000",
-                     "--sample-every", "100", "--output-dir", str(out)])
-        assert code == 0
-        doc = json.loads(read(out / "manifest.json"))
-        assert doc["config"]["omega"] == 3.35
-        assert doc["config"]["encode"] is True
-        assert (out / "symbols.txt").exists()
+        # both spellings of the option name the file
+        for i, config in enumerate([["--config", cfg_path],
+                                    [f"--config={cfg_path}"]]):
+            out = tmp_path / f"out{i}"
+            code = main(["nls-sim", *config, "--steps", "2000",
+                         "--sample-every", "100", "--output-dir", str(out)])
+            assert code == 0
+            doc = json.loads(read(out / "manifest.json"))
+            assert doc["config"]["omega"] == 3.35
+            assert doc["config"]["encode"] is True
+            assert (out / "symbols.txt").exists()
 
 
 class TestOutputs:

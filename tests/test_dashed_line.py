@@ -231,7 +231,8 @@ class TestIntegrate:
 class TestFlowMap:
     def test_variational_jacobian_consistent(self, rng):
         p = DashedLineParams(gamma=1.0, epsilon=0.5, trunc=4)
-        fmap, fjac = flow_map(p, dt=0.02, steps=5)
+        flow = flow_map(p, dt=0.02, steps=5)
+        fmap, fjac = flow.map, flow.jacobian
         x = np.concatenate(([0.8], 0.2 * rng.standard_normal(9)))
         jac = fjac(x)
         fd = np.empty_like(jac)

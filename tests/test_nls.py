@@ -343,7 +343,8 @@ class TestSecondMeasurement:
 class TestFlowMap:
     def test_jacobian_matches_fd(self, rng):
         p = NLSParams(**P7)
-        fmap, fjac = flow_map(p, dt=5e-4, steps=4)
+        flow = flow_map(p, dt=5e-4, steps=4)
+        fmap, fjac = flow.map, flow.jacobian
         q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7)) * 0.3
         x = np.concatenate([q.real, q.imag])
         jac = fjac(x)

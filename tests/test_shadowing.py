@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoslab.errors import PreconditionError
+from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.shadowing import (MapSystem, PseudoOrbit, SymbolSequence,
                                 cylinder_distance, find_shadow,
                                 hyperbolicity_estimate, is_pseudo_orbit,
@@ -49,6 +49,15 @@ class TestPseudoOrbit:
         pts = orbit + 1e-3
         with pytest.raises(PreconditionError):
             PseudoOrbit.verified(pts, HYP, delta=1e-9)
+
+
+class TestFlowMap:
+    def test_blowup_raises_numeric_error(self, well_map):
+        # the cubic term takes a start this large past the blow-up limit
+        # within the first RK4 step
+        with pytest.raises(NumericError) as excinfo:
+            well_map.map(np.array([1e60, 0.0]))
+        assert excinfo.value.step == 1
 
 
 class TestShadowDistance:
@@ -253,7 +262,8 @@ class TestHyperbolicity:
         params = DashedLineParams(gamma=1.0, epsilon=1.0, trunc=4)
         dt, steps = 0.1, 50
         T = dt * steps
-        fmap, fjac = flow_map(params, dt=dt, steps=steps)
+        flow = flow_map(params, dt=dt, steps=steps)
+        fmap, fjac = flow.map, flow.jacobian
         system = MapSystem(dimension=params.size + 1, map=fmap, jacobian=fjac)
         fp = np.concatenate(([1.0], np.zeros(params.size)))
         rep = hyperbolicity_estimate(np.tile(fp, (60, 1)), system)
