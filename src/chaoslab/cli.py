@@ -137,15 +137,11 @@ class _Run:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, run) -> None:
     from .fourier import ClassIndex
     from .spectra import (build_class_operator, continued_fraction_eigen,
                           truncated_spectrum)
 
-    cfg = {"khat": list(args.khat), "p": list(args.p),
-           "gamma": list(args.gamma), "trunc": args.trunc,
-           "refine": args.refine, "tol": args.tol}
-    run = _Run("spectrum", cfg, args.output_dir)
     cls = ClassIndex(khat=args.khat, p=args.p)
     gamma = complex(args.gamma[0], args.gamma[1])
     op = build_class_operator(cls, gamma, args.trunc)
@@ -165,20 +161,14 @@ def _cmd_spectrum(args) -> int:
     write_json(run.path("spectrum.json"), doc)
     write_csv(run.path("eigenvalues.csv"), ["re", "im"],
               [(z.real, z.imag) for z in np.sort_complex(report.eigenvalues)])
-    run.finish()
-    return 0
 
 
-def _cmd_euler_sim(args) -> int:
+def _cmd_euler_sim(args, run) -> None:
     from .fourier import CoefficientField, integrate_galerkin
 
-    cfg = {"box": args.box, "dt": args.dt, "steps": args.steps,
-           "sample_every": args.sample_every, "rng_seed": args.rng_seed,
-           "amplitude": args.amplitude, "decay": args.decay}
     check_schedule(args.dt, args.steps, args.sample_every)
     if args.box < 1 or args.steps < 1:
         raise PreconditionError("box >= 1 and steps >= 1 required")
-    run = _Run("euler-sim", cfg, args.output_dir)
     rng = np.random.default_rng(args.rng_seed)
     state = CoefficientField.random(args.box, rng, decay=args.decay)
     state = state.scaled(args.amplitude / np.sqrt(state.enstrophy()))
@@ -201,20 +191,13 @@ def _cmd_euler_sim(args) -> int:
         rows.append((t, current.energy(), current.enstrophy()))
     write_csv(run.path("energy.csv"), ["t", "energy", "enstrophy"], rows)
     write_json(run.path("final_state.json"), current.to_json_dict())
-    run.finish()
-    return 0
 
 
-def _cmd_dashed_line(args) -> int:
+def _cmd_dashed_line(args, run) -> None:
     from .dashed_line import (DashedLineParams, DashedLineState,
                               HeteroclinicParams, analytic_heteroclinic,
                               integrate, orbit_residual)
 
-    cfg = {"gamma": args.gamma, "epsilon": args.epsilon, "trunc": args.trunc,
-           "dt": args.dt, "steps": args.steps, "sample_every": args.sample_every,
-           "kick": args.kick,
-           "from_analytic": list(args.from_analytic) if args.from_analytic else None}
-    run = _Run("dashed-line", cfg, args.output_dir)
     params = DashedLineParams(gamma=args.gamma, epsilon=args.epsilon,
                               trunc=args.trunc)
     if args.from_analytic is not None:
@@ -224,7 +207,7 @@ def _cmd_dashed_line(args) -> int:
         state0 = analytic_heteroclinic(0.0, het, args.gamma, trunc=args.trunc)
         residual = orbit_residual(het, args.gamma, np.linspace(-5.0, 5.0, 100))
         write_json(run.path("residual.json"),
-                   {"config": cfg, "max_orbit_residual": residual})
+                   {"config": run.config, "max_orbit_residual": residual})
     else:
         state0 = DashedLineState.fixed_point(params)
         state0.omega[params.index(1)] += args.kick
@@ -233,19 +216,12 @@ def _cmd_dashed_line(args) -> int:
     rows = [(traj.times[i], traj.omega_p[i], *traj.omega[i])
             for i in range(traj.times.size)]
     write_csv(run.path("trajectory.csv"), header, rows)
-    run.finish()
-    return 0
 
 
-def _cmd_nls_sim(args) -> int:
+def _cmd_nls_sim(args, run) -> None:
     from .nls import (NLSParams, NLSLatticeState, center_wing_encode,
                       discrete_saddle, simulate)
 
-    cfg = {"N": args.N, "omega": args.omega, "alpha": args.alpha,
-           "beta": args.beta, "epsilon": args.epsilon, "dt": args.dt,
-           "steps": args.steps, "sample_every": args.sample_every,
-           "encode": args.encode, "kick": args.kick, "rng_seed": args.rng_seed}
-    run = _Run("nls-sim", cfg, args.output_dir)
     params = NLSParams(N=args.N, omega=args.omega, alpha=args.alpha,
                        beta=args.beta, epsilon=args.epsilon)
     saddle = discrete_saddle(params)
@@ -270,35 +246,24 @@ def _cmd_nls_sim(args) -> int:
     if args.encode:
         enc = center_wing_encode(traj.samples)
         _write_atomic(run.path("symbols.txt"), enc.symbols + "\n")
-    run.finish()
-    return 0
 
 
-def _cmd_nls_saddle(args) -> int:
+def _cmd_nls_saddle(args, run) -> None:
     from .nls import eigenvalue_table
 
-    cfg = {"omega": args.omega, "alpha": args.alpha, "beta": args.beta,
-           "epsilon": args.epsilon, "n_max": args.n_max, "n_cut": args.n_cut,
-           "variant": args.variant}
-    run = _Run("nls-saddle", cfg, args.output_dir)
     info, _ = eigenvalue_table(args.omega, args.alpha, args.beta, args.epsilon,
                                n_max=args.n_max, n_cut=args.n_cut,
                                variant=args.variant)
     write_json(run.path("saddle.json"), info.to_json_dict())
-    run.finish()
-    return 0
 
 
-def _cmd_lax_check(args) -> int:
+def _cmd_lax_check(args, run) -> None:
     from .fourier import (CoefficientField, GridField2D, coefficients_to_grid,
                           grid_bracket)
     from .laxpairs import (LaxReport, VectorField3D, compatibility_residual_2d,
                            isospectrality_check, jacobi_defect, lax_3d_scalar,
                            lax_3d_vector, rossby_L)
 
-    cfg = {"case": args.case, "resolution": args.resolution, "T": args.T,
-           "dt": args.dt, "rng_seed": args.rng_seed, "box": args.box}
-    run = _Run("lax-check", cfg, args.output_dir)
     rng = np.random.default_rng(args.rng_seed)
     n = args.resolution
 
@@ -346,17 +311,12 @@ def _cmd_lax_check(args) -> int:
     else:  # pragma: no cover
         raise PreconditionError(f"unknown case {args.case}")
     write_json(run.path("report.json"), report.to_json_dict())
-    run.finish()
-    return 0
 
 
-def _cmd_darboux(args) -> int:
+def _cmd_darboux(args, run) -> None:
     from .darboux import shear_power_construction, verify_darboux
     from .fourier import GridField2D
 
-    cfg = {"construction": args.construction, "c": args.c,
-           "resolution": args.resolution, "custom_file": args.custom_file}
-    run = _Run("darboux", cfg, args.output_dir)
     if args.construction == "shear-power":
         omega, psi, p, f, F = shear_power_construction(args.c, args.resolution)
     else:
@@ -368,19 +328,12 @@ def _cmd_darboux(args) -> int:
                                for k in ("omega", "psi", "p", "f", "F"))
     report = verify_darboux(omega, psi, F, p, f)
     write_json(run.path("report.json"), report.to_json_dict())
-    run.finish()
-    return 0
 
 
-def _cmd_shadow(args) -> int:
+def _cmd_shadow(args, run) -> None:
     from .shadowing import (find_shadow, hyperbolicity_estimate,
                             linear_map_system, palmer_assembly)
 
-    cfg = {"map": args.map, "word": args.word, "m": args.m, "delta": args.delta,
-           "rng_seed": args.rng_seed, "gamma": args.gamma, "N": args.N,
-           "omega": args.omega, "alpha": args.alpha, "beta": args.beta,
-           "epsilon": args.epsilon}
-    run = _Run("shadow", cfg, args.output_dir)
     rng = np.random.default_rng(args.rng_seed)
 
     if args.map == "linear-test":
@@ -435,8 +388,6 @@ def _cmd_shadow(args) -> int:
             "hyperbolic": bool(est.hyperbolic),
         }
     write_json(run.path("report.json"), report)
-    run.finish()
-    return 0
 
 
 # -- parser ---------------------------------------------------------------------
@@ -554,6 +505,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_actions(parser, command: str) -> list:
+    """The options of a subcommand that make up its config, or [] for an
+    unknown subcommand (which parse_args then reports)."""
+    sub_actions = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    subparser = sub_actions.choices.get(command)
+    if subparser is None:
+        return []
+    return [a for a in subparser._actions
+            if a.dest not in ("help", "output_dir", "config")]
+
+
 def _apply_config_file(parser, argv):
     """Use --config[=]PATH values as defaults, with explicit flags winning."""
     path = None
@@ -562,30 +525,23 @@ def _apply_config_file(parser, argv):
             path = token.split("=", 1)[1]
         elif token == "--config" and i + 1 < len(argv):
             path = argv[i + 1]
-    if path is None:
+    actions = {a.dest: a for a in _config_actions(parser, argv[0])}
+    if path is None or not actions:
         return argv
     overrides = _load_config_file(path)
-    command = argv[0]
-    sub_actions = next(a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction))
-    subparser = sub_actions.choices[command]
-    known = {a.dest for a in subparser._actions}
-    unknown = set(overrides) - known
+    unknown = set(overrides) - set(actions)
     if unknown:
         raise PreconditionError(f"unknown config keys: {sorted(unknown)}")
-    flag_dests = {a.dest for a in subparser._actions
-                  if isinstance(a, (argparse._StoreTrueAction,
-                                    argparse._StoreFalseAction))}
     extra = []
     present = set()
     for token in argv[1:]:
         if token.startswith("--"):
             present.add(token[2:].split("=", 1)[0].replace("-", "_"))
     for key, value in overrides.items():
-        if key in present or key == "config":
+        if key in present:
             continue
         flag = "--" + key.replace("_", "-")
-        if key in flag_dests:
+        if actions[key].nargs == 0:  # store_true
             truthy = value if isinstance(value, bool) else \
                 str(value).strip().lower() in ("1", "true", "yes", "on")
             if truthy:
@@ -594,19 +550,21 @@ def _apply_config_file(parser, argv):
             extra.extend([flag, ",".join(str(v) for v in value)])
         elif value is not None:
             extra.extend([flag, str(value)])
-    return [command] + extra + argv[1:]
-
-
-_PAIR_FLAGS = ("--khat", "--p", "--gamma", "--from-analytic")
+    return [argv[0]] + extra + argv[1:]
 
 
 def _merge_pair_values(argv: list[str]) -> list[str]:
-    """Join '--khat -3,-2' into '--khat=-3,-2' so negatives parse."""
+    """Join '--khat -3,-2' into '--khat=-3,-2' so negatives parse.
+
+    Any '--flag' followed by a token with a comma is joined; a single-value
+    option receives the same value either way.
+    """
     out = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token in _PAIR_FLAGS and i + 1 < len(argv) and "," in argv[i + 1]:
+        if (token.startswith("--") and "=" not in token and token != "--"
+                and i + 1 < len(argv) and "," in argv[i + 1]):
             out.append(f"{token}={argv[i + 1]}")
             i += 2
         else:
@@ -622,10 +580,17 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if argv and not argv[0].startswith("-"):
+        if not argv[0].startswith("-"):
             argv = _apply_config_file(parser, argv)
         args = parser.parse_args(_merge_pair_values(argv))
-        return args.func(args)
+        config = {}
+        for action in _config_actions(parser, args.command):
+            value = getattr(args, action.dest)
+            config[action.dest] = list(value) if isinstance(value, tuple) else value
+        run = _Run(args.command, config, args.output_dir)
+        args.func(args, run)
+        run.finish()
+        return 0
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2

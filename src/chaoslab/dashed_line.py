@@ -128,9 +128,11 @@ def model_rhs(state: DashedLineState, params: DashedLineParams) -> DashedLineSta
 
 def model_jacobian(state: DashedLineState, params: DashedLineParams) -> np.ndarray:
     """Analytic Jacobian, ordered (omega_p, omega_{-Nt}..omega_{Nt})."""
+    return _jacobian(state.omega_p, state.omega, params)
+
+
+def _jacobian(op, om: np.ndarray, params: DashedLineParams) -> np.ndarray:
     L = params.size
-    om = state.omega
-    op = state.omega_p
     jac = np.zeros((L + 1, L + 1))
     sub, sup, pair = params.sub, params.sup, params.pair
     # d(dot omega_n)/d omega_p and /d omega_m
@@ -300,15 +302,15 @@ def flow_map(params: DashedLineParams, dt: float, steps: int):
     """
     from .shadowing import rk4_flow_system
 
-    def unpack(x):
-        return DashedLineState(float(x[0]), np.array(x[1:]))
-
+    # on array slices, as _kernels_py.dashed_rk4: an overflowing RK4 stage
+    # reaches the blow-up rule of util.rk4 instead of DashedLineState's check
     def rhs_vec(x):
-        st = unpack(x)
-        d = model_rhs(st, params)
-        return np.concatenate(([d.omega_p], d.omega))
+        dx = np.empty_like(x)
+        dx[0], dx[1:] = kernels.dashed_rhs(x[0], x[1:], params.sub, params.sup,
+                                           params.pair)
+        return dx
 
     def jac_vec(x):
-        return model_jacobian(unpack(x), params)
+        return _jacobian(x[0], x[1:], params)
 
     return rk4_flow_system(rhs_vec, jac_vec, params.size + 1, dt, steps)

@@ -20,7 +20,7 @@ from .errors import PreconditionError
 from .fourier import (CoefficientField, GridField2D, coefficients_to_grid, det2,
                       galerkin_rhs, grid_bracket, integrate_galerkin,
                       invert_laplacian)
-from .util import hausdorff_distance, sup_norm
+from .util import check_schedule, hausdorff_distance, sup_norm
 
 ScalarField2D = GridField2D
 
@@ -141,6 +141,7 @@ def isospectrality_check(omega0: CoefficientField, T: float, dt: float,
         box = omega0.box
     if box > 6:
         raise PreconditionError("operator box above 6 (matrix growth)")
+    check_schedule(dt, 1, 1)  # before T / dt; the step count follows from T
     steps = max(1, int(round(T / dt)))
     omega_T = integrate_galerkin(omega0, dt, steps)
     m0 = bracket_operator_matrix(omega0, box)

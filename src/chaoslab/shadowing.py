@@ -75,33 +75,35 @@ def rk4_flow_system(rhs, jacobian, dimension: int, dt: float,
     """Time-(dt*steps) map of a smooth flow as a MapSystem.
 
     The map runs the shared RK4 driver and raises NumericError with the step
-    index on blow-up.  The Jacobian is the exact derivative of the numerical
-    map (variational RK4 with the same stages), so validate_jacobian holds
-    to roundoff.
+    index on blow-up.  The Jacobian runs util.rk4 too, on the stacked state
+    (y, vec(J)) with right-hand side (rhs(y), jacobian(y) @ J), so it is the
+    exact derivative of the numerical map (validate_jacobian holds to
+    roundoff) and obeys the same blow-up rule.
     """
 
-    def fmap(x):
-        samples, blowup_step = rk4(rhs, np.array(x, dtype=float), dt, steps,
-                                   max(steps, 1))
+    def run(f, z0):
+        samples, blowup_step = rk4(f, z0, dt, steps, max(steps, 1))
         if blowup_step >= 0:
             raise NumericError(f"flow map blew up at step {blowup_step}",
                                step=blowup_step)
         return samples[-1]
 
+    def start(x):
+        x = np.array(x, dtype=float)
+        if x.shape != (dimension,):
+            raise PreconditionError(f"state must have shape ({dimension},)")
+        return x
+
+    def fmap(x):
+        return run(rhs, start(x))
+
+    def variational(z):
+        y, jac = z[:dimension], z[dimension:].reshape(dimension, dimension)
+        return np.concatenate((rhs(y), (jacobian(y) @ jac).ravel()))
+
     def fjac(x):
-        y = np.array(x, dtype=float)
-        jac = np.eye(dimension)
-        for _ in range(steps):
-            k1 = rhs(y); a1 = jacobian(y) @ jac
-            y2 = y + 0.5 * dt * k1
-            k2 = rhs(y2); a2 = jacobian(y2) @ (jac + 0.5 * dt * a1)
-            y3 = y + 0.5 * dt * k2
-            k3 = rhs(y3); a3 = jacobian(y3) @ (jac + 0.5 * dt * a2)
-            y4 = y + dt * k3
-            k4 = rhs(y4); a4 = jacobian(y4) @ (jac + dt * a3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            jac = jac + (dt / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        return jac
+        z0 = np.concatenate((start(x), np.eye(dimension).ravel()))
+        return run(variational, z0)[dimension:].reshape(dimension, dimension)
 
     return MapSystem(dimension=dimension, map=fmap, jacobian=fjac)
 

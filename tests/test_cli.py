@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 
-from chaoslab.cli import main
+from chaoslab.cli import build_parser, main
 from oracles import BENCH_EIGENVALUE_NORMALIZED
 
 
@@ -22,6 +22,9 @@ class TestDispatch:
 
     def test_unknown_flag_usage(self, tmp_path):
         assert run_cli(["spectrum", "--bogus", "1"], tmp_path) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega = 0.9\n")
+        assert run_cli(["bogus", "--config", str(cfg)], tmp_path) == 2
 
     def test_precondition_exit_code(self, tmp_path):
         malformed = tmp_path / "malformed.json"
@@ -36,6 +39,8 @@ class TestDispatch:
             # a config file that is missing or does not parse
             ["nls-sim", "--config", str(tmp_path / "missing.cfg")],
             ["nls-sim", f"--config={malformed}"],
+            # a zero step in the isospectrality evolution
+            ["lax-check", "--case", "isospec", "--box", "2", "--dt", "0"],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
@@ -126,9 +131,33 @@ class TestConfigFiles:
 
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("not_a_flag = 3\n")
-        assert main(["nls-saddle", "--config", str(cfg),
-                     "--output-dir", str(tmp_path / "o")]) == 4
+        # help is an option of the parser but not a config key
+        for i, text in enumerate(["not_a_flag = 3\n", "help = 1\n"]):
+            cfg.write_text(text)
+            out = tmp_path / f"o{i}"
+            assert main(["nls-saddle", "--config", str(cfg),
+                         "--output-dir", str(out)]) == 4, text
+            assert not (out / "manifest.json").exists(), text
+
+    def test_manifest_config_records_every_option(self, tmp_path):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        cases = [
+            ["spectrum", "--trunc", "10"],
+            ["euler-sim", "--box", "2", "--steps", "2", "--sample-every", "1"],
+            ["dashed-line", "--steps", "2", "--sample-every", "1"],
+            ["nls-sim", "--steps", "2", "--sample-every", "1"],
+            ["nls-saddle"],
+            ["lax-check", "--case", "jacobi", "--resolution", "16"],
+            ["darboux", "--resolution", "16"],
+            ["shadow", "--m", "2"],
+        ]
+        assert sorted(args[0] for args in cases) == sorted(subparsers)
+        for args in cases:
+            out = tmp_path / args[0]
+            assert run_cli(args, out) == 0, args
+            options = {a.dest for a in subparsers[args[0]]._actions}
+            config = json.loads(read(out / "manifest.json"))["config"]
+            assert set(config) == options - {"output_dir", "config", "help"}, args
 
     def test_manifest_roundtrip_reproduces_outputs(self, tmp_path):
         cases = [
@@ -139,6 +168,8 @@ class TestConfigFiles:
               "--sample-every", "10"], ["trajectory.csv"]),
             (["shadow", "--map", "dashed-line", "--gamma", "1.5",
               "--word", "1", "--m", "2"], ["pseudo_orbit.csv"]),
+            (["lax-check", "--case", "rossby", "--resolution", "32",
+              "--beta-param", "0.9"], ["report.json"]),
         ]
         for i, (args, outputs) in enumerate(cases):
             a = tmp_path / f"a{i}"

@@ -53,11 +53,26 @@ class TestPseudoOrbit:
 
 class TestFlowMap:
     def test_blowup_raises_numeric_error(self, well_map):
-        # the cubic term takes a start this large past the blow-up limit
-        # within the first RK4 step
-        with pytest.raises(NumericError) as excinfo:
-            well_map.map(np.array([1e60, 0.0]))
-        assert excinfo.value.step == 1
+        from chaoslab.dashed_line import DashedLineParams, flow_map
+        dashed = flow_map(DashedLineParams(1.0, 0.0, 5), 0.05, 10)
+        # the cubic and quadratic terms take starts this large past the
+        # blow-up limit within the first RK4 step, in the map and in its
+        # variational twin alike
+        cases = [(well_map.map, np.array([1e60, 0.0])),
+                 (well_map.jacobian, np.array([1e60, 0.0])),
+                 (dashed.map, np.full(12, 1e100)),
+                 (dashed.jacobian, np.full(12, 1e100))]
+        for fn, x in cases:
+            with pytest.raises(NumericError) as excinfo:
+                fn(x)
+            assert excinfo.value.step == 1
+
+    def test_state_of_wrong_size_rejected(self, well_map):
+        # the Jacobian stacks the state with the identity, so a state of the
+        # wrong size would otherwise split at the wrong index
+        for fn in (well_map.map, well_map.jacobian):
+            with pytest.raises(PreconditionError):
+                fn(np.zeros(3))
 
 
 class TestShadowDistance:
