@@ -1,63 +1,94 @@
 #!/usr/bin/env python3
-"""Side-by-side timing of the compiled and pure numpy kernels.
+"""Timing of the hot kernels, printed as one JSON document.
+
+The Galerkin convolution has one implementation for both backends and is
+timed per box half-width; the lattice and dashed-line RK4 loops are timed
+side by side on the numpy and, where it is built, the compiled backend.
+Every figure is the median of several rounds, after one warm-up call that
+builds the convolution's tables or FFT plan.
 
 Run after installing the package:  python benchmarks/bench_kernels.py
 """
 
+import json
+import os
+import statistics
 import time
 
 import numpy as np
 
-from chaoslab import _kernels_py
+from chaoslab import _kernels_py, kernels
 
 try:
     from chaoslab import _kernels
 except ImportError:
     _kernels = None
 
-
-def timeit(fn, repeat):
-    fn()  # warm caches / tables
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        fn()
-    return (time.perf_counter() - t0) / repeat
+GALERKIN_BOXES = (4, 6, 8, 16, 32, 64)
 
 
-def bench(name, make_call, repeat):
-    py_call = make_call(_kernels_py)
-    t_py = timeit(py_call, repeat)
-    if _kernels is None:
-        print(f"{name:28s} python {1e3 * t_py:9.3f} ms   (no compiled backend)")
-        return
-    t_c = timeit(make_call(_kernels), repeat)
-    print(f"{name:28s} python {1e3 * t_py:9.3f} ms   compiled "
-          f"{1e3 * t_c:9.3f} ms   speedup {t_py / t_c:6.1f}x")
+def median_seconds(fn, repeat, rounds):
+    """Median over rounds of the mean time of repeat calls, after a warm-up."""
+    fn()
+    times = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(repeat):
+            fn()
+        times.append((time.perf_counter() - t0) / repeat)
+    return statistics.median(times)
+
+
+def random_field(rng, box):
+    side = 2 * box + 1
+    w = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    w = 0.5 * (w + np.conj(w[::-1, ::-1]))
+    w[box, box] = 0.0
+    return w
+
+
+def galerkin_medians_ms(galerkin_rhs, boxes):
+    """Median milliseconds per call of galerkin_rhs(w, box) for each box."""
+    rng = np.random.default_rng(0)
+    out = {}
+    for box in boxes:
+        w = random_field(rng, box)
+        out[str(box)] = 1e3 * median_seconds(lambda: galerkin_rhs(w, box),
+                                             repeat=20, rounds=7)
+    return out
+
+
+def backend_medians_s(make_call):
+    """Median seconds of one call on each available backend."""
+    mods = {"python": _kernels_py}
+    if _kernels is not None:
+        mods["compiled"] = _kernels
+    return {name: median_seconds(make_call(mod), repeat=1, rounds=3)
+            for name, mod in mods.items()}
 
 
 def main():
     rng = np.random.default_rng(0)
 
-    box = 8
-    side = 2 * box + 1
-    w = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    w = 0.5 * (w + np.conj(w[::-1, ::-1]))
-    w[box, box] = 0.0
-    bench("galerkin_rhs (box=8)",
-          lambda mod: (lambda: mod.galerkin_rhs(w, box)), repeat=50)
-
     q = 0.1 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     args = (64.0, 2 * 3.35 ** 2, 1.0, 5.7, 0.07, 1.2e-3, 100_000, 10_000)
-    bench("pdnls_rk4 (N=8, 1e5 steps)",
-          lambda mod: (lambda: mod.pdnls_rk4(q, *args)), repeat=3)
-
     om = 1e-2 * rng.standard_normal(21)
     sub, sup = rng.standard_normal(21), rng.standard_normal(21)
     pair = rng.standard_normal(20)
     dargs = (1e-3, 100_000, 10_000)
-    bench("dashed_rk4 (1e5 steps)",
-          lambda mod: (lambda: mod.dashed_rk4(0.5, om, sub, sup, pair, *dargs)),
-          repeat=3)
+
+    report = {
+        "backend": kernels.BACKEND,
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "galerkin_rhs_ms_by_box": galerkin_medians_ms(kernels.galerkin_rhs,
+                                                      GALERKIN_BOXES),
+        "pdnls_rk4_N8_1e5_steps_s": backend_medians_s(
+            lambda mod: (lambda: mod.pdnls_rk4(q, *args))),
+        "dashed_rk4_1e5_steps_s": backend_medians_s(
+            lambda mod: (lambda: mod.dashed_rk4(0.5, om, sub, sup, pair, *dargs))),
+    }
+    print(json.dumps(report, indent=1))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
-"""Compiled hot kernels; semantics mirror chaoslab._kernels_py exactly."""
+"""Compiled lattice and dashed-line kernels; semantics mirror
+chaoslab._kernels_py exactly.  The Galerkin convolution has one
+implementation, chaoslab._kernels_py.galerkin_rhs, for both backends."""
 
 import numpy as np
 
@@ -9,74 +11,6 @@ cimport numpy as cnp
 cnp.import_array()
 
 BACKEND = "compiled"
-
-_TABLES = {}
-
-
-def _interaction_tables(int box):
-    """C[k,q] = A(k-q, q) and flat gather index of k-q (0 where invalid)."""
-    cached = _TABLES.get(box)
-    if cached is not None:
-        return cached
-    cdef int side = 2 * box + 1
-    cdef int m = side * side
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] coef = np.zeros((m, m))
-    cdef cnp.ndarray[cnp.intp_t, ndim=2] gather = np.zeros((m, m), dtype=np.intp)
-    cdef int i, j, k1, k2, q1, q2, p1, p2, det, np2, nq2
-    for i in range(m):
-        k1 = i // side - box
-        k2 = i % side - box
-        if k1 == 0 and k2 == 0:
-            continue
-        for j in range(m):
-            q1 = j // side - box
-            q2 = j % side - box
-            if q1 == 0 and q2 == 0:
-                continue
-            p1 = k1 - q1
-            p2 = k2 - q2
-            if p1 < -box or p1 > box or p2 < -box or p2 > box:
-                continue
-            if p1 == 0 and p2 == 0:
-                continue
-            det = p1 * q2 - p2 * q1
-            if det == 0:
-                continue
-            np2 = p1 * p1 + p2 * p2
-            nq2 = q1 * q1 + q2 * q2
-            coef[i, j] = 0.5 * (1.0 / nq2 - 1.0 / np2) * det
-            gather[i, j] = (p1 + box) * side + (p2 + box)
-    _TABLES[box] = (coef, gather)
-    return coef, gather
-
-
-def galerkin_rhs(w, int box):
-    """rhs[k] = sum over ordered pairs p+q=k in the box of A(p,q) w[p] w[q]."""
-    cdef cnp.ndarray[cnp.complex128_t, ndim=2] win = \
-        np.ascontiguousarray(w, dtype=np.complex128)
-    cdef int side = 2 * box + 1
-    cdef int m = side * side
-    coef_arr, gather_arr = _interaction_tables(box)
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] coef = coef_arr
-    cdef cnp.ndarray[cnp.intp_t, ndim=2] gather = gather_arr
-    cdef cnp.ndarray[cnp.complex128_t, ndim=2] out = \
-        np.zeros((side, side), dtype=np.complex128)
-    cdef double complex * wf = <double complex *> win.data
-    cdef double complex * of = <double complex *> out.data
-    cdef double * cf = <double *> coef.data
-    cdef cnp.intp_t * gf = <cnp.intp_t *> gather.data
-    cdef int i, j
-    cdef double complex acc
-    cdef double c
-    with nogil:
-        for i in range(m):
-            acc = 0
-            for j in range(m):
-                c = cf[i * m + j]
-                if c != 0.0:
-                    acc = acc + c * wf[gf[i * m + j]] * wf[j]
-            of[i] = acc
-    return out
 
 
 cdef void _pdnls_rhs_c(double complex * q, double complex * out, int n,

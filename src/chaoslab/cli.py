@@ -320,10 +320,17 @@ def _cmd_darboux(args, run) -> None:
     if args.construction == "shear-power":
         omega, psi, p, f, F = shear_power_construction(args.c, args.resolution)
     else:
-        with open(args.custom_file) as fh:
-            spec = json.load(fh)
-        arrays = {k: np.asarray(spec[k], dtype=float)
-                  for k in ("omega", "psi", "p", "f", "F")}
+        if args.custom_file is None:
+            raise PreconditionError(
+                "--construction custom-file needs --custom-file PATH")
+        try:
+            with open(args.custom_file) as fh:
+                spec = json.load(fh)
+            arrays = {k: np.asarray(spec[k], dtype=float)
+                      for k in ("omega", "psi", "p", "f", "F")}
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise PreconditionError(
+                f"unusable field file {args.custom_file!r}: {exc!r}") from exc
         omega, psi, p, f, F = (GridField2D(arrays[k])
                                for k in ("omega", "psi", "p", "f", "F"))
     report = verify_darboux(omega, psi, F, p, f)

@@ -11,6 +11,9 @@ Conventions used package-wide:
   ``dw[k] = sum_{p+q=k} A(p,q) w[p] w[q]`` restricted to the box (sharp
   Galerkin truncation), which reproduces minus the grid bracket of the
   stream function with the vorticity for fields that fit in half the box.
+  From a crossover box up, kernels.galerkin_rhs evaluates it as that
+  bracket on a grid zero-padded to n >= 3*box+1 points per side, where no
+  product of two box modes wraps onto the box, so the truncation is exact.
 * Periodic grids sample ``[0, 2*pi)^2`` uniformly; products computed on the
   grid are dealiased with the 2/3 rule.
 """
@@ -271,7 +274,9 @@ def galerkin_rhs(state: CoefficientField) -> CoefficientField:
     """Time derivative of the truncated vorticity system.
 
     Ordered-pair convolution over the box; conserves energy and enstrophy
-    algebraically and preserves the reality pairing.
+    algebraically and preserves the reality pairing.  Large boxes compute it
+    by FFT on a grid zero-padded to n >= 3*box+1 points per side, which
+    keeps the sharp truncation exact.
     """
     rhs = kernels.galerkin_rhs(state._data, state.box)
     out = CoefficientField(state.box)

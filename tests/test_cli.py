@@ -41,6 +41,12 @@ class TestDispatch:
             ["nls-sim", f"--config={malformed}"],
             # a zero step in the isospectrality evolution
             ["lax-check", "--case", "isospec", "--box", "2", "--dt", "0"],
+            # a darboux field file that is not given, missing or not JSON
+            ["darboux", "--construction", "custom-file"],
+            ["darboux", "--construction", "custom-file",
+             "--custom-file", str(tmp_path / "missing.json")],
+            ["darboux", "--construction", "custom-file",
+             "--custom-file", str(malformed)],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args

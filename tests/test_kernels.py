@@ -1,10 +1,16 @@
 """Backend agreement: the compiled extension and the numpy fallback must be
-interchangeable bit-for-bit up to summation order."""
+interchangeable bit-for-bit up to summation order.  The Galerkin convolution
+has one implementation for both backends and is checked against the loop
+oracle instead."""
 
 import numpy as np
 import pytest
 
 import chaoslab
+from chaoslab import _kernels_py, kernels
+from chaoslab._kernels_py import _FFT_MIN_BOX
+from chaoslab.fourier import CoefficientField, energy_derivative, enstrophy_derivative
+from oracles import galerkin_rhs_ref
 
 
 def random_symmetric(rng, box):
@@ -20,21 +26,44 @@ def test_backend_reported():
 
 
 class TestGalerkinKernel:
-    @pytest.mark.parametrize("box", [1, 2, 3, 8])
-    def test_backends_agree(self, kernel_backend, rng, box):
-        from chaoslab import _kernels_py
-        w = random_symmetric(rng, box)
-        got = kernel_backend.galerkin_rhs(w, box)
-        ref = _kernels_py.galerkin_rhs(w, box)
-        scale = max(np.max(np.abs(ref)), 1.0)
-        assert np.max(np.abs(got - ref)) / scale < 1e-13
+    """One convolution serves both backends: dense tables below the
+    crossover box, FFTs on a zero-padded grid from it up."""
 
-    def test_box_one_is_steady(self, kernel_backend):
+    @pytest.mark.parametrize(
+        "box", sorted({1, 2, 3, _FFT_MIN_BOX - 1, _FFT_MIN_BOX, 8}))
+    def test_matches_loop_oracle(self, rng, box):
+        w = random_symmetric(rng, box)
+        ref = galerkin_rhs_ref(w, box)
+        got = kernels.galerkin_rhs(w, box)
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-13
+        assert got[box, box] == 0.0  # the origin is never a mode
+
+    def test_fft_path_bilinear_without_reality_pairing(self, rng):
+        box = _FFT_MIN_BOX
+        side = 2 * box + 1
+        w = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        w[box, box] = 0.0
+        ref = galerkin_rhs_ref(w, box)
+        got = kernels.galerkin_rhs(w, box)
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-13
+
+    def test_conservation_box_32(self, rng):
+        f = CoefficientField.random(32, rng)
+        f = f.scaled(1.0 / np.sqrt(f.enstrophy()))
+        assert abs(energy_derivative(f)) < 1e-12
+        assert abs(enstrophy_derivative(f)) < 1e-12
+
+    def test_no_dense_tables_from_crossover_up(self, rng):
+        for box in (8, 32):
+            kernels.galerkin_rhs(random_symmetric(rng, box), box)
+        assert all(box < _FFT_MIN_BOX for box in _kernels_py._TABLES)
+
+    def test_box_one_is_steady(self):
         # every admissible triad inside the 3x3 box degenerates
         w = np.zeros((3, 3), dtype=complex)
         w[2, 2] = 1.0 + 0.5j
         w[0, 0] = np.conj(w[2, 2])
-        out = kernel_backend.galerkin_rhs(w, 1)
+        out = kernels.galerkin_rhs(w, 1)
         assert np.max(np.abs(out)) == 0.0
 
 
