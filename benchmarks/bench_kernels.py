@@ -2,10 +2,14 @@
 """Timing of the hot kernels, printed as one JSON document.
 
 The Galerkin convolution has one implementation for both backends and is
-timed per box half-width; the lattice and dashed-line RK4 loops are timed
-side by side on the numpy and, where it is built, the compiled backend.
-Every figure is the median of several rounds, after one warm-up call that
-builds the convolution's tables or FFT plan.
+timed per box half-width; the lattice right-hand side and the lattice and
+dashed-line RK4 loops are timed side by side on the numpy and, where it is
+built, the compiled backend.  The analytic lattice Jacobian and the
+variational-RK4 Jacobian of the lattice flow map that the shadow Newton
+calls (N=8, dt = 0.5*0.1*h^2, 20 steps, as `chaoslab shadow --map
+nls-poincare` sets it up) are numpy code and timed once.  Every figure is
+the median of several rounds, after one warm-up call that builds the
+convolution's tables or FFT plan and the lattice index caches.
 
 Run after installing the package:  python benchmarks/bench_kernels.py
 """
@@ -17,7 +21,7 @@ import time
 
 import numpy as np
 
-from chaoslab import _kernels_py, kernels
+from chaoslab import _kernels_py, kernels, nls
 
 try:
     from chaoslab import _kernels
@@ -58,12 +62,12 @@ def galerkin_medians_ms(galerkin_rhs, boxes):
     return out
 
 
-def backend_medians_s(make_call):
+def backend_medians_s(make_call, repeat=1, rounds=3):
     """Median seconds of one call on each available backend."""
     mods = {"python": _kernels_py}
     if _kernels is not None:
         mods["compiled"] = _kernels
-    return {name: median_seconds(make_call(mod), repeat=1, rounds=3)
+    return {name: median_seconds(make_call(mod), repeat=repeat, rounds=rounds)
             for name, mod in mods.items()}
 
 
@@ -76,6 +80,9 @@ def main():
     sub, sup = rng.standard_normal(21), rng.standard_normal(21)
     pair = rng.standard_normal(20)
     dargs = (1e-3, 100_000, 10_000)
+    params = nls.NLSParams(N=8, omega=3.5, alpha=1.0, beta=4.0, epsilon=0.01)
+    flow = nls.flow_map(params, 0.5 * params.max_stable_dt(), 20)
+    x = np.concatenate([q.real, q.imag])
 
     report = {
         "backend": kernels.BACKEND,
@@ -83,6 +90,14 @@ def main():
         "nproc": os.cpu_count(),
         "galerkin_rhs_ms_by_box": galerkin_medians_ms(kernels.galerkin_rhs,
                                                       GALERKIN_BOXES),
+        "pdnls_rhs_N8_us": {
+            name: 1e6 * t for name, t in backend_medians_s(
+                lambda mod: (lambda: mod.pdnls_rhs(q, *args[:5])),
+                repeat=2000, rounds=7).items()},
+        "pdnls_jacobian_full_N8_us": 1e6 * median_seconds(
+            lambda: nls.pdnls_jacobian_full(q, params), repeat=2000, rounds=7),
+        "nls_flow_map_jacobian_N8_ms": 1e3 * median_seconds(
+            lambda: flow.jacobian(x), repeat=5, rounds=7),
         "pdnls_rk4_N8_1e5_steps_s": backend_medians_s(
             lambda mod: (lambda: mod.pdnls_rk4(q, *args))),
         "dashed_rk4_1e5_steps_s": backend_medians_s(

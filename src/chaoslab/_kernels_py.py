@@ -3,7 +3,9 @@
 The lattice and dashed-line kernels mirror the compiled extension in
 chaoslab._kernels exactly; the backend is chosen once at import time in
 chaoslab.kernels.  galerkin_rhs exists only here and serves both backends.
-The right-hand sides are vectorized, and the two trajectory loops run on
+The right-hand sides are vectorized; the lattice one gathers its periodic
+neighbours through index arrays cached per lattice size, which the analytic
+lattice Jacobian in chaoslab.nls shares.  The two trajectory loops run on
 the shared RK4 driver chaoslab.util.rk4, which applies the compiled loops'
 blow-up rule.  The compiled path is still far faster on the long lattice
 runs.
@@ -26,6 +28,9 @@ _TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # Cached padded-FFT plans, keyed by box half-width.
 _PLANS: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+
+# Cached periodic neighbour indices (n+1, n-1), keyed by lattice size.
+_NEIGHBOURS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _interaction_tables(box: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,13 +125,30 @@ def galerkin_rhs(w: np.ndarray, box: int) -> np.ndarray:
     return rhs.reshape(w.shape)
 
 
+def neighbour_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (ip, im) with q[ip][i] = q[i+1] and q[im][i] = q[i-1] on the
+    periodic lattice of n sites, built once per n and read-only."""
+    cached = _NEIGHBOURS.get(n)
+    if cached is None:
+        idx = np.arange(n)
+        cached = ((idx + 1) % n, (idx - 1) % n)
+        for a in cached:
+            a.flags.writeable = False
+        _NEIGHBOURS[n] = cached
+    return cached
+
+
 def pdnls_rhs(q, h2inv, two_omega_sq, alpha, beta, eps):
     """Right-hand side of the perturbed discrete cubic NLS lattice.
 
-    The neighbor sum is formed before the Laplacian so the evaluation is
-    mirror-symmetric and evenness is preserved exactly, not just to roundoff.
+    The neighbor sum q[n+1] + q[n-1] is formed before the Laplacian so the
+    evaluation is mirror-symmetric and evenness is preserved exactly, not
+    just to roundoff.  It gathers through the cached neighbour_index arrays,
+    the same additions in the same order as np.roll(q, -1) + np.roll(q, 1)
+    at a fraction of the per-call cost.
     """
-    neigh = np.roll(q, -1) + np.roll(q, 1)
+    ip, im = neighbour_index(q.shape[0])
+    neigh = q[ip] + q[im]
     lap = neigh - 2.0 * q
     conservative = h2inv * lap + (q.real**2 + q.imag**2) * neigh - two_omega_sq * q
     return -1j * conservative + eps * (-alpha * q + h2inv * lap + beta)

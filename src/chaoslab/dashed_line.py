@@ -135,23 +135,22 @@ def _jacobian(op, om: np.ndarray, params: DashedLineParams) -> np.ndarray:
     L = params.size
     jac = np.zeros((L + 1, L + 1))
     sub, sup, pair = params.sub, params.sup, params.pair
-    # d(dot omega_n)/d omega_p and /d omega_m
-    for i in range(L):
-        lower = om[i - 1] if i >= 1 else 0.0
-        upper = om[i + 1] if i + 1 < L else 0.0
-        jac[1 + i, 0] = sub[i] * lower - sup[i] * upper
-        if i >= 1:
-            jac[1 + i, i] = sub[i] * op  # column of omega_{n-1}
-        if i + 1 < L:
-            jac[1 + i, 2 + i] = -sup[i] * op
-    # d(dot omega_p)/d omega_m: -(pair[i-1]*om[i] + pair[i]*om[i+1]) pattern
-    for i in range(L):
-        acc = 0.0
-        if i >= 1:
-            acc += pair[i - 1] * om[i - 1]
-        if i + 1 < L:
-            acc += pair[i] * om[i + 1]
-        jac[0, 1 + i] = -acc
+    # d(dot omega_n)/d omega_p, with zero Dirichlet neighbours at both ends
+    lower = np.concatenate(([0.0], om[:-1]))
+    upper = np.concatenate((om[1:], [0.0]))
+    jac[1:, 0] = sub * lower - sup * upper
+    # d(dot omega_n)/d omega_{n-1} at (1+i, i) for i >= 1 and d/d omega_{n+1}
+    # at (1+i, 2+i) for i < L-1: L-1 entries each, a stride of L+2 apart in
+    # the flat matrix
+    flat = jac.reshape(-1)
+    flat[2 * L + 3::L + 2] = sub[1:] * op
+    flat[L + 3::L + 2] = -sup[:-1] * op
+    # d(dot omega_p)/d omega_m = -(pair[m-1]*om[m-1] + pair[m]*om[m+1]),
+    # summed onto zeros in that order as the signed zeros at om = 0 require
+    acc = np.zeros(L)
+    acc[1:] += pair * om[:-1]
+    acc[:-1] += pair * om[1:]
+    jac[0, 1:] = -acc
     return jac
 
 

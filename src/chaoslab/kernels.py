@@ -7,9 +7,11 @@ Both expose the lattice and dashed-line kernels with identical semantics
 convolution galerkin_rhs has one implementation, in chaoslab._kernels_py,
 bound here for both backends: from a crossover box up it runs on FFTs over a
 grid zero-padded to n >= 3*box+1 points per side, below it on dense tables.
-The numpy pdnls_rk4 and dashed_rk4 run on the shared driver
-chaoslab.util.rk4; the compiled ones are fused loops with the same blow-up
-rule but no check of the step schedule, so callers validate it with
+The numpy pdnls_rhs gathers the periodic neighbours through index arrays
+cached per lattice size, with the arithmetic of np.roll, so both backends
+keep their agreement.  The numpy pdnls_rk4 and dashed_rk4 run on the shared
+driver chaoslab.util.rk4; the compiled ones are fused loops with the same
+blow-up rule but no check of the step schedule, so callers validate it with
 chaoslab.util.check_schedule.
 """
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from ._kernels_py import neighbour_index
 from .errors import NumericError, PreconditionError
 from .util import check_schedule
 
@@ -276,31 +277,68 @@ def solve_uniform_saddle(p: NLSParams, tol: float = 1e-13,
                        last_iterate=r * cmath.exp(1j * th))
 
 
+# Cached constant parts of pdnls_jacobian_full, keyed by (N, epsilon bits).
+_JACOBIAN_BLOCKS: dict[tuple[int, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _jacobian_blocks(N: int, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The state-independent parts of pdnls_jacobian_full for (N, epsilon):
+    the linear part A0 = (-i + eps) h^-2 lap of d rhs/dq on the diagonal and
+    the two hop bands; the real Jacobian of A0 with B = 0, whose entries off
+    the bands are final; and the flat positions of the bands in its four
+    N x N blocks.  The key holds epsilon's exact bits, so -0.0, whose signed
+    zeros differ from those of 0.0, gets its own entry."""
+    key = (N, float(epsilon).hex())
+    cached = _JACOBIAN_BLOCKS.get(key)
+    if cached is not None:
+        return cached
+    h2 = float(N * N)
+    idx = np.arange(N)
+    ip, im = neighbour_index(N)
+    lap = np.zeros((N, N), dtype=np.complex128)
+    lap[idx, idx] = -2.0
+    lap[idx, ip] = 1.0
+    lap[idx, im] = 1.0
+    # summed onto zeros and combined with a zero B, as a full assembly of
+    # A and B does, so that every signed zero comes out the same
+    a0 = np.zeros((N, N), dtype=np.complex128)
+    a0 += -1j * h2 * lap + epsilon * h2 * lap
+    b0 = np.zeros((N, N), dtype=np.complex128)
+    apb, amb = a0 + b0, a0 - b0
+    const = np.block([[apb.real, -amb.imag], [apb.imag, amb.real]])
+    # the diagonal, then the (n, n+1) and (n, n-1) hop bands
+    rows = np.concatenate([idx, idx, idx])
+    cols = np.concatenate([idx, ip, im])
+    flat = rows * (2 * N) + cols
+    where = np.concatenate([flat, flat + N, flat + 2 * N * N, flat + 2 * N * N + N])
+    cached = (a0[rows, cols], const, where)
+    _JACOBIAN_BLOCKS[key] = cached
+    return cached
+
+
 def pdnls_jacobian_full(q: np.ndarray, p: NLSParams) -> np.ndarray:
-    """Analytic 2N x 2N real Jacobian of the lattice vector field."""
+    """Analytic 2N x 2N real Jacobian of the lattice vector field.
+
+    With A = d rhs/dq and B = d rhs/d conj(q), the Jacobian on stacked
+    (Re q, Im q) is [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]].  Only the
+    diagonal and the two hop bands depend on the state, so each call adds
+    the state's terms to the cached linear block on those 3N entries and
+    writes them into a copy of the cached Jacobian of the linear block; the
+    arithmetic on every entry is that of the full complex assembly.
+    """
     N = p.N
     q = np.asarray(q, dtype=np.complex128)
-    h2 = float(N * N)
-    lap = np.zeros((N, N), dtype=np.complex128)
-    idx = np.arange(N)
-    lap[idx, idx] = -2.0
-    lap[idx, (idx + 1) % N] = 1.0
-    lap[idx, (idx - 1) % N] = 1.0
-
-    neigh = np.roll(q, -1) + np.roll(q, 1)
-    a = np.zeros((N, N), dtype=np.complex128)  # d rhs / d q
-    a += -1j * h2 * lap + p.epsilon * h2 * lap
-    a[idx, idx] += -1j * (np.conj(q) * neigh - 2.0 * p.omega ** 2) - p.epsilon * p.alpha
+    a0_bands, const, where = _jacobian_blocks(N, p.epsilon)
+    ip, im = neighbour_index(N)
+    neigh = q[ip] + q[im]
+    diag = -1j * (np.conj(q) * neigh - 2.0 * p.omega ** 2) - p.epsilon * p.alpha
     hop = -1j * (np.abs(q) ** 2)
-    a[idx, (idx + 1) % N] += hop
-    a[idx, (idx - 1) % N] += hop
-    b = np.zeros((N, N), dtype=np.complex128)  # d rhs / d conj(q)
-    b[idx, idx] = -1j * q * neigh
-
+    a = a0_bands + np.concatenate([diag, hop, hop])
+    b = np.concatenate([-1j * q * neigh, np.zeros(2 * N, dtype=np.complex128)])
     apb, amb = a + b, a - b
-    top = np.hstack([apb.real, -amb.imag])
-    bot = np.hstack([apb.imag, amb.real])
-    return np.vstack([top, bot])
+    jac = const.copy()
+    jac.reshape(-1)[where] = np.concatenate([apb.real, -amb.imag, apb.imag, amb.real])
+    return jac
 
 
 def even_sector_basis(N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -72,21 +72,23 @@ class TestModelRHS:
         assert np.max(np.abs(got.omega - dom)) < 1e-14
 
     def test_jacobian_matches_fd(self, rng):
-        p = DashedLineParams(gamma=1.0, epsilon=0.6, trunc=6)
-        x = np.concatenate(([0.9], 0.3 * rng.standard_normal(13)))
-        jac = model_jacobian(DashedLineState(x[0], x[1:]), p)
+        # trunc 1 is the shortest chain, L = 3 sites with both Dirichlet ends
+        for trunc in (6, 1):
+            p = DashedLineParams(gamma=1.0, epsilon=0.6, trunc=trunc)
+            x = np.concatenate(([0.9], 0.3 * rng.standard_normal(p.size)))
+            jac = model_jacobian(DashedLineState(x[0], x[1:]), p)
 
-        def rhs_vec(v):
-            d = model_rhs(DashedLineState(v[0], v[1:]), p)
-            return np.concatenate(([d.omega_p], d.omega))
+            def rhs_vec(v):
+                d = model_rhs(DashedLineState(v[0], v[1:]), p)
+                return np.concatenate(([d.omega_p], d.omega))
 
-        fd = np.empty_like(jac)
-        h = 1e-6
-        for j in range(x.size):
-            e = np.zeros(x.size)
-            e[j] = h
-            fd[:, j] = (rhs_vec(x + e) - rhs_vec(x - e)) / (2 * h)
-        assert np.max(np.abs(jac - fd)) < 1e-9
+            fd = np.empty_like(jac)
+            h = 1e-6
+            for j in range(x.size):
+                e = np.zeros(x.size)
+                e[j] = h
+                fd[:, j] = (rhs_vec(x + e) - rhs_vec(x - e)) / (2 * h)
+            assert np.max(np.abs(jac - fd)) < 1e-9
 
 
 class TestAnalyticOrbit:

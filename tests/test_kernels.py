@@ -10,6 +10,7 @@ import chaoslab
 from chaoslab import _kernels_py, kernels
 from chaoslab._kernels_py import _FFT_MIN_BOX
 from chaoslab.fourier import CoefficientField, energy_derivative, enstrophy_derivative
+from chaoslab.util import _below_blowup_limit, rk4
 from oracles import galerkin_rhs_ref
 
 
@@ -92,6 +93,19 @@ class TestPDNLSKernel:
             q, 64.0, 22.445, 1.0, 5.7, 0.07, 0.5, 1000, 10)
         assert blow >= 1
 
+    @pytest.mark.parametrize("N", [3, 4, 7, 8])
+    def test_neighbour_sum_is_the_roll_formula(self, rng, N):
+        # the cached neighbour indices must give the np.roll arithmetic
+        # bit for bit, at every lattice size in one process
+        q = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        h2inv, two_omega_sq, alpha, beta, eps = float(N * N), 22.445, 1.0, 5.7, 0.07
+        neigh = np.roll(q, -1) + np.roll(q, 1)
+        lap = neigh - 2.0 * q
+        conservative = h2inv * lap + (q.real**2 + q.imag**2) * neigh - two_omega_sq * q
+        ref = -1j * conservative + eps * (-alpha * q + h2inv * lap + beta)
+        got = _kernels_py.pdnls_rhs(q, h2inv, two_omega_sq, alpha, beta, eps)
+        assert np.array_equal(got, ref)
+
 
 class TestDashedKernel:
     def test_backends_agree(self, kernel_backend, rng):
@@ -125,3 +139,54 @@ class TestDashedKernel:
         a = kernel_backend.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
         b = _kernels_py.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
         assert a[2] == b[2] != -1
+
+
+class TestBlowupRule:
+    """util.rk4 stops at the first step after which a real or imaginary
+    part reaches 1e150 or is nan, as the compiled loops do."""
+
+    @staticmethod
+    def spike_rhs(step, index, value):
+        """Zero field whose last RK4 stage of `step` returns `value` at
+        `index`, so with dt = 6 that step adds exactly `value` there."""
+        calls = [0]
+
+        def rhs(y):
+            calls[0] += 1
+            d = np.zeros_like(y)
+            if calls[0] == 4 * step:
+                d[index] = value
+            return d
+
+        return rhs
+
+    @pytest.mark.parametrize("y0, index, value", [
+        (np.ones(5, dtype=complex), 3, 1e151j),
+        (np.ones(5, dtype=complex), 3, complex(0.0, np.nan)),
+        (np.ones(5), 3, 1e151),
+        (np.ones(5), 3, np.nan),
+        (np.array(1.0 + 0j), (), 1e151j),
+    ])
+    def test_reports_exact_step(self, y0, index, value):
+        samples, blow = rk4(self.spike_rhs(7, index, value), y0, 6.0, 20, 2)
+        assert blow == 7
+        assert samples.shape[0] == 4  # y0 and steps 2, 4, 6
+        assert np.array_equal(samples[-1], y0)
+
+    def test_below_the_limit_passes(self):
+        samples, blow = rk4(self.spike_rhs(7, 3, 9.9e149j),
+                            np.zeros(5, dtype=complex), 6.0, 20, 2)
+        assert blow == -1
+        assert samples[-1][3] == 9.9e149j
+
+    @pytest.mark.parametrize("bad", [complex(1.0, 1e151), complex(1.0, np.nan)])
+    def test_one_bad_imaginary_part(self, bad):
+        # rk4's complex arithmetic spreads an imaginary nan to the real
+        # part, so the rule is also checked on bare states: contiguous,
+        # strided and 0-d
+        y = np.ones((4, 2), dtype=complex)
+        y[2, 0] = bad
+        assert not _below_blowup_limit(y)
+        assert not _below_blowup_limit(y[:, 0])
+        assert _below_blowup_limit(y[:, 1])
+        assert not _below_blowup_limit(np.array(bad))

@@ -19,6 +19,26 @@ from oracles import pdnls_rhs_ref
 P7 = dict(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.01)
 
 
+def jacobian_fd_mismatch(q, p):
+    """Sup-norm gap, relative to the Jacobian, between pdnls_jacobian_full
+    and central differences (step 1e-6) of pdnls_rhs on (Re q, Im q)."""
+    N = p.N
+    jac = pdnls_jacobian_full(q, p)
+    x0 = np.concatenate([q.real, q.imag])
+
+    def rhs_r(x):
+        d = pdnls_rhs(x[:N] + 1j * x[N:], p)
+        return np.concatenate([d.real, d.imag])
+
+    fd = np.empty_like(jac)
+    h = 1e-6
+    for j in range(2 * N):
+        e = np.zeros(2 * N)
+        e[j] = h
+        fd[:, j] = (rhs_r(x0 + e) - rhs_r(x0 - e)) / (2 * h)
+    return np.max(np.abs(jac - fd)) / np.max(np.abs(jac))
+
+
 class TestParams:
     def test_window_enforced(self):
         with pytest.raises(PreconditionError):
@@ -213,21 +233,15 @@ class TestDiscreteSaddle:
     def test_jacobian_matches_finite_differences(self, rng):
         p = NLSParams(**P7)
         q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        jac = pdnls_jacobian_full(q, p)
-        x0 = np.concatenate([q.real, q.imag])
+        assert jacobian_fd_mismatch(q, p) < 1e-6
 
-        def rhs_r(x):
-            d = pdnls_rhs(x[:7] + 1j * x[7:], p)
-            return np.concatenate([d.real, d.imag])
-
-        fd = np.empty_like(jac)
-        h = 1e-6
-        for j in range(14):
-            e = np.zeros(14)
-            e[j] = h
-            fd[:, j] = (rhs_r(x0 + e) - rhs_r(x0 - e)) / (2 * h)
-        rel = np.max(np.abs(jac - fd)) / np.max(np.abs(jac))
-        assert rel < 1e-6
+    def test_jacobian_cache_follows_size_and_epsilon(self, rng):
+        # the linear block is cached per (N, epsilon): a cache keyed on less
+        # would hand an earlier call's block to a later one
+        for N, eps in ((7, 0.01), (7, 0.05), (8, 0.01), (7, 0.01)):
+            p = NLSParams(**{**P7, "N": N, "epsilon": eps})
+            q = make_even(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+            assert jacobian_fd_mismatch(q, p) < 1e-6
 
     def test_saddle_is_stationary(self):
         p = NLSParams(**P7)
