@@ -7,9 +7,14 @@ dashed-line RK4 loops are timed side by side on the numpy and, where it is
 built, the compiled backend.  The analytic lattice Jacobian and the
 variational-RK4 Jacobian of the lattice flow map that the shadow Newton
 calls (N=8, dt = 0.5*0.1*h^2, 20 steps, as `chaoslab shadow --map
-nls-poincare` sets it up) are numpy code and timed once.  Every figure is
-the median of several rounds, after one warm-up call that builds the
-convolution's tables or FFT plan and the lattice index caches.
+nls-poincare` sets it up) are numpy code and timed once.  The dashed-line
+RK4 runs on the model's own couplings (trunc 10, epsilon 0.5) from a small
+kick off the stationary line, which it follows for all 10^5 steps; the
+bench fails if it reports a blow-up.  The dense class-operator eigensolve
+`spectra.truncated_spectrum` is timed at trunc 50 and 400 for a real and a
+complex Gamma of the benchmark class.  Every figure is the median of several
+rounds, after one warm-up call that builds the convolution's tables or FFT
+plan and the lattice index caches.
 
 Run after installing the package:  python benchmarks/bench_kernels.py
 """
@@ -21,7 +26,8 @@ import time
 
 import numpy as np
 
-from chaoslab import _kernels_py, kernels, nls
+from chaoslab import _kernels_py, dashed_line, kernels, nls, spectra
+from chaoslab.fourier import ClassIndex
 
 try:
     from chaoslab import _kernels
@@ -29,6 +35,8 @@ except ImportError:
     _kernels = None
 
 GALERKIN_BOXES = (4, 6, 8, 16, 32, 64)
+SPECTRUM_TRUNCS = (50, 400)
+SPECTRUM_GAMMAS = {"real": 2.0, "complex": 1.3 - 0.7j}
 
 
 def median_seconds(fn, repeat, rounds):
@@ -71,14 +79,39 @@ def backend_medians_s(make_call, repeat=1, rounds=3):
             for name, mod in mods.items()}
 
 
+def spectrum_medians_ms():
+    """Median milliseconds of truncated_spectrum per trunc and kind of Gamma."""
+    cls = ClassIndex(khat=(-3, -2), p=(1, 1))
+    out = {}
+    for trunc in SPECTRUM_TRUNCS:
+        for kind, gamma in SPECTRUM_GAMMAS.items():
+            op = spectra.build_class_operator(cls, gamma, trunc)
+            out[f"trunc{trunc}_{kind}"] = 1e3 * median_seconds(
+                lambda: spectra.truncated_spectrum(op), repeat=1, rounds=5)
+    return out
+
+
+def dashed_rk4_s(dargs):
+    """dashed_rk4 medians per backend; fails unless every run takes all steps."""
+    params = dashed_line.DashedLineParams(gamma=1.0, epsilon=0.5, trunc=10)
+    om = 1e-2 * np.random.default_rng(1).standard_normal(params.size)
+
+    def make_call(mod):
+        def call():
+            blowup_step = mod.dashed_rk4(params.gamma, om, params.sub, params.sup,
+                                         params.pair, *dargs)[2]
+            if blowup_step != -1:  # the kernels' value for no blow-up
+                raise SystemExit(f"dashed_rk4 blew up at step {blowup_step}")
+        return call
+
+    return backend_medians_s(make_call)
+
+
 def main():
     rng = np.random.default_rng(0)
 
     q = 0.1 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     args = (64.0, 2 * 3.35 ** 2, 1.0, 5.7, 0.07, 1.2e-3, 100_000, 10_000)
-    om = 1e-2 * rng.standard_normal(21)
-    sub, sup = rng.standard_normal(21), rng.standard_normal(21)
-    pair = rng.standard_normal(20)
     dargs = (1e-3, 100_000, 10_000)
     params = nls.NLSParams(N=8, omega=3.5, alpha=1.0, beta=4.0, epsilon=0.01)
     flow = nls.flow_map(params, 0.5 * params.max_stable_dt(), 20)
@@ -100,8 +133,8 @@ def main():
             lambda: flow.jacobian(x), repeat=5, rounds=7),
         "pdnls_rk4_N8_1e5_steps_s": backend_medians_s(
             lambda mod: (lambda: mod.pdnls_rk4(q, *args))),
-        "dashed_rk4_1e5_steps_s": backend_medians_s(
-            lambda mod: (lambda: mod.dashed_rk4(0.5, om, sub, sup, pair, *dargs))),
+        "dashed_rk4_1e5_steps_s": dashed_rk4_s(dargs),
+        "truncated_spectrum_ms": spectrum_medians_ms(),
     }
     print(json.dumps(report, indent=1))
 

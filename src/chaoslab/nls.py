@@ -139,8 +139,10 @@ def continuum_saddle(omega: float, alpha: float, beta: float,
     """Leading-order amplitude and phase of the uniform saddle.
 
     I = w^2 - eps*(1/(2w))*sqrt(beta^2 - alpha^2 w^2), theta = arccos(alpha
-    sqrt(I)/beta) in (0, pi/2).  Requires alpha*w < beta.
+    sqrt(I)/beta) in (0, pi/2).  Requires finite parameters and alpha*w < beta.
     """
+    if not all(math.isfinite(v) for v in (omega, alpha, beta, epsilon)):
+        raise PreconditionError("omega, alpha, beta and epsilon must be finite")
     if omega <= 0:
         raise PreconditionError("omega must be positive")
     rad = beta * beta - alpha * alpha * omega * omega

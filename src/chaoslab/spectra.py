@@ -6,13 +6,23 @@ decouple along lattice lines khat + n*p into three-term recurrences
     lam * w_n = c_n w_{n-1} + d_n w_{n+1},
     c_n = A(p, khat+(n-1)p) * Gamma,   d_n = A(-p, khat+(n+1)p) * conj(Gamma).
 
-This module builds the Dirichlet truncations of those operators, classifies
-their spectra by the disk-intersection test, and refines point eigenvalues
-with the continued-fraction characteristic function of the recurrence.
+Every coupling is a real Gamma-free number a_n = A(p, khat+(n-1)p) or
+b_n = A(-p, khat+(n+1)p) times Gamma or conj(Gamma); `class_couplings` is
+the one place that evaluates them.  With Gamma = |Gamma| e^{i theta} the
+diagonal similarity diag(e^{i n theta}) turns the operator into the real
+matrix |Gamma| * A, A having sub-diagonal a_n and super-diagonal b_n, with
+the same spectrum.
+
+This module builds the Dirichlet truncations of those operators, solves
+the real similar form for their spectra (in real arithmetic, so the
+computed spectrum is exactly closed under conjugation), classifies them by
+the disk-intersection test, and refines point eigenvalues with the
+continued-fraction characteristic function of the recurrence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,19 +38,52 @@ class SpectrumCase(Enum):
     MIXED_POINT_SPECTRUM = "MixedPointSpectrum"
 
 
+def class_couplings(cls: ClassIndex, ns) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma-free couplings (a_n, b_n) of the recurrence at positions ns.
+
+    a_n = A(p, khat+(n-1)p) couples w_n to Gamma*w_{n-1} and
+    b_n = A(-p, khat+(n+1)p) couples it to conj(Gamma)*w_{n+1}; a coupling
+    to the origin slot, which the chain skips, is zero.
+    """
+    p = cls.p
+    mp = (-p[0], -p[1])
+    sub, sup = [], []
+    for n in ns:
+        lower, upper = cls.member(n - 1), cls.member(n + 1)
+        sub.append(coef_A(p, lower) if lower != (0, 0) else 0.0)
+        sup.append(coef_A(mp, upper) if upper != (0, 0) else 0.0)
+    return np.array(sub), np.array(sup)
+
+
+def _tridiagonal(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Dense matrix with ``lower`` below and ``upper`` above a zero diagonal."""
+    i = np.arange(len(lower))
+    dim = len(lower) + 1
+    mat = np.zeros((dim, dim), dtype=np.result_type(lower, upper))
+    mat[i + 1, i] = lower
+    mat[i, i + 1] = upper
+    return mat
+
+
 @dataclass
 class ClassOperator:
     """Dirichlet truncation of one decoupled class recurrence.
 
     ``ns`` lists the kept chain positions n in [-trunc, trunc] (a slot is
-    removed when khat + n*p hits the origin, splitting the chain), and
-    ``matrix`` is the dense tridiagonal-with-skips realization.
+    removed when khat + n*p hits the origin, splitting the chain).
+    ``sub`` and ``sup`` hold the real Gamma-free couplings a_n and b_n of
+    each kept slot (`class_couplings`), and ``matrix`` is the dense complex
+    tridiagonal-with-skips realization, with entries exactly a_n*Gamma and
+    b_n*conj(Gamma).  `real_form` is the real matrix |Gamma| * A that is
+    similar to it.
     """
 
     cls: ClassIndex
     gamma: complex
     trunc: int
     ns: list[int]
+    sub: np.ndarray
+    sup: np.ndarray
     matrix: np.ndarray
     degenerate: bool
 
@@ -50,12 +93,20 @@ class ClassOperator:
 
     def sub_coefficient(self, n: int) -> complex:
         """c_n, the coupling of w_n to w_{n-1}."""
-        return coef_A(self.cls.p, self.cls.member(n - 1)) * self.gamma
+        return complex(class_couplings(self.cls, [n])[0][0] * self.gamma)
 
     def super_coefficient(self, n: int) -> complex:
         """d_n, the coupling of w_n to w_{n+1}."""
-        p = self.cls.p
-        return coef_A((-p[0], -p[1]), self.cls.member(n + 1)) * np.conj(self.gamma)
+        return complex(class_couplings(self.cls, [n])[1][0] * np.conj(self.gamma))
+
+    def real_form(self) -> np.ndarray:
+        """|Gamma| * A: the Gamma-free couplings scaled by |Gamma|, in float64.
+
+        diag(e^{i n theta}) with Gamma = |Gamma| e^{i theta} maps it onto
+        ``matrix``, so the two have the same spectrum.
+        """
+        g = abs(self.gamma)
+        return _tridiagonal(g * self.sub[1:], g * self.sup[:-1])
 
 
 @dataclass
@@ -90,31 +141,34 @@ def build_class_operator(cls: ClassIndex, gamma: complex, trunc: int) -> ClassOp
     """Assemble the truncated class operator for |n| <= trunc."""
     if trunc < 1:
         raise PreconditionError("trunc must be >= 1")
+    gamma = complex(gamma)
+    # hypot is not finite when either part is not, or when |Gamma| overflows
+    if not math.isfinite(math.hypot(gamma.real, gamma.imag)):
+        raise PreconditionError("Gamma and |Gamma| must be finite")
     ns = [n for n in range(-trunc, trunc + 1) if cls.member(n) != (0, 0)]
-    index = {n: i for i, n in enumerate(ns)}
-    dim = len(ns)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    p = cls.p
-    mp = (-p[0], -p[1])
-    for n in ns:
-        lower = n - 1
-        if lower in index:
-            mat[index[n], index[lower]] = coef_A(p, cls.member(lower)) * gamma
-        upper = n + 1
-        if upper in index:
-            mat[index[n], index[upper]] = coef_A(mp, cls.member(upper)) * np.conj(gamma)
-    return ClassOperator(cls=cls, gamma=complex(gamma), trunc=trunc, ns=ns,
-                         matrix=mat, degenerate=cls.is_degenerate())
+    sub, sup = class_couplings(cls, ns)
+    # the kept slots are consecutive except across the origin, where both
+    # couplings are zero, so a_n sits below and b_n above the diagonal;
+    # the first slot's a_n and the last slot's b_n reach outside the
+    # truncation and are dropped
+    mat = _tridiagonal(sub[1:] * gamma, sup[:-1] * np.conj(gamma))
+    return ClassOperator(cls=cls, gamma=gamma, trunc=trunc, ns=ns, sub=sub,
+                         sup=sup, matrix=mat, degenerate=cls.is_degenerate())
 
 
 def truncated_spectrum(op: ClassOperator) -> SpectrumReport:
-    """Dense eigensolve of the truncation plus the disk classification."""
+    """Dense eigensolve of the truncation plus the disk classification.
+
+    The solve runs on the real similar form `ClassOperator.real_form` in
+    float64, so complex eigenvalues come in exactly conjugate pairs.
+    """
     if op.dimension > 2001:
         raise PreconditionError("truncation dimension above 2001")
+    real = op.real_form()
     try:
-        eigs = np.linalg.eigvals(op.matrix)
+        eigs = np.linalg.eigvals(real).astype(np.complex128, copy=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericError("eigensolver failed to converge", matrix=op.matrix) from exc
+        raise NumericError("eigensolver failed to converge", matrix=real) from exc
     case = (SpectrumCase.MIXED_POINT_SPECTRUM if class_intersects_disk(op.cls)
             else SpectrumCase.CONTINUOUS_ONLY)
     b = -0.5 * abs(op.gamma) * det2(op.cls.p, op.cls.khat) / norm_sq(op.cls.p)
@@ -155,12 +209,13 @@ def continued_fraction_eigen(op: ClassOperator, seed: complex,
     if op.gamma == 0:
         return 0.0 + 0.0j
 
-    p = cls.p
-    mp = (-p[0], -p[1])
-    gamma = op.gamma
-    cg = np.conj(gamma)
-    c = {n: coef_A(p, cls.member(n - 1)) * gamma for n in range(-depth, depth + 1)}
-    d = {n: coef_A(mp, cls.member(n + 1)) * cg for n in range(-depth, depth + 1)}
+    chain = range(-depth, depth + 1)
+    sub, sup = class_couplings(cls, chain)
+    # c_n are Python complex and d_n numpy complex128 scalars: numpy's
+    # complex division rounds differently from Python's, and the refined
+    # value is held to the bits of this mix (tests/test_spectra.py)
+    c = dict(zip(chain, (sub * op.gamma).tolist()))
+    d = dict(zip(chain, sup * np.conj(op.gamma)))
 
     def f_and_deriv(lam: complex) -> tuple[complex, complex]:
         r, rp = 0.0 + 0.0j, 0.0 + 0.0j  # R_{depth+1} = 0

@@ -47,6 +47,12 @@ class TestDispatch:
              "--custom-file", str(tmp_path / "missing.json")],
             ["darboux", "--construction", "custom-file",
              "--custom-file", str(malformed)],
+            # a Gamma or |Gamma| that is not finite
+            ["spectrum", "--gamma", "1.5e308,1.5e308", "--trunc", "3"],
+            ["spectrum", "--gamma", "nan,0", "--trunc", "3"],
+            ["spectrum", "--gamma", "inf,0", "--trunc", "3"],
+            # a saddle parameter that is not finite
+            ["nls-saddle", "--omega", "nan"],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args

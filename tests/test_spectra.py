@@ -7,6 +7,7 @@ from chaoslab.spectra import (SpectrumCase, build_class_operator,
                               continued_fraction_eigen, count_nonimaginary,
                               quadruple_symmetry_defect,
                               spectral_mapping_check, truncated_spectrum)
+from chaoslab.util import hausdorff_distance
 from oracles import BENCH_EIGENVALUE_NORMALIZED, class_eigenvalue_mp
 
 BENCH = ClassIndex(khat=(-3, -2), p=(1, 1))
@@ -109,6 +110,32 @@ class TestTruncatedSpectrum:
         rep2 = truncated_spectrum(build_class_operator(BENCH, 2.0j, 40))
         assert hausdorff_distance(rep1.eigenvalues, rep2.eigenvalues) < 1e-10
 
+    @pytest.mark.parametrize("cls,gamma", [
+        (BENCH, 2.0),
+        (BENCH, 1.3 - 0.7j),
+        (ClassIndex(khat=(2, 4), p=(1, 2)), 2.0),    # skips the origin slot
+        (ClassIndex(khat=(10, 0), p=(1, 1)), 2.0),   # continuous only
+    ])
+    def test_real_form_matches_complex_operator(self, cls, gamma):
+        op = build_class_operator(cls, gamma, 50)
+        rep = truncated_spectrum(op)
+        assert rep.eigenvalues.dtype == np.complex128
+        assert hausdorff_distance(rep.eigenvalues,
+                                  np.linalg.eigvals(op.matrix)) < 1e-12 * abs(gamma)
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.3 - 0.7j])
+    def test_spectrum_exactly_closed_under_conjugation(self, gamma):
+        eigs = truncated_spectrum(build_class_operator(BENCH, gamma, 50)).eigenvalues
+        assert np.any(eigs.imag != 0)
+        assert np.array_equal(np.sort_complex(eigs), np.sort_complex(np.conj(eigs)))
+
+    def test_phase_leaves_spectrum_bitwise_unchanged(self):
+        rotated = 2.0 * np.exp(0.3j)
+        assert abs(rotated) == 2.0
+        rep1 = truncated_spectrum(build_class_operator(BENCH, 2.0, 50))
+        rep2 = truncated_spectrum(build_class_operator(BENCH, rotated, 50))
+        assert np.array_equal(rep1.eigenvalues, rep2.eigenvalues)
+
     def test_dimension_cap(self):
         with pytest.raises(PreconditionError):
             truncated_spectrum(build_class_operator(BENCH, 1.0, 1100))
@@ -134,6 +161,42 @@ class TestContinuedFraction:
         big_rep = truncated_spectrum(build_class_operator(BENCH, 2.0, 400))
         dist = np.min(np.abs(big_rep.eigenvalues - lam))
         assert dist < 1e-9
+
+    @pytest.mark.parametrize("gamma,seed", [(2.0, 0.248 + 0.352j),
+                                            (6.0, 3 * (0.248 + 0.352j)),
+                                            (1.3 - 0.7j, 0.18 + 0.26j)])
+    def test_same_bits_as_loop_reference(self, gamma, seed):
+        # the couplings written out per n, c_n as Python complex and d_n as
+        # numpy complex128 scalars: the refined value keeps these bits
+        op = build_class_operator(BENCH, gamma, 40)
+        depth = 4 * op.trunc
+        cg = np.conj(op.gamma)
+        c = {n: coef_A((1, 1), BENCH.member(n - 1)) * op.gamma
+             for n in range(-depth, depth + 1)}
+        d = {n: coef_A((-1, -1), BENCH.member(n + 1)) * cg
+             for n in range(-depth, depth + 1)}
+
+        def residual(lam):
+            r, rp = 0.0 + 0.0j, 0.0 + 0.0j
+            for n in range(depth, 0, -1):
+                den = lam - d[n] * r
+                rp = -c[n] * (1.0 - d[n] * rp) / (den * den)
+                r = c[n] / den
+            s, sp = 0.0 + 0.0j, 0.0 + 0.0j
+            for n in range(-depth, 0):
+                den = lam - c[n] * s
+                sp = -d[n] * (1.0 - c[n] * sp) / (den * den)
+                s = d[n] / den
+            return lam - c[0] * s - d[0] * r, 1.0 - c[0] * sp - d[0] * rp
+
+        lam = complex(seed)
+        for _ in range(100):
+            fval, fder = residual(lam)
+            if abs(fval) < 1e-13:
+                break
+            lam = lam - fval / fder
+        got = continued_fraction_eigen(op, seed)
+        assert (got.real, got.imag) == (lam.real, lam.imag)
 
     def test_zero_gamma_returns_zero(self):
         op = build_class_operator(BENCH, 0.0, 10)
