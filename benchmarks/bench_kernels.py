@@ -3,20 +3,22 @@
 
 The Galerkin convolution has one implementation for both backends and is
 timed per box half-width; the lattice right-hand side and the lattice and
-dashed-line RK4 loops are timed side by side on the numpy and, where it is
-built, the compiled backend.  The analytic lattice Jacobian and the
-variational-RK4 Jacobian of the lattice flow map that the shadow Newton
-calls (N=8, dt = 0.5*0.1*h^2, 20 steps, as `chaoslab shadow --map
-nls-poincare` sets it up) are numpy code and timed once.  The dashed-line
-RK4 runs on the model's own couplings (trunc 10, epsilon 0.5) from a small
-kick off the stationary line, which it follows for all 10^5 steps; the
-bench fails if it reports a blow-up.  The dense class-operator eigensolve
-`spectra.truncated_spectrum` is timed at trunc 50 and 400 for a real and a
-complex Gamma of the benchmark class.  Every figure is the median of several
-rounds, after one warm-up call that builds the convolution's tables or FFT
-plan and the lattice index caches.
+dashed-line RK4 loops are timed side by side on the numpy backend and, where
+the C extension chaoslab._kernels is built from _kernels.c, the compiled
+one.  The analytic lattice Jacobian and the variational-RK4 Jacobian of the
+lattice flow map that the shadow Newton calls (N=8, dt = 0.5*0.1*h^2, 20
+steps, as `chaoslab shadow --map nls-poincare` sets it up) are numpy code
+and timed once.  The dashed-line RK4 runs on the model's own couplings (trunc
+10, epsilon 0.5) from a small kick off the stationary line, which it follows
+for all 10^5 steps; the bench fails if it reports a blow-up.  The dense
+class-operator eigensolve `spectra.truncated_spectrum` is timed at trunc 50
+and 400 for a real and a complex Gamma of the benchmark class.  Every figure
+is the median of several rounds, after one warm-up call that builds the
+convolution's tables or FFT plan and the lattice index caches.
 
-Run after installing the package:  python benchmarks/bench_kernels.py
+Run after installing the package, or from a source tree with the extension
+built in place (python setup.py build_ext --inplace) and src on PYTHONPATH:
+    python benchmarks/bench_kernels.py
 """
 
 import json

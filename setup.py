@@ -1,29 +1,4 @@
-"""Build the optional compiled kernels.
-
-If Cython or a C compiler is unavailable the package installs without the
-extension and falls back to the pure numpy kernels at import time.
-"""
-
+# The compiled kernels; if they fail to build, chaoslab runs its numpy kernels.
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "chaoslab._kernels",
-                ["src/chaoslab/_kernels.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_9_API_VERSION")],
-            )
-        ],
-        language_level="3",
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("chaoslab._kernels", ["src/chaoslab/_kernels.c"], optional=True)])

@@ -1,14 +1,14 @@
 """Pure numpy implementations of the hot kernels.
 
-The lattice and dashed-line kernels mirror the compiled extension in
-chaoslab._kernels exactly; the backend is chosen once at import time in
-chaoslab.kernels.  galerkin_rhs exists only here and serves both backends.
-The right-hand sides are vectorized; the lattice one gathers its periodic
-neighbours through index arrays cached per lattice size, which the analytic
-lattice Jacobian in chaoslab.nls shares.  The two trajectory loops run on
-the shared RK4 driver chaoslab.util.rk4, which applies the compiled loops'
-blow-up rule.  The compiled path is still far faster on the long lattice
-runs.
+The lattice and dashed-line kernels have a C twin in _kernels.c, the
+extension chaoslab._kernels, with the same arithmetic; chaoslab.kernels
+picks the backend once at import time.  galerkin_rhs exists only here and
+serves both backends.  The right-hand sides are vectorized; the lattice one
+gathers its periodic neighbours through index arrays cached per lattice
+size, which the analytic lattice Jacobian in chaoslab.nls shares.  The two
+trajectory loops run on the shared RK4 driver chaoslab.util.rk4, whose
+blow-up rule and schedule check the C loops apply too.  The C loops are
+still far faster on the long lattice runs.
 """
 
 import numpy as np

@@ -141,6 +141,10 @@ def build_class_operator(cls: ClassIndex, gamma: complex, trunc: int) -> ClassOp
     """Assemble the truncated class operator for |n| <= trunc."""
     if trunc < 1:
         raise PreconditionError("trunc must be >= 1")
+    # the dimension, 2*trunc+1 less the origin if it is a member, stays at
+    # most 2001 for the dense eigensolve: checked before anything is built
+    if trunc > 1000:
+        raise PreconditionError("trunc above 1000: truncation dimension above 2001")
     gamma = complex(gamma)
     # hypot is not finite when either part is not, or when |Gamma| overflows
     if not math.isfinite(math.hypot(gamma.real, gamma.imag)):
@@ -162,8 +166,6 @@ def truncated_spectrum(op: ClassOperator) -> SpectrumReport:
     The solve runs on the real similar form `ClassOperator.real_form` in
     float64, so complex eigenvalues come in exactly conjugate pairs.
     """
-    if op.dimension > 2001:
-        raise PreconditionError("truncation dimension above 2001")
     real = op.real_form()
     try:
         eigs = np.linalg.eigvals(real).astype(np.complex128, copy=False)

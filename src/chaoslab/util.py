@@ -8,8 +8,8 @@ from .errors import PreconditionError
 
 
 def _below_blowup_limit(y: np.ndarray) -> bool:
-    """The blow-up rule, shared with the compiled kernels: every real and
-    imaginary part below 1e150 (max propagates nan, which fails it).
+    """The blow-up rule, which the C loops of _kernels.c apply too: every
+    real and imaginary part below 1e150 (max propagates nan, which fails it).
 
     A complex state is tested in one reduction over its flat real view,
     which interleaves the real and imaginary parts; ravel copies only a

@@ -1,10 +1,16 @@
+import importlib.util
 import os
+import shutil
+import subprocess
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def pytest_report_header(config):
@@ -18,18 +24,41 @@ def rng():
     return np.random.default_rng(20230517)
 
 
-def both_backends():
-    """The kernel modules available in this environment."""
-    from chaoslab import _kernels_py
-    mods = [_kernels_py]
-    try:
-        from chaoslab import _kernels
-        mods.append(_kernels)
-    except ImportError:
-        pass
-    return mods
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """chaoslab._kernels built once per session from src/chaoslab/_kernels.c.
+
+    `setup.py build_ext` writes the extension into a temporary directory and
+    nothing under src/, so chaoslab.BACKEND stays what the installation
+    gives.  The module is loaded from there without replacing any
+    chaoslab._kernels in sys.modules.  Skips where no C compiler exists.
+    """
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build chaoslab._kernels")
+    out = tmp_path_factory.mktemp("kernels")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+         "--build-temp", str(out / "obj")],
+        cwd=ROOT, capture_output=True, text=True)
+    built = list(out.glob("chaoslab/_kernels*"))
+    if build.returncode != 0 or len(built) != 1:
+        pytest.fail(f"building chaoslab._kernels failed:\n{build.stdout}\n{build.stderr}")
+    saved = sys.modules.get("chaoslab._kernels")
+    spec = importlib.util.spec_from_file_location("chaoslab._kernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if saved is None:
+        sys.modules.pop("chaoslab._kernels", None)
+    else:
+        sys.modules["chaoslab._kernels"] = saved
+    return module
 
 
-@pytest.fixture(params=both_backends(), ids=lambda m: m.BACKEND)
+@pytest.fixture(params=["python", "compiled"])
 def kernel_backend(request):
-    return request.param
+    """Each kernel module: the numpy twins and the session-built extension."""
+    if request.param == "compiled":
+        return request.getfixturevalue("compiled_kernels")
+    from chaoslab import _kernels_py
+    return _kernels_py

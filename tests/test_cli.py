@@ -51,6 +51,9 @@ class TestDispatch:
             ["spectrum", "--gamma", "1.5e308,1.5e308", "--trunc", "3"],
             ["spectrum", "--gamma", "nan,0", "--trunc", "3"],
             ["spectrum", "--gamma", "inf,0", "--trunc", "3"],
+            # a truncation above the dense eigensolve's cap, rejected before
+            # the 25.6 GB matrix is allocated
+            ["spectrum", "--trunc", "20000"],
             # a saddle parameter that is not finite
             ["nls-saddle", "--omega", "nan"],
         ]

@@ -9,6 +9,7 @@ import pytest
 import chaoslab
 from chaoslab import _kernels_py, kernels
 from chaoslab._kernels_py import _FFT_MIN_BOX
+from chaoslab.errors import PreconditionError
 from chaoslab.fourier import CoefficientField, energy_derivative, enstrophy_derivative
 from chaoslab.util import _below_blowup_limit, rk4
 from oracles import galerkin_rhs_ref
@@ -73,19 +74,24 @@ class TestPDNLSKernel:
         from chaoslab import _kernels_py
         q = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         args = (64.0, 22.445, 1.0, 5.7, 0.07)
-        got = kernel_backend.pdnls_rhs(q, *args)
-        ref = _kernels_py.pdnls_rhs(q, *args)
-        assert np.max(np.abs(got - ref)) < 1e-13
+        # a strided, a real-valued and an integer q give the result for the
+        # complex128 array np.ascontiguousarray makes of them
+        for form in (q, np.repeat(q, 2)[::2], q.real, rng.integers(-3, 4, 8)):
+            got = kernel_backend.pdnls_rhs(form, *args)
+            ref = _kernels_py.pdnls_rhs(np.ascontiguousarray(form, np.complex128), *args)
+            assert np.max(np.abs(got - ref)) < 1e-13
 
     def test_rk4_backends_agree(self, kernel_backend, rng):
         from chaoslab import _kernels_py
         q = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
         args = (64.0, 22.445, 1.0, 5.7, 0.07, 1e-4, 3000, 300)
-        got, gb = kernel_backend.pdnls_rk4(q, *args)
         ref, rb = _kernels_py.pdnls_rk4(q, *args)
-        assert gb == rb == -1
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) < 1e-11
+        # a list or a strided q0 is converted, never reinterpreted
+        for form in (q, list(q), np.repeat(q, 2)[::2]):
+            got, gb = kernel_backend.pdnls_rk4(form, *args)
+            assert gb == rb == -1
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) < 1e-11
 
     def test_rk4_blowup_reported(self, kernel_backend):
         q = np.full(8, 1e3, dtype=complex)
@@ -113,21 +119,41 @@ class TestDashedKernel:
         om = rng.standard_normal(21)
         sub, sup = rng.standard_normal(21), rng.standard_normal(21)
         pair = rng.standard_normal(20)
-        g_op, g_om = kernel_backend.dashed_rhs(0.8, om, sub, sup, pair)
-        r_op, r_om = _kernels_py.dashed_rhs(0.8, om, sub, sup, pair)
-        assert abs(g_op - r_op) < 1e-13
-        assert np.max(np.abs(g_om - r_om)) < 1e-13
+        # a strided om and float32 or list couplings give the result for the
+        # float64 arrays np.ascontiguousarray makes of them
+        for forms in [(om, sub, sup, pair),
+                      (np.repeat(om, 2)[::2], sub.astype(np.float32), sup.tolist(), pair.tolist())]:
+            g_op, g_om = kernel_backend.dashed_rhs(0.8, *forms)
+            r_op, r_om = _kernels_py.dashed_rhs(
+                0.8, *(np.ascontiguousarray(x, np.float64) for x in forms))
+            assert abs(g_op - r_op) < 1e-13
+            assert np.max(np.abs(g_om - r_om)) < 1e-13
 
     def test_rk4_backends_agree(self, kernel_backend, rng):
         from chaoslab import _kernels_py
         om = 1e-3 * rng.standard_normal(21)
         sub, sup = rng.standard_normal(21), rng.standard_normal(21)
         pair = rng.standard_normal(20)
-        a = kernel_backend.dashed_rk4(0.8, om, sub, sup, pair, 1e-3, 1000, 100)
-        b = _kernels_py.dashed_rk4(0.8, om, sub, sup, pair, 1e-3, 1000, 100)
-        assert a[2] == b[2] == -1
-        assert np.max(np.abs(a[0] - b[0])) < 1e-12
-        assert np.max(np.abs(a[1] - b[1])) < 1e-12
+        # list, integer, float32 and strided inputs are converted as
+        # np.ascontiguousarray does, never reinterpreted
+        for forms in [(om, sub, sup, pair),
+                      (om.tolist(), np.rint(3 * sub).astype(np.int64),
+                       sup.astype(np.float32), np.repeat(pair, 2)[::2])]:
+            a = kernel_backend.dashed_rk4(0.8, *forms, 1e-3, 1000, 100)
+            b = _kernels_py.dashed_rk4(
+                0.8, *(np.ascontiguousarray(x, np.float64) for x in forms), 1e-3, 1000, 100)
+            assert a[2] == b[2] == -1
+            assert np.max(np.abs(a[0] - b[0])) < 1e-12
+            assert np.max(np.abs(a[1] - b[1])) < 1e-12
+
+    def test_mismatched_couplings_raise(self, kernel_backend):
+        # sub, sup and pair must fit om as numpy broadcasting needs them to,
+        # so the compiled loops never read past the end of a coupling array
+        om, sub, sup, pair = np.ones(6), np.ones(6), np.ones(6), np.ones(5)
+        for args in [(om, sub[:3], sup, pair), (om, sub, sup[:5], pair),
+                     (om, sub, sup, pair[:2])]:
+            with pytest.raises(ValueError):
+                kernel_backend.dashed_rhs(0.8, *args)
 
     def test_rk4_blowup_step_agrees(self, kernel_backend, rng):
         # quadratic couplings this large blow up in finite time; both
@@ -139,6 +165,19 @@ class TestDashedKernel:
         a = kernel_backend.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
         b = _kernels_py.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
         assert a[2] == b[2] != -1
+
+
+@pytest.mark.parametrize("dt, steps, sample_every", [
+    (1e-3, 10, 0), (1e-3, 10, -2), (0.0, 10, 1), (float("nan"), 10, 1), (1e-3, -1, 1)])
+def test_rk4_rejects_bad_schedule(kernel_backend, dt, steps, sample_every):
+    # both backends apply chaoslab.util.check_schedule: a bad schedule is a
+    # precondition error, never a crash of the compiled loops
+    q = np.ones(8, dtype=complex)
+    with pytest.raises(PreconditionError):
+        kernel_backend.pdnls_rk4(q, 64.0, 22.4, 1.0, 5.7, 0.07, dt, steps, sample_every)
+    om = np.zeros(5)
+    with pytest.raises(PreconditionError):
+        kernel_backend.dashed_rk4(0.8, om, om, om, om[:4], dt, steps, sample_every)
 
 
 class TestBlowupRule:
