@@ -8,9 +8,13 @@ the C extension chaoslab._kernels is built from _kernels.c, the compiled
 one.  The analytic lattice Jacobian and the variational-RK4 Jacobian of the
 lattice flow map that the shadow Newton calls (N=8, dt = 0.5*0.1*h^2, 20
 steps, as `chaoslab shadow --map nls-poincare` sets it up) are numpy code
-and timed once.  The dashed-line RK4 runs on the model's own couplings (trunc
-10, epsilon 0.5) from a small kick off the stationary line, which it follows
-for all 10^5 steps; the bench fails if it reports a blow-up.  The dense
+and timed once.  So are that flow map and its Jacobians on 20 states 1e-3
+off the lattice saddle, as many as the shadow Newton of `shadow --map
+nls-poincare --word 010 --m 3` maps per step, as one stacked call and as
+the loop of single-state calls it replaces.  The dashed-line RK4 runs on
+the model's own couplings (trunc 10, epsilon 0.5) from a small kick off the
+stationary line, which it follows for all 10^5 steps; the bench fails if it
+reports a blow-up.  The dense
 class-operator eigensolve `spectra.truncated_spectrum` is timed at trunc 50
 and 400 for a real and a complex Gamma of the benchmark class.  Every figure
 is the median of several rounds, after one warm-up call that builds the
@@ -109,6 +113,14 @@ def dashed_rk4_s(dargs):
     return backend_medians_s(make_call)
 
 
+def stacked_against_loop_ms(fn, points):
+    """Median milliseconds of fn on the stack of points and of the loop of
+    fn on each point."""
+    return {"stacked": 1e3 * median_seconds(lambda: fn(points), repeat=3, rounds=7),
+            "per_point": 1e3 * median_seconds(lambda: [fn(x) for x in points],
+                                               repeat=1, rounds=7)}
+
+
 def main():
     rng = np.random.default_rng(0)
 
@@ -118,6 +130,9 @@ def main():
     params = nls.NLSParams(N=8, omega=3.5, alpha=1.0, beta=4.0, epsilon=0.01)
     flow = nls.flow_map(params, 0.5 * params.max_stable_dt(), 20)
     x = np.concatenate([q.real, q.imag])
+    saddle = nls.discrete_saddle(params).state.q
+    orbit = (np.concatenate([saddle.real, saddle.imag])
+             + 1e-3 * rng.standard_normal((20, 16)))
 
     report = {
         "backend": kernels.BACKEND,
@@ -133,6 +148,9 @@ def main():
             lambda: nls.pdnls_jacobian_full(q, params), repeat=2000, rounds=7),
         "nls_flow_map_jacobian_N8_ms": 1e3 * median_seconds(
             lambda: flow.jacobian(x), repeat=5, rounds=7),
+        "nls_flow_map_20_points_ms": stacked_against_loop_ms(flow.map, orbit),
+        "nls_flow_map_jacobian_20_points_ms": stacked_against_loop_ms(
+            flow.jacobian, orbit),
         "pdnls_rk4_N8_1e5_steps_s": backend_medians_s(
             lambda mod: (lambda: mod.pdnls_rk4(q, *args))),
         "dashed_rk4_1e5_steps_s": dashed_rk4_s(dargs),

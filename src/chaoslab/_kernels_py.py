@@ -8,7 +8,10 @@ gathers its periodic neighbours through index arrays cached per lattice
 size, which the analytic lattice Jacobian in chaoslab.nls shares.  The two
 trajectory loops run on the shared RK4 driver chaoslab.util.rk4, whose
 blow-up rule and schedule check the C loops apply too.  The C loops are
-still far faster on the long lattice runs.
+still far faster on the long lattice runs.  The right-hand sides also take
+a batch of states, which the shadowing flow maps of chaoslab.nls and
+chaoslab.dashed_line integrate in one RK4 run; those maps call these numpy
+versions on either backend, since the C twins take one state per call.
 """
 
 import numpy as np
@@ -145,8 +148,13 @@ def pdnls_rhs(q, h2inv, two_omega_sq, alpha, beta, eps):
     evaluation is mirror-symmetric and evenness is preserved exactly, not
     just to roundoff.  It gathers through the cached neighbour_index arrays,
     the same additions in the same order as np.roll(q, -1) + np.roll(q, 1)
-    at a fraction of the per-call cost.
+    at a fraction of the per-call cost.  The lattice runs along the first
+    axis; trailing axes are a batch, so q of shape (N, B) gives the B
+    right-hand sides of its columns, each bit for bit the 1-D result.  q is
+    converted as np.asarray(q, complex128), which copies no complex128
+    array, a transposed view included.
     """
+    q = np.asarray(q, dtype=np.complex128)
     ip, im = neighbour_index(q.shape[0])
     neigh = q[ip] + q[im]
     lap = neigh - 2.0 * q
@@ -170,13 +178,22 @@ def dashed_rhs(op, om, sub, sup, pair):
 
     dom[i] = op*(sub[i]*om[i-1] - sup[i]*om[i+1]) with zero Dirichlet ends,
     dop    = -sum_i pair[i-1]*om[i-1]*om[i].
+
+    om is one state (L,) with a scalar op, or a batch (B, L) along a leading
+    axis with op of shape (B,).  A batch sums the dop coupling by
+    matrix-vector product where one state takes a dot product, so its rows
+    agree with the 1-D results to roundoff.  om is converted as
+    np.asarray(om, float64), which copies no float64 array.
     """
+    om = np.asarray(om, dtype=np.float64)
     dom = np.empty_like(om)
-    dom[1:] = sub[1:] * om[:-1]
-    dom[0] = 0.0
-    dom[:-1] -= sup[:-1] * om[1:]
-    dom *= op
-    dop = -float(pair @ (om[:-1] * om[1:]))
+    dom[..., 1:] = sub[1:] * om[..., :-1]
+    dom[..., 0] = 0.0
+    dom[..., :-1] -= sup[:-1] * om[..., 1:]
+    # the transpose puts the batch last, where op broadcasts
+    dom_t = dom.T
+    dom_t *= op
+    dop = -((om[..., :-1] * om[..., 1:]) @ pair)
     return dop, dom
 
 

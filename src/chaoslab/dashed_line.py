@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import _kernels_py, kernels
 from .errors import NumericError, PreconditionError
 from .fourier import coef_A
 from .util import check_schedule
@@ -132,25 +132,31 @@ def model_jacobian(state: DashedLineState, params: DashedLineParams) -> np.ndarr
 
 
 def _jacobian(op, om: np.ndarray, params: DashedLineParams) -> np.ndarray:
+    """Jacobian at (op, om).  The chain runs along the last axis of om;
+    leading axes are a batch, with op of om's batch shape (a scalar for one
+    state), and give a stack of Jacobians."""
     L = params.size
-    jac = np.zeros((L + 1, L + 1))
+    batch = om.shape[:-1]
+    jac = np.zeros(batch + (L + 1, L + 1))
     sub, sup, pair = params.sub, params.sup, params.pair
     # d(dot omega_n)/d omega_p, with zero Dirichlet neighbours at both ends
-    lower = np.concatenate(([0.0], om[:-1]))
-    upper = np.concatenate((om[1:], [0.0]))
-    jac[1:, 0] = sub * lower - sup * upper
+    zero = np.zeros(batch + (1,))
+    lower = np.concatenate((zero, om[..., :-1]), axis=-1)
+    upper = np.concatenate((om[..., 1:], zero), axis=-1)
+    jac[..., 1:, 0] = sub * lower - sup * upper
     # d(dot omega_n)/d omega_{n-1} at (1+i, i) for i >= 1 and d/d omega_{n+1}
     # at (1+i, 2+i) for i < L-1: L-1 entries each, a stride of L+2 apart in
     # the flat matrix
-    flat = jac.reshape(-1)
-    flat[2 * L + 3::L + 2] = sub[1:] * op
-    flat[L + 3::L + 2] = -sup[:-1] * op
+    flat = jac.reshape(batch + (-1,))
+    op = np.expand_dims(op, -1)
+    flat[..., 2 * L + 3::L + 2] = sub[1:] * op
+    flat[..., L + 3::L + 2] = -sup[:-1] * op
     # d(dot omega_p)/d omega_m = -(pair[m-1]*om[m-1] + pair[m]*om[m+1]),
     # summed onto zeros in that order as the signed zeros at om = 0 require
-    acc = np.zeros(L)
-    acc[1:] += pair * om[:-1]
-    acc[:-1] += pair * om[1:]
-    jac[0, 1:] = -acc
+    acc = np.zeros(batch + (L,))
+    acc[..., 1:] += pair * om[..., :-1]
+    acc[..., :-1] += pair * om[..., 1:]
+    jac[..., 0, 1:] = -acc
     return jac
 
 
@@ -297,7 +303,9 @@ def flow_map(params: DashedLineParams, dt: float, steps: int):
     """Time-(dt*steps) flow map with the exact variational RK4 Jacobian.
 
     A MapSystem on stacked vectors (omega_p, omega_{-Nt}..omega_{Nt}) for
-    the shadowing tools.
+    the shadowing tools; the map and the Jacobian take one vector or a
+    stack (B, size + 1) and integrate it in one RK4 run.  Both backends use
+    the numpy field here, since the compiled one takes one state per call.
     """
     from .shadowing import rk4_flow_system
 
@@ -305,11 +313,11 @@ def flow_map(params: DashedLineParams, dt: float, steps: int):
     # reaches the blow-up rule of util.rk4 instead of DashedLineState's check
     def rhs_vec(x):
         dx = np.empty_like(x)
-        dx[0], dx[1:] = kernels.dashed_rhs(x[0], x[1:], params.sub, params.sup,
-                                           params.pair)
+        dx[..., 0], dx[..., 1:] = _kernels_py.dashed_rhs(
+            x[..., 0], x[..., 1:], params.sub, params.sup, params.pair)
         return dx
 
     def jac_vec(x):
-        return _jacobian(x[0], x[1:], params)
+        return _jacobian(x[..., 0], x[..., 1:], params)
 
     return rk4_flow_system(rhs_vec, jac_vec, params.size + 1, dt, steps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import _kernels_py, kernels
 from ._kernels_py import neighbour_index
 from .errors import NumericError, PreconditionError
 from .util import check_schedule
@@ -326,20 +326,26 @@ def pdnls_jacobian_full(q: np.ndarray, p: NLSParams) -> np.ndarray:
     diagonal and the two hop bands depend on the state, so each call adds
     the state's terms to the cached linear block on those 3N entries and
     writes them into a copy of the cached Jacobian of the linear block; the
-    arithmetic on every entry is that of the full complex assembly.
+    arithmetic on every entry is that of the full complex assembly.  The
+    lattice runs along the last axis of q; leading axes are a batch, so q of
+    shape (B, N) gives the (B, 2N, 2N) Jacobians of its rows, each bit for
+    bit the 1-D result.
     """
     N = p.N
     q = np.asarray(q, dtype=np.complex128)
+    batch = q.shape[:-1]
     a0_bands, const, where = _jacobian_blocks(N, p.epsilon)
     ip, im = neighbour_index(N)
-    neigh = q[ip] + q[im]
+    neigh = q[..., ip] + q[..., im]
     diag = -1j * (np.conj(q) * neigh - 2.0 * p.omega ** 2) - p.epsilon * p.alpha
     hop = -1j * (np.abs(q) ** 2)
-    a = a0_bands + np.concatenate([diag, hop, hop])
-    b = np.concatenate([-1j * q * neigh, np.zeros(2 * N, dtype=np.complex128)])
+    a = a0_bands + np.concatenate([diag, hop, hop], axis=-1)
+    b = np.concatenate([-1j * q * neigh, np.zeros(batch + (2 * N,), dtype=np.complex128)],
+                       axis=-1)
     apb, amb = a + b, a - b
-    jac = const.copy()
-    jac.reshape(-1)[where] = np.concatenate([apb.real, -amb.imag, apb.imag, amb.real])
+    jac = np.broadcast_to(const, batch + const.shape).copy()
+    jac.reshape(batch + (-1,))[..., where] = np.concatenate(
+        [apb.real, -amb.imag, apb.imag, amb.real], axis=-1)
     return jac
 
 
@@ -434,19 +440,27 @@ def simulate(state0: NLSLatticeState, p: NLSParams, dt: float, steps: int,
 
 def flow_map(p: NLSParams, dt: float, steps: int):
     """Stroboscopic (time dt*steps) map on stacked real vectors, with the
-    variational-RK4 Jacobian, as a MapSystem for the shadowing tools."""
+    variational-RK4 Jacobian, as a MapSystem for the shadowing tools.
+
+    The map and the Jacobian take one state (2N,) or a stack (B, 2N) and
+    integrate it in one RK4 run.  The right-hand side hands the numpy
+    kernel the transposed (N, B) view of the complex stack, whose first-axis
+    neighbour gather serves a stack as it serves one state; both backends
+    use that kernel here, since the compiled one takes one state per call.
+    """
     from .shadowing import rk4_flow_system
 
     N = p.N
+    args = (N ** 2, 2.0 * p.omega ** 2, p.alpha, p.beta, p.epsilon)
 
     def to_c(x):
-        return x[:N] + 1j * x[N:]
+        return x[..., :N] + 1j * x[..., N:]
 
     def to_r(q):
-        return np.concatenate([q.real, q.imag])
+        return np.concatenate([q.real, q.imag], axis=-1)
 
     def rhs_r(x):
-        return to_r(pdnls_rhs(to_c(x), p))
+        return to_r(_kernels_py.pdnls_rhs(to_c(x).T, *args).T)
 
     def jac_r(x):
         return pdnls_jacobian_full(to_c(x), p)

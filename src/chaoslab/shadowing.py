@@ -1,11 +1,18 @@
 """Pseudo-orbits, segment assembly, shadow solving, and shift machinery.
 
 Maps are supplied as plain callables so the same tools serve synthetic test
-maps, the dashed-line flow map, and the lattice stroboscopic map.  All
-distances between states are sup-norms over components, and all claims are
-made on finite windows: doubly infinite symbol sequences are represented by
-a finite window plus a declared extension rule, and hyperbolicity data are
-finite-time surrogates, never certificates.
+maps, the dashed-line flow map, and the lattice stroboscopic map.  A map
+and its Jacobian take one state of shape (d,) or a stack of states of
+shape (B, d) and act row by row, so the Newton residual, the defects of a
+pseudo-orbit and the Jacobians along an orbit each take one call; only
+the sequential orbit, iterate and shadow_distance call the map point by
+point.  A flow map raises NumericError on blow-up, for a stack at the
+earliest step at which any row blows up.
+
+All distances between states are sup-norms over components, and all claims
+are made on finite windows: doubly infinite symbol sequences are represented
+by a finite window plus a declared extension rule, and hyperbolicity data
+are finite-time surrogates, never certificates.
 """
 
 from __future__ import annotations
@@ -22,6 +29,13 @@ from .util import rk4
 
 @dataclass
 class MapSystem:
+    """A map on R^d with an optional Jacobian.
+
+    map takes a state (d,) or a stack (B, d) and returns the images in the
+    same shape; jacobian returns (d, d) or (B, d, d).  Row j of a stacked
+    call is the call on row j alone.
+    """
+
     dimension: int
     map: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
@@ -47,14 +61,13 @@ class MapSystem:
         if self.jacobian is None:
             raise PreconditionError("system has no jacobian")
         worst = 0.0
+        shifts = fd_step * np.eye(self.dimension)
         for x in points:
             x = np.asarray(x, dtype=float)
             jac = self.jacobian(x)
-            fd = np.empty_like(jac)
-            for j in range(self.dimension):
-                e = np.zeros(self.dimension)
-                e[j] = fd_step
-                fd[:, j] = (self.map(x + e) - self.map(x - e)) / (2 * fd_step)
+            # all 2d perturbed states x + e_j, then x - e_j, in one map call
+            images = self.map(np.concatenate((x + shifts, x - shifts)))
+            fd = (images[:self.dimension] - images[self.dimension:]).T / (2 * fd_step)
             scale = max(np.max(np.abs(jac)), 1e-30)
             worst = max(worst, float(np.max(np.abs(jac - fd)) / scale))
         if worst > rtol:
@@ -64,21 +77,25 @@ class MapSystem:
 
 
 def linear_map_system(matrix: np.ndarray) -> MapSystem:
-    """The linear test map x -> M x."""
+    """The linear test map x -> M x, on the rows of a stack as x @ M^T."""
     m = np.asarray(matrix, dtype=float)
-    return MapSystem(dimension=m.shape[0], map=lambda x: m @ x,
-                     jacobian=lambda x: m)
+    return MapSystem(dimension=m.shape[0], map=lambda x: x @ m.T,
+                     jacobian=lambda x: np.broadcast_to(m, np.shape(x)[:-1] + m.shape))
 
 
 def rk4_flow_system(rhs, jacobian, dimension: int, dt: float,
                     steps: int) -> MapSystem:
     """Time-(dt*steps) map of a smooth flow as a MapSystem.
 
-    The map runs the shared RK4 driver and raises NumericError with the step
-    index on blow-up.  The Jacobian runs util.rk4 too, on the stacked state
-    (y, vec(J)) with right-hand side (rhs(y), jacobian(y) @ J), so it is the
-    exact derivative of the numerical map (validate_jacobian holds to
-    roundoff) and obeys the same blow-up rule.
+    rhs and jacobian act on the last axis and treat leading axes as a
+    batch: rhs maps (..., d) to (..., d) and jacobian to (..., d, d).  The
+    map runs the shared RK4 driver once on a state (d,) or a whole stack
+    (B, d), and raises NumericError on blow-up with the step index, for a
+    stack the earliest step at which any row blows up.  The Jacobian runs
+    util.rk4 too, on the stacked state (y, vec(J)) of shape (..., d + d^2)
+    with right-hand side (rhs(y), jacobian(y) @ J), so it is the exact
+    derivative of the numerical map (validate_jacobian holds to roundoff)
+    and obeys the same blow-up rule.
     """
 
     def run(f, z0):
@@ -90,20 +107,26 @@ def rk4_flow_system(rhs, jacobian, dimension: int, dt: float,
 
     def start(x):
         x = np.array(x, dtype=float)
-        if x.shape != (dimension,):
-            raise PreconditionError(f"state must have shape ({dimension},)")
+        if x.ndim not in (1, 2) or x.shape[-1] != dimension or x.size == 0:
+            raise PreconditionError(
+                f"state must have shape ({dimension},) or (B, {dimension})")
         return x
 
     def fmap(x):
         return run(rhs, start(x))
 
     def variational(z):
-        y, jac = z[:dimension], z[dimension:].reshape(dimension, dimension)
-        return np.concatenate((rhs(y), (jacobian(y) @ jac).ravel()))
+        y = z[..., :dimension]
+        jac = z[..., dimension:].reshape(z.shape[:-1] + (dimension, dimension))
+        flat = (jacobian(y) @ jac).reshape(z.shape[:-1] + (dimension * dimension,))
+        return np.concatenate((rhs(y), flat), axis=-1)
 
     def fjac(x):
-        z0 = np.concatenate((start(x), np.eye(dimension).ravel()))
-        return run(variational, z0)[dimension:].reshape(dimension, dimension)
+        x = start(x)
+        eye = np.broadcast_to(np.eye(dimension).ravel(),
+                              x.shape[:-1] + (dimension * dimension,))
+        z = run(variational, np.concatenate((x, eye), axis=-1))
+        return z[..., dimension:].reshape(x.shape[:-1] + (dimension, dimension))
 
     return MapSystem(dimension=dimension, map=fmap, jacobian=fjac)
 
@@ -113,10 +136,7 @@ def step_defects(points: np.ndarray, system: MapSystem) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
         raise PreconditionError("need at least two points")
-    gaps = np.empty(points.shape[0] - 1)
-    for j in range(points.shape[0] - 1):
-        gaps[j] = np.max(np.abs(points[j + 1] - system.map(points[j])))
-    return gaps
+    return np.max(np.abs(points[1:] - system.map(points[:-1])), axis=1)
 
 
 def is_pseudo_orbit(points: np.ndarray, system: MapSystem,
@@ -212,11 +232,9 @@ def find_shadow(pseudo: PseudoOrbit, system: MapSystem, tol: float = 1e-12,
     x = pseudo.points.copy()
     history: list[float] = []
     scale = max(1.0, float(np.max(np.abs(pseudo.points))))
+    diag = np.arange(L - 1)
     for _ in range(max_iter):
-        fx = np.empty((L - 1, d))
-        for j in range(L - 1):
-            fx[j] = system.map(x[j])
-        res = x[1:] - fx
+        res = x[1:] - system.map(x[:-1])
         rnorm = float(np.max(np.abs(res)))
         history.append(rnorm)
         if rnorm < tol * scale:
@@ -226,9 +244,10 @@ def find_shadow(pseudo: PseudoOrbit, system: MapSystem, tol: float = 1e-12,
         if len(history) > 3 and rnorm > 0.5 * history[-3]:
             raise NumericError("shadow Newton stagnated", history=history)
         jac = np.zeros(((L - 1) * d, L * d))
-        for j in range(L - 1):
-            jac[j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = np.eye(d)
-            jac[j * d:(j + 1) * d, j * d:(j + 1) * d] = -system.jacobian(x[j])
+        # block (j, k) of the orbit Jacobian is blocks[j, :, k, :]
+        blocks = jac.reshape(L - 1, d, L, d)
+        blocks[diag, :, diag + 1, :] = np.eye(d)
+        blocks[diag, :, diag, :] = -system.jacobian(x[:-1])
         step, *_ = np.linalg.lstsq(jac, -res.ravel(), rcond=None)
         x = x + step.reshape(L, d)
     raise NumericError("shadow Newton did not converge", history=history)
@@ -314,7 +333,7 @@ class DichotomyReport:
     details: dict = field(default_factory=dict)
 
 
-def _qr_exponents(jacs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _qr_exponents(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lyapunov exponents by repeated orthonormalization.
 
     Returns (rates, cumulative log diagonals) for the product J_{L-1}...J_0.
@@ -345,7 +364,7 @@ def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
     if system.jacobian is None:
         raise PreconditionError("hyperbolicity_estimate needs a jacobian")
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
-    jacs = [np.asarray(system.jacobian(x), dtype=float) for x in orbit]
+    jacs = np.asarray(system.jacobian(orbit), dtype=float)
     d = jacs[0].shape[0]
     rates, logs = _qr_exponents(jacs)
     order = np.argsort(rates)[::-1]
@@ -356,7 +375,7 @@ def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
 
     # backward product of inverse transposes has exponents -rates reversed;
     # its dominant subspace estimates the contracting directions.
-    inv_jacs = [np.linalg.inv(j).T for j in reversed(jacs)]
+    inv_jacs = np.linalg.inv(jacs[::-1]).transpose(0, 2, 1)
     n_unstable = int(np.sum(rates_sorted > rate_tol))
     n_stable = int(np.sum(rates_sorted < -rate_tol))
 
@@ -385,7 +404,7 @@ def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
                                     "n_stable": n_stable})
 
 
-def _power_subspace(jacs: list[np.ndarray], k: int) -> np.ndarray:
+def _power_subspace(jacs: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal basis of the dominant k-dimensional subspace of a product.
 
     The start basis is generic (seeded) rather than coordinate axes, which

@@ -177,13 +177,16 @@ def exact_linear_shadow(diag: np.ndarray, points: np.ndarray) -> np.ndarray:
 def double_well_rhs(v: np.ndarray) -> np.ndarray:
     """Planar double-well flow with a saddle at the origin (rates +-1) and
     the closed-form loop x(t) = sqrt(2) sech t."""
-    x, y = v
-    return np.array([y, x - x ** 3])
+    x, y = v[..., 0], v[..., 1]
+    return np.stack([y, x - x ** 3], axis=-1)
 
 
 def double_well_jacobian(v: np.ndarray) -> np.ndarray:
-    x, _ = v
-    return np.array([[0.0, 1.0], [1.0 - 3.0 * x * x, 0.0]])
+    """Jacobian at v (2,), or one per row of a stack (..., 2)."""
+    x = v[..., 0]
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    return np.stack([np.stack([zero, one], axis=-1),
+                     np.stack([1.0 - 3.0 * x * x, zero], axis=-1)], axis=-2)
 
 
 def double_well_homoclinic(t: float) -> np.ndarray:

@@ -71,6 +71,16 @@ class TestModelRHS:
         assert abs(got.omega_p - dop) < 1e-14
         assert np.max(np.abs(got.omega - dom)) < 1e-14
 
+    def test_jacobian_of_a_stack_is_bitwise_per_row(self, rng):
+        from chaoslab.dashed_line import _jacobian
+        p = DashedLineParams(gamma=1.0, epsilon=0.6, trunc=3)
+        op, om = rng.standard_normal(4), rng.standard_normal((4, p.size))
+        jacs = _jacobian(op, om, p)
+        assert jacs.shape == (4, p.size + 1, p.size + 1)
+        for j in range(4):
+            assert np.array_equal(
+                jacs[j], model_jacobian(DashedLineState(op[j], om[j]), p))
+
     def test_jacobian_matches_fd(self, rng):
         # trunc 1 is the shortest chain, L = 3 sites with both Dirichlet ends
         for trunc in (6, 1):
@@ -244,3 +254,18 @@ class TestFlowMap:
             e[j] = h
             fd[:, j] = (fmap(x + e) - fmap(x - e)) / (2 * h)
         assert np.max(np.abs(jac - fd)) < 1e-8
+
+    @pytest.mark.parametrize("B", [1, 3, 20])
+    def test_stack_rows_match_single_states(self, rng, B):
+        # a stack sums the omega_p coupling by matrix-vector product where
+        # one state takes a dot product, so rows agree to roundoff
+        p = DashedLineParams(gamma=1.0, epsilon=0.5, trunc=4)
+        flow = flow_map(p, dt=0.02, steps=5)
+        x = np.column_stack((0.8 + 0.1 * rng.standard_normal(B),
+                             0.2 * rng.standard_normal((B, 9))))
+        images, jacs = flow.map(x), flow.jacobian(x)
+        assert images.shape == (B, 10) and jacs.shape == (B, 10, 10)
+        for j in range(B):
+            one, one_jac = flow.map(x[j]), flow.jacobian(x[j])
+            assert np.max(np.abs(images[j] - one)) <= 1e-14 * np.max(np.abs(one))
+            assert np.max(np.abs(jacs[j] - one_jac)) <= 1e-14 * np.max(np.abs(one_jac))

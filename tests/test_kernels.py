@@ -76,7 +76,8 @@ class TestPDNLSKernel:
         args = (64.0, 22.445, 1.0, 5.7, 0.07)
         # a strided, a real-valued and an integer q give the result for the
         # complex128 array np.ascontiguousarray makes of them
-        for form in (q, np.repeat(q, 2)[::2], q.real, rng.integers(-3, 4, 8)):
+        for form in (q, np.repeat(q, 2)[::2], q.real, rng.integers(-3, 4, 8),
+                     list(q), q.real.tolist()):
             got = kernel_backend.pdnls_rhs(form, *args)
             ref = _kernels_py.pdnls_rhs(np.ascontiguousarray(form, np.complex128), *args)
             assert np.max(np.abs(got - ref)) < 1e-13
@@ -112,6 +113,16 @@ class TestPDNLSKernel:
         got = _kernels_py.pdnls_rhs(q, h2inv, two_omega_sq, alpha, beta, eps)
         assert np.array_equal(got, ref)
 
+    def test_columns_of_a_batch_are_bitwise(self, rng):
+        # the lattice runs along the first axis; the columns of q, here a
+        # transposed view as the flow map passes it, are independent states
+        q = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+        args = (64.0, 22.445, 1.0, 5.7, 0.07)
+        got = _kernels_py.pdnls_rhs(q.T, *args)
+        assert got.shape == (8, 5)
+        for j in range(5):
+            assert np.array_equal(got[:, j], _kernels_py.pdnls_rhs(q[j], *args))
+
 
 class TestDashedKernel:
     def test_backends_agree(self, kernel_backend, rng):
@@ -122,12 +133,28 @@ class TestDashedKernel:
         # a strided om and float32 or list couplings give the result for the
         # float64 arrays np.ascontiguousarray makes of them
         for forms in [(om, sub, sup, pair),
-                      (np.repeat(om, 2)[::2], sub.astype(np.float32), sup.tolist(), pair.tolist())]:
+                      (np.repeat(om, 2)[::2], sub.astype(np.float32), sup.tolist(), pair.tolist()),
+                      (om.tolist(), sub.tolist(), sup, pair),
+                      (np.rint(3 * om).astype(np.int64).tolist(), sub, sup.tolist(), pair)]:
             g_op, g_om = kernel_backend.dashed_rhs(0.8, *forms)
             r_op, r_om = _kernels_py.dashed_rhs(
                 0.8, *(np.ascontiguousarray(x, np.float64) for x in forms))
             assert abs(g_op - r_op) < 1e-13
             assert np.max(np.abs(g_om - r_om)) < 1e-13
+
+    def test_rows_of_a_batch_match_single_states(self, rng):
+        # dom is elementwise and bitwise per row; dop sums by matrix-vector
+        # product on a batch and by dot product on one state
+        om = rng.standard_normal((6, 21))
+        op = rng.standard_normal(6)
+        sub, sup = rng.standard_normal(21), rng.standard_normal(21)
+        pair = rng.standard_normal(20)
+        dop, dom = _kernels_py.dashed_rhs(op, om, sub, sup, pair)
+        assert dop.shape == (6,) and dom.shape == (6, 21)
+        for j in range(6):
+            r_op, r_om = _kernels_py.dashed_rhs(op[j], om[j], sub, sup, pair)
+            assert np.array_equal(dom[j], r_om)
+            assert abs(dop[j] - r_op) <= 1e-14 * abs(r_op)
 
     def test_rk4_backends_agree(self, kernel_backend, rng):
         from chaoslab import _kernels_py

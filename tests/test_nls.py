@@ -243,6 +243,15 @@ class TestDiscreteSaddle:
             q = make_even(rng.standard_normal(N) + 1j * rng.standard_normal(N))
             assert jacobian_fd_mismatch(q, p) < 1e-6
 
+    @pytest.mark.parametrize("B", [1, 3, 20])
+    def test_jacobian_of_a_stack_is_bitwise_per_row(self, rng, B):
+        p = NLSParams(**P7)
+        q = rng.standard_normal((B, 7)) + 1j * rng.standard_normal((B, 7))
+        jacs = pdnls_jacobian_full(q, p)
+        assert jacs.shape == (B, 14, 14)
+        for j in range(B):
+            assert np.array_equal(jacs[j], pdnls_jacobian_full(q[j], p))
+
     def test_saddle_is_stationary(self):
         p = NLSParams(**P7)
         sad = discrete_saddle(p)
@@ -369,3 +378,16 @@ class TestFlowMap:
             e[j] = h
             fd[:, j] = (fmap(x + e) - fmap(x - e)) / (2 * h)
         assert np.max(np.abs(jac - fd)) / np.max(np.abs(jac)) < 1e-8
+
+    @pytest.mark.parametrize("B", [1, 3, 20])
+    def test_stack_rows_equal_single_states(self, rng, B):
+        # the shadow Newton maps the whole pseudo-orbit in one call; every
+        # row must be the single-state result bit for bit
+        p = NLSParams(**P7)
+        flow = flow_map(p, dt=5e-4, steps=4)
+        x = 0.3 * rng.standard_normal((B, 14))
+        images, jacs = flow.map(x), flow.jacobian(x)
+        assert images.shape == (B, 14) and jacs.shape == (B, 14, 14)
+        for j in range(B):
+            assert np.array_equal(images[j], flow.map(x[j]))
+            assert np.array_equal(jacs[j], flow.jacobian(x[j]))

@@ -62,6 +62,13 @@ class TestFlowMap:
                  (well_map.jacobian, np.array([1e60, 0.0])),
                  (dashed.map, np.full(12, 1e100)),
                  (dashed.jacobian, np.full(12, 1e100))]
+        # a stack blows up at the earliest step of any row, here one row
+        # among tame ones
+        well_stack = np.array([[0.2, 0.1], [1e100, 0.0], [-0.3, 0.0]])
+        dashed_stack = np.zeros((3, 12))
+        dashed_stack[2] = 1e100
+        cases += [(well_map.map, well_stack), (well_map.jacobian, well_stack),
+                  (dashed.map, dashed_stack), (dashed.jacobian, dashed_stack)]
         for fn, x in cases:
             with pytest.raises(NumericError) as excinfo:
                 fn(x)
@@ -71,8 +78,29 @@ class TestFlowMap:
         # the Jacobian stacks the state with the identity, so a state of the
         # wrong size would otherwise split at the wrong index
         for fn in (well_map.map, well_map.jacobian):
-            with pytest.raises(PreconditionError):
-                fn(np.zeros(3))
+            for x in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 3, 2)),
+                      np.zeros((0, 2))):
+                with pytest.raises(PreconditionError):
+                    fn(x)
+
+    def test_stack_rows_are_single_calls(self, well_map):
+        x = np.array([[0.35, -0.2], [-0.8, 0.4], [0.0, 0.0], [1.1, 0.3]])
+        images, jacs = well_map.map(x), well_map.jacobian(x)
+        assert images.shape == (4, 2) and jacs.shape == (4, 2, 2)
+        for j in range(4):
+            assert np.array_equal(images[j], well_map.map(x[j]))
+            assert np.array_equal(jacs[j], well_map.jacobian(x[j]))
+
+    def test_linear_map_on_a_stack(self, rng):
+        m = rng.standard_normal((3, 3))
+        system = linear_map_system(m)
+        x = rng.standard_normal((5, 3))
+        images, jacs = system.map(x), system.jacobian(x)
+        assert jacs.shape == (5, 3, 3)
+        for j in range(5):
+            assert np.max(np.abs(images[j] - m @ x[j])) < 1e-14
+            assert np.array_equal(jacs[j], m)
+        assert np.array_equal(system.jacobian(x[0]), m)
 
 
 class TestShadowDistance:
@@ -298,3 +326,14 @@ class TestHyperbolicity:
                         jacobian=lambda x: np.eye(2) * 2.5)
         with pytest.raises(PreconditionError):
             bad.validate_jacobian([np.array([1.0, 1.0])])
+
+    def test_jacobian_validation_one_map_call_per_point(self, well_map):
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return well_map.map(x)
+
+        system = MapSystem(dimension=2, map=counted, jacobian=well_map.jacobian)
+        system.validate_jacobian([np.array([0.2, 0.1]), np.array([-0.8, 0.4])])
+        assert calls == [(4, 2), (4, 2)]
