@@ -16,7 +16,10 @@ the model's own couplings (trunc 10, epsilon 0.5) from a small kick off the
 stationary line, which it follows for all 10^5 steps; the bench fails if it
 reports a blow-up.  The dense
 class-operator eigensolve `spectra.truncated_spectrum` is timed at trunc 50
-and 400 for a real and a complex Gamma of the benchmark class.  Every figure
+and 400 for a real and a complex Gamma of the benchmark class, and the
+continued-fraction Newton `spectra.continued_fraction_eigen` at the class
+(-3,-1), (2,1) with Gamma = 2 and trunc 400 (depth 1600) of the perfbench
+job spectrum-t400, from a fixed seed near its point eigenvalue.  Every figure
 is the median of several rounds, after one warm-up call that builds the
 convolution's tables or FFT plan and the lattice index caches.
 
@@ -97,6 +100,14 @@ def spectrum_medians_ms():
     return out
 
 
+def continued_fraction_ms():
+    """Median milliseconds of one continued_fraction_eigen call at the
+    trunc-400 perfbench class."""
+    op = spectra.build_class_operator(ClassIndex(khat=(-3, -1), p=(2, 1)), 2.0, 400)
+    return 1e3 * median_seconds(
+        lambda: spectra.continued_fraction_eigen(op, 0.09 + 0.31j), repeat=3, rounds=7)
+
+
 def dashed_rk4_s(dargs):
     """dashed_rk4 medians per backend; fails unless every run takes all steps."""
     params = dashed_line.DashedLineParams(gamma=1.0, epsilon=0.5, trunc=10)
@@ -155,6 +166,7 @@ def main():
             lambda mod: (lambda: mod.pdnls_rk4(q, *args))),
         "dashed_rk4_1e5_steps_s": dashed_rk4_s(dargs),
         "truncated_spectrum_ms": spectrum_medians_ms(),
+        "continued_fraction_eigen_trunc400_ms": continued_fraction_ms(),
     }
     print(json.dumps(report, indent=1))
 

@@ -1,9 +1,10 @@
 /* Compiled lattice and dashed-line kernels: chaoslab._kernels_py's functions,
- * arithmetic, blow-up rule and schedule check in C loops.  Inputs go through
- * numpy.ascontiguousarray(x, dtype), outputs come from numpy.empty, and the
- * items are read and written through the buffer protocol.  A real times a
- * complex value is the complex product with (x, +0), as in numpy; unlike
- * numpy's BLAS dot, the dashed-line coupling sum adds its terms in sequence.
+ * arithmetic, blow-up rule, schedule and state checks in C loops.  Inputs go
+ * through numpy.ascontiguousarray(x, dtype), outputs come from numpy.empty,
+ * and the items are read and written through the buffer protocol.  A real
+ * times a complex value is the complex product with (x, +0), as in numpy;
+ * unlike numpy's BLAS dot, the dashed-line coupling sum adds its terms in
+ * sequence.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -12,7 +13,7 @@
 typedef double complex cplx;
 #define R(x) CMPLX((x), 0.0)
 
-static PyObject *np_empty, *np_contiguous, *c128, *f64, *check_schedule;
+static PyObject *np_empty, *np_contiguous, *c128, *f64, *check_schedule, *check_state;
 
 typedef struct { double h2inv, two_omega_sq, alpha, beta, eps; } Lattice;
 
@@ -54,6 +55,13 @@ static int schedule_ok(double dt, long steps, long every)
     return r != NULL;
 }
 
+static int state_ok(Py_ssize_t n)
+{
+    PyObject *r = PyObject_CallFunction(check_state, "n", n);
+    Py_XDECREF(r);
+    return r != NULL;
+}
+
 static void pdnls(const Lattice *p, const cplx *q, cplx *out, Py_ssize_t n)
 {
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -81,18 +89,21 @@ static double dashed(double *const c[3], double op, const double *om, double *do
     return -acc;
 }
 
-/* om, sub, sup, pair as float64 vectors of L, L, L, L - 1 items, held in a[]. */
-static int dashed_inputs(PyObject *obj[4], PyObject *a[4], double *d[4], Py_ssize_t *L)
+/* om, sub, sup, pair as float64 vectors of L, L, L, L - 1 items, held in a[];
+ * a loop that steps the state also needs L >= 1. */
+static int dashed_inputs(PyObject *obj[4], PyObject *a[4], double *d[4], Py_ssize_t *L,
+                         int stepping)
 {
     Py_ssize_t len[4] = {0};
     int k = 0;
     while (k < 4 && (a[k] = vector(obj[k], f64, &d[k], &len[k])) != NULL)
         k++;
     *L = len[0];
-    if (k == 4 && len[1] == *L && len[2] == *L && len[3] == *L - 1)
-        return 1;
-    if (k == 4)
+    if (k == 4 && (!stepping || state_ok(*L))) {
+        if (len[1] == *L && len[2] == *L && len[3] == *L - 1)
+            return 1;
         PyErr_SetString(PyExc_ValueError, "sub, sup and pair need L, L and L - 1 items");
+    }
     while (k-- > 0) Py_DECREF(a[k]);
     return 0;
 }
@@ -115,7 +126,7 @@ static PyObject *pdnls_rhs(PyObject *self, PyObject *args)
 
 static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
 {
-    PyObject *obj, *in, *work, *samples = NULL, *result = NULL;
+    PyObject *obj, *in, *work = NULL, *samples = NULL, *result = NULL;
     Lattice p;
     double dt;
     long steps, every, step, idx = 1, blow = -1;
@@ -125,7 +136,7 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
                           &p.beta, &p.eps, &dt, &steps, &every)
         || !schedule_ok(dt, steps, every) || (in = vector(obj, c128, &q0, &n)) == NULL)
         return NULL;
-    if ((work = empty(6, n, c128, &q)) != NULL
+    if (state_ok(n) && (work = empty(6, n, c128, &q)) != NULL
         && (samples = empty(steps / every + 1, n, c128, &s)) != NULL) {
         cplx *k1 = q + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *t = k4 + n;
         double half = 0.5 * dt, sixth = dt / 6.0;
@@ -161,7 +172,7 @@ static PyObject *dashed_rhs(PyObject *self, PyObject *args)
     double op, *d[4], *dd;
     Py_ssize_t L;
     if (!PyArg_ParseTuple(args, "dOOOO", &op, &obj[0], &obj[1], &obj[2], &obj[3])
-        || !dashed_inputs(obj, a, d, &L))
+        || !dashed_inputs(obj, a, d, &L, 0))
         return NULL;
     if ((dom = empty(-1, L, f64, &dd)) != NULL)
         op = dashed(d + 1, op, d[0], dd, L);
@@ -177,7 +188,7 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
     Py_ssize_t L, n, i;
     if (!PyArg_ParseTuple(args, "dOOOOdll", &op, &obj[0], &obj[1], &obj[2], &obj[3],
                           &dt, &steps, &every)
-        || !schedule_ok(dt, steps, every) || !dashed_inputs(obj, a, d, &L))
+        || !schedule_ok(dt, steps, every) || !dashed_inputs(obj, a, d, &L, 1))
         return NULL;
     if ((work = empty(6, n = L + 1, f64, &y)) != NULL /* y = (op, om), then the stages */
         && (ops = empty(-1, steps / every + 1, f64, &so)) != NULL
@@ -232,6 +243,7 @@ PyMODINIT_FUNC PyInit__kernels(void)
         && (c128 = PyObject_GetAttrString(np, "complex128"))
         && (f64 = PyObject_GetAttrString(np, "float64"))
         && (check_schedule = PyObject_GetAttrString(util, "check_schedule"))
+        && (check_state = PyObject_GetAttrString(util, "check_state"))
         && (m = PyModule_Create(&module))
         && PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0)
         Py_CLEAR(m);

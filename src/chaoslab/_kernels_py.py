@@ -7,16 +7,17 @@ serves both backends.  The right-hand sides are vectorized; the lattice one
 gathers its periodic neighbours through index arrays cached per lattice
 size, which the analytic lattice Jacobian in chaoslab.nls shares.  The two
 trajectory loops run on the shared RK4 driver chaoslab.util.rk4, whose
-blow-up rule and schedule check the C loops apply too.  The C loops are
-still far faster on the long lattice runs.  The right-hand sides also take
-a batch of states, which the shadowing flow maps of chaoslab.nls and
-chaoslab.dashed_line integrate in one RK4 run; those maps call these numpy
-versions on either backend, since the C twins take one state per call.
+blow-up rule, schedule check and empty-state check the C loops apply too.
+The C loops are still far faster on the long lattice runs.  The right-hand
+sides also take a batch of states, which the shadowing flow maps of
+chaoslab.nls and chaoslab.dashed_line integrate in one RK4 run; those maps
+call these numpy versions on either backend, since the C twins take one
+state per call.
 """
 
 import numpy as np
 
-from .util import rk4
+from .util import check_state, rk4
 
 BACKEND = "python"
 
@@ -208,6 +209,8 @@ def dashed_rk4(op0, om0, sub, sup, pair, dt, steps, sample_every):
         dy[0], dy[1:] = dashed_rhs(y[0], y[1:], sub, sup, pair)
         return dy
 
-    y0 = np.concatenate(([float(op0)], np.asarray(om0, dtype=np.float64)))
+    om0 = np.asarray(om0, dtype=np.float64)
+    check_state(om0.size)
+    y0 = np.concatenate(([float(op0)], om0))
     samples, blowup_step = rk4(rhs, y0, dt, steps, sample_every)
     return samples[:, 0], samples[:, 1:], blowup_step

@@ -29,6 +29,12 @@ def check_schedule(dt: float, steps: int, sample_every: int) -> None:
         raise PreconditionError("sample_every must be >= 1")
 
 
+def check_state(size: int) -> None:
+    """Reject an empty state, which the RK4 loops cannot step."""
+    if size < 1:
+        raise PreconditionError("the state must have at least one component")
+
+
 def rk4(rhs, y0, dt: float, steps: int, sample_every: int):
     """Fixed-step RK4 trajectory of dy/dt = rhs(y) from y0.
 
@@ -40,6 +46,7 @@ def rk4(rhs, y0, dt: float, steps: int, sample_every: int):
     """
     check_schedule(abs(dt), steps, sample_every)
     y = np.array(y0)
+    check_state(y.size)
     samples = np.empty((steps // sample_every + 1,) + y.shape, dtype=y.dtype)
     samples[0] = y
     idx = 1

@@ -146,6 +146,45 @@ BENCH_EIGENVALUE_NORMALIZED = (0.248223018041106710943846730848
                                + 1j * 0.351720764585447511595812170033)
 
 
+def class_spectrum_mp(khat, p_vec, gamma_abs: float, trunc: int,
+                      dps: int = 30) -> np.ndarray:
+    """Eigenvalues of the real form |Gamma| * A of a class truncation, by
+    mpmath.eig on the full matrix at dps digits.
+
+    Independent route: the matrix is built slot by slot from the exact
+    coupling formula, as the recurrence defines it (w_n couples to w_{n-1}
+    through A(p, khat+(n-1)p) and to w_{n+1} through A(-p, khat+(n+1)p),
+    with no coupling across the skipped origin), and solved without any
+    even/odd reduction.
+    """
+    from mpmath import mp, mpf
+
+    old = mp.dps
+    mp.dps = dps
+    try:
+        G = mpf(gamma_abs)
+
+        def member(n):
+            return (khat[0] + n * p_vec[0], khat[1] + n * p_vec[1])
+
+        def coef(p, q):
+            det = p[0] * q[1] - p[1] * q[0]
+            return (mpf(1) / (q[0] ** 2 + q[1] ** 2)
+                    - mpf(1) / (p[0] ** 2 + p[1] ** 2)) / 2 * det
+
+        minus_p = (-p_vec[0], -p_vec[1])
+        ns = [n for n in range(-trunc, trunc + 1) if member(n) != (0, 0)]
+        mat = mp.zeros(len(ns), len(ns))
+        for i in range(len(ns) - 1):
+            if ns[i + 1] == ns[i] + 1:
+                mat[i + 1, i] = G * coef(p_vec, member(ns[i]))
+                mat[i, i + 1] = G * coef(minus_p, member(ns[i + 1]))
+        eigs = mp.eig(mat, left=False, right=False)
+        return np.array([complex(z) for z in eigs])
+    finally:
+        mp.dps = old
+
+
 def exact_linear_shadow(diag: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Closed-form shadow of a pseudo-orbit of a diagonal hyperbolic map.
 

@@ -207,6 +207,15 @@ def test_rk4_rejects_bad_schedule(kernel_backend, dt, steps, sample_every):
         kernel_backend.dashed_rk4(0.8, om, om, om, om[:4], dt, steps, sample_every)
 
 
+def test_rk4_rejects_empty_state(kernel_backend):
+    # both backends apply chaoslab.util.check_state: an empty state is a
+    # precondition error, not a raw numpy error
+    with pytest.raises(PreconditionError):
+        kernel_backend.pdnls_rk4([], 64.0, 22.4, 1.0, 5.7, 0.07, 1e-3, 10, 1)
+    with pytest.raises(PreconditionError):
+        kernel_backend.dashed_rk4(0.8, [], [], [], [], 1e-3, 10, 1)
+
+
 class TestBlowupRule:
     """util.rk4 stops at the first step after which a real or imaginary
     part reaches 1e150 or is nan, as the compiled loops do."""

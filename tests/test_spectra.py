@@ -3,14 +3,19 @@ import pytest
 
 from chaoslab.errors import PreconditionError
 from chaoslab.fourier import ClassIndex, class_intersects_disk, coef_A
-from chaoslab.spectra import (SpectrumCase, build_class_operator,
-                              continued_fraction_eigen, count_nonimaginary,
-                              quadruple_symmetry_defect,
+from chaoslab.spectra import (SpectrumCase, _even_odd_product, _tridiagonal,
+                              build_class_operator, continued_fraction_eigen,
+                              count_nonimaginary, quadruple_symmetry_defect,
                               spectral_mapping_check, truncated_spectrum)
 from chaoslab.util import hausdorff_distance
-from oracles import BENCH_EIGENVALUE_NORMALIZED, class_eigenvalue_mp
+from oracles import (BENCH_EIGENVALUE_NORMALIZED, class_eigenvalue_mp,
+                     class_spectrum_mp)
 
 BENCH = ClassIndex(khat=(-3, -2), p=(1, 1))
+# the (khat, p) classes of the perfbench spectrum jobs: the benchmark class,
+# a (2,1) class with a point eigenvalue, and two classes without one
+PERFBENCH_CLASSES = [((-3, -2), (1, 1)), ((-3, -1), (2, 1)), ((-4, -1), (1, 1)),
+                     ((1, -2), (2, 1))]
 
 
 class TestBuildOperator:
@@ -141,6 +146,60 @@ class TestTruncatedSpectrum:
             truncated_spectrum(build_class_operator(BENCH, 1.0, 1100))
 
 
+class TestEvenOddSolve:
+    """The solve on the half-size product Y X of the even/odd blocks."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 10, 11])
+    def test_product_matches_dense_blocks(self, rng, dim):
+        lower, upper = rng.standard_normal(dim - 1), rng.standard_normal(dim - 1)
+        real = _tridiagonal(lower, upper)
+        dense = real[1::2, 0::2] @ real[0::2, 1::2]
+        got = _even_odd_product(lower, upper)
+        assert got.shape == (dim // 2, dim // 2)
+        assert np.max(np.abs(got - dense)) <= 4e-16 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("gamma,trunc", [(2.0, 50), (2.0, 100), (2.0, 200),
+                                             (1.3 - 0.7j, 50)])
+    def test_quadruple_symmetry_exact(self, gamma, trunc):
+        rep = truncated_spectrum(build_class_operator(BENCH, gamma, trunc))
+        assert quadruple_symmetry_defect(rep) == 0.0
+
+    def test_continuous_only_real_parts_exactly_zero(self):
+        for khat, trunc in [((10, 0), 50), ((-4, -1), 100)]:
+            rep = truncated_spectrum(
+                build_class_operator(ClassIndex(khat=khat, p=(1, 1)), 2.0, trunc))
+            assert rep.case is SpectrumCase.CONTINUOUS_ONLY
+            assert np.all(rep.eigenvalues.real == 0.0)
+
+    def test_count_and_one_zero_for_nondegenerate_class(self):
+        op = build_class_operator(BENCH, 2.0, 50)
+        eigs = truncated_spectrum(op).eigenvalues
+        assert op.dimension == 101
+        assert eigs.shape == (op.dimension,)
+        assert np.sum(eigs == 0) == 1
+
+    @pytest.mark.parametrize("khat,p", PERFBENCH_CLASSES)
+    def test_matches_mp_eig_of_real_form(self, khat, p):
+        gamma = 2.0
+        op = build_class_operator(ClassIndex(khat=khat, p=p), gamma, 10)
+        ref = class_spectrum_mp(khat, p, gamma, 10)
+        assert ref.size == op.dimension
+        got = truncated_spectrum(op).eigenvalues
+        assert hausdorff_distance(got, ref) < 1e-13 * gamma
+
+    @pytest.mark.parametrize("cls,gamma", [
+        (ClassIndex(khat=(2, 2), p=(1, 1)), 2.0),   # degenerate: skips the origin
+        (ClassIndex(khat=(2, 2), p=(1, 1)), 0.0),
+        (BENCH, 0.0),
+    ])
+    def test_zero_couplings_give_zero_spectrum(self, cls, gamma):
+        op = build_class_operator(cls, gamma, 5)
+        eigs = truncated_spectrum(op).eigenvalues
+        assert op.dimension == (10 if op.degenerate else 11)
+        assert eigs.shape == (op.dimension,)
+        assert np.all(eigs == 0)
+
+
 class TestContinuedFraction:
     def test_refines_toward_infinite_operator(self):
         op = build_class_operator(BENCH, 2.0, 50)
@@ -166,14 +225,14 @@ class TestContinuedFraction:
                                             (6.0, 3 * (0.248 + 0.352j)),
                                             (1.3 - 0.7j, 0.18 + 0.26j)])
     def test_same_bits_as_loop_reference(self, gamma, seed):
-        # the couplings written out per n, c_n as Python complex and d_n as
-        # numpy complex128 scalars: the refined value keeps these bits
+        # the couplings written out per n, c_n and d_n as Python complex:
+        # the refined value keeps these bits
         op = build_class_operator(BENCH, gamma, 40)
         depth = 4 * op.trunc
         cg = np.conj(op.gamma)
         c = {n: coef_A((1, 1), BENCH.member(n - 1)) * op.gamma
              for n in range(-depth, depth + 1)}
-        d = {n: coef_A((-1, -1), BENCH.member(n + 1)) * cg
+        d = {n: complex(coef_A((-1, -1), BENCH.member(n + 1)) * cg)
              for n in range(-depth, depth + 1)}
 
         def residual(lam):
