@@ -2,7 +2,9 @@
 """Timing of the hot kernels, printed as one JSON document.
 
 The Galerkin convolution has one implementation for both backends and is
-timed per box half-width; the lattice right-hand side and the lattice and
+timed per box half-width, and so is the Lax operator matrix
+`laxpairs.bracket_operator_matrix`, which reads the same pair tables, at
+boxes 4 and 6; the lattice right-hand side and the lattice and
 dashed-line RK4 loops are timed side by side on the numpy backend and, where
 the C extension chaoslab._kernels is built from _kernels.c, the compiled
 one.  The analytic lattice Jacobian and the variational-RK4 Jacobian of the
@@ -21,7 +23,7 @@ continued-fraction Newton `spectra.continued_fraction_eigen` at the class
 (-3,-1), (2,1) with Gamma = 2 and trunc 400 (depth 1600) of the perfbench
 job spectrum-t400, from a fixed seed near its point eigenvalue.  Every figure
 is the median of several rounds, after one warm-up call that builds the
-convolution's tables or FFT plan and the lattice index caches.
+convolution's pair tables or FFT plan and the lattice index caches.
 
 Run after installing the package, or from a source tree with the extension
 built in place (python setup.py build_ext --inplace) and src on PYTHONPATH:
@@ -35,15 +37,16 @@ import time
 
 import numpy as np
 
-from chaoslab import _kernels_py, dashed_line, kernels, nls, spectra
-from chaoslab.fourier import ClassIndex
+from chaoslab import _kernels_py, dashed_line, kernels, laxpairs, nls, spectra
+from chaoslab.fourier import ClassIndex, CoefficientField
 
 try:
     from chaoslab import _kernels
 except ImportError:
     _kernels = None
 
-GALERKIN_BOXES = (4, 6, 8, 16, 32, 64)
+GALERKIN_BOXES = (2, 3, 4, 5, 6, 8, 16, 32, 64)
+OPERATOR_BOXES = (4, 6)
 SPECTRUM_TRUNCS = (50, 400)
 SPECTRUM_GAMMAS = {"real": 2.0, "complex": 1.3 - 0.7j}
 
@@ -76,6 +79,17 @@ def galerkin_medians_ms(galerkin_rhs, boxes):
         w = random_field(rng, box)
         out[str(box)] = 1e3 * median_seconds(lambda: galerkin_rhs(w, box),
                                              repeat=20, rounds=7)
+    return out
+
+
+def operator_matrix_medians_ms(boxes):
+    """Median milliseconds of bracket_operator_matrix per box."""
+    rng = np.random.default_rng(0)
+    out = {}
+    for box in boxes:
+        omega = CoefficientField.random(box, rng)
+        out[str(box)] = 1e3 * median_seconds(
+            lambda: laxpairs.bracket_operator_matrix(omega), repeat=20, rounds=7)
     return out
 
 
@@ -151,6 +165,8 @@ def main():
         "nproc": os.cpu_count(),
         "galerkin_rhs_ms_by_box": galerkin_medians_ms(kernels.galerkin_rhs,
                                                       GALERKIN_BOXES),
+        "bracket_operator_matrix_ms_by_box": operator_matrix_medians_ms(
+            OPERATOR_BOXES),
         "pdnls_rhs_N8_us": {
             name: 1e6 * t for name, t in backend_medians_s(
                 lambda mod: (lambda: mod.pdnls_rhs(q, *args[:5])),

@@ -3,7 +3,8 @@
 The lattice and dashed-line kernels have a C twin in _kernels.c, the
 extension chaoslab._kernels, with the same arithmetic; chaoslab.kernels
 picks the backend once at import time.  galerkin_rhs exists only here and
-serves both backends.  The right-hand sides are vectorized; the lattice one
+serves both backends, with the box maps that chaoslab.fourier and
+chaoslab.laxpairs share.  The right-hand sides are vectorized; the lattice one
 gathers its periodic neighbours through index arrays cached per lattice
 size, which the analytic lattice Jacobian in chaoslab.nls shares.  The two
 trajectory loops run on the shared RK4 driver chaoslab.util.rk4, whose
@@ -15,66 +16,68 @@ call these numpy versions on either backend, since the C twins take one
 state per call.
 """
 
+import functools
+
 import numpy as np
 
 from .util import check_state, rk4
 
 BACKEND = "python"
 
-# Boxes from this half-width up take the padded-FFT path; below it the dense
-# tables are as fast or faster.  Medians per call on 2 vCPUs, numpy 2.4, four
-# runs: box 6 dense 90-118 us against FFT 80-125 us (a tie), box 7 dense
-# 158-211 us against FFT 77-140 us, box 4 dense 51 us against FFT 101 us.
-_FFT_MIN_BOX = 7
-
-# Cached interaction tables for the box convolution, keyed by box half-width.
-_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-# Cached padded-FFT plans, keyed by box half-width.
-_PLANS: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+# Boxes from this half-width up take the padded-FFT path; below it the pair
+# tables are as fast or faster.  Medians per call on 2 vCPUs, numpy 2.4, three
+# runs: box 4 tables 29-47 us against FFT 60-101 us, box 5 56-94 us against
+# 65-100 us (a tie), box 6 119-182 us against FFT 76-100 us.
+_FFT_MIN_BOX = 6
 
 # Cached periodic neighbour indices (n+1, n-1), keyed by lattice size.
 _NEIGHBOURS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _interaction_tables(box: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient matrix C[k,q] = A(k-q, q) and gather index G[k,q] of k-q.
+@functools.cache
+def box_norm_sq(box: int) -> np.ndarray:
+    """|k|^2 over the (2*box+1)^2 box in float64, with the origin set to 1
+    so that dividing by it is safe; read-only."""
+    k = np.arange(-box, box + 1)
+    k_sq = (k[:, None] ** 2 + k[None, :] ** 2).astype(np.float64)
+    k_sq[box, box] = 1.0
+    k_sq.flags.writeable = False
+    return k_sq
 
-    Entries are zero outside the admissible set (k, q, k-q all nonzero and
-    inside the box).  Flat index convention: i = (k1+box)*(2*box+1)+(k2+box).
-    The tables hold (2*box+1)^4 entries, so only boxes below _FFT_MIN_BOX
-    build them.
+
+@functools.cache
+def grid_index(box: int, n: int) -> np.ndarray:
+    """Flat index (k1 % n) * n + k2 % n of each box mode, in row-major box
+    order, in an n x n FFT grid; read-only."""
+    k = np.arange(-box, box + 1) % n
+    index = (k[:, None] * n + k[None, :]).ravel()
+    index.flags.writeable = False
+    return index
+
+
+@functools.cache
+def _pair_tables(box: int) -> tuple[np.ndarray, np.ndarray]:
+    """det[k,q] = det(k-q, q) and gather[k,q], the flat box index of k-q.
+
+    They give the box's bilinear form B(a, b)[k] = sum_{p+q=k} det(p, q)
+    a_p b_q as sum_q det[k,q] a[gather[k,q]] b[q].  det vanishes when k, q
+    or k-q is the origin; where k-q leaves the box det is zero and gather
+    points at the origin, whose coefficient is zero.  Each table holds
+    (2*box+1)^4 entries.
     """
-    cached = _TABLES.get(box)
-    if cached is not None:
-        return cached
     side = 2 * box + 1
     k = np.arange(-box, box + 1)
-    k1 = np.repeat(k, side)
-    k2 = np.tile(k, side)
-    p1 = k1[:, None] - k1[None, :]
-    p2 = k2[:, None] - k2[None, :]
-    q1 = k1[None, :]
-    q2 = k2[None, :]
-    np2 = (p1 * p1 + p2 * p2).astype(np.float64)
-    nq2 = (q1 * q1 + q2 * q2).astype(np.float64)
-    nk2 = k1 * k1 + k2 * k2
-    det = (p1 * q2 - p2 * q1).astype(np.float64)
-    valid = (
-        (np2 > 0)
-        & (nq2 > 0)
-        & (nk2[:, None] > 0)
-        & (np.abs(p1) <= box)
-        & (np.abs(p2) <= box)
-    )
-    with np.errstate(divide="ignore"):
-        bracket = 0.5 * (1.0 / np.where(nq2 > 0, nq2, 1.0) - 1.0 / np.where(np2 > 0, np2, 1.0))
-    coef = np.where(valid, bracket * det, 0.0)
-    gather = np.where(valid, (p1 + box) * side + (p2 + box), 0).astype(np.intp)
-    _TABLES[box] = (coef, gather)
-    return coef, gather
+    k1 = np.repeat(k, side)[:, None]
+    k2 = np.tile(k, side)[:, None]
+    q1, q2 = k1.T, k2.T
+    p1, p2 = k1 - q1, k2 - q2
+    inside = (np.abs(p1) <= box) & (np.abs(p2) <= box)
+    det = np.where(inside, p1 * q2 - p2 * q1, 0).astype(np.float64)
+    gather = np.where(inside, (p1 + box) * side + (p2 + box), side * side // 2)
+    return det, gather
 
 
+@functools.cache
 def _fft_plan(box: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Padded grid size n, flat index of each box mode in the n x n grid,
     and the four spectral multipliers (w_x, w_y, u_y, u_x) over the box.
@@ -82,9 +85,6 @@ def _fft_plan(box: int) -> tuple[int, np.ndarray, np.ndarray]:
     n is the smallest 2^a 3^b 5^c with n >= 3*box+1: a product of two box
     modes reaches |k| <= 2*box, so none wraps onto a mode inside the box.
     """
-    cached = _PLANS.get(box)
-    if cached is not None:
-        return cached
     n = 3 * box + 1
     while True:
         rest = n
@@ -96,13 +96,9 @@ def _fft_plan(box: int) -> tuple[int, np.ndarray, np.ndarray]:
         n += 1
     k = np.arange(-box, box + 1)
     k1, k2 = np.meshgrid(k, k, indexing="ij")
-    index = ((k1 % n) * n + k2 % n).ravel()
-    k_sq = (k1 * k1 + k2 * k2).astype(np.float64)
-    k_sq[box, box] = 1.0
+    k_sq = box_norm_sq(box)
     mult = np.stack([1j * k1, 1j * k2, -1j * k2 / k_sq, -1j * k1 / k_sq])
-    plan = (n, index, mult.reshape(4, -1))
-    _PLANS[box] = plan
-    return plan
+    return n, grid_index(box, n), mult.reshape(4, -1)
 
 
 def galerkin_rhs(w: np.ndarray, box: int) -> np.ndarray:
@@ -110,16 +106,19 @@ def galerkin_rhs(w: np.ndarray, box: int) -> np.ndarray:
 
     rhs[k] = sum over ordered pairs p+q=k (all modes in the box, origin
     excluded) of A(p,q) * w[p] * w[q].  With u[q] = w[q]/|q|^2 this equals
-    sum_{p+q=k} det(p,q) w[p] u[q], the bracket w_x u_y - w_y u_x, which
-    boxes from _FFT_MIN_BOX up evaluate on a grid zero-padded to
-    n >= 3*box+1 points per side, so the sharp truncation stays exact.  The
-    transforms are complex, so the form stays bilinear on inputs without
-    the reality pairing.  Smaller boxes gather from the dense tables.
+    B(w, u)[k] = sum_{p+q=k} det(p,q) w[p] u[q], the bracket
+    w_x u_y - w_y u_x, which boxes from _FFT_MIN_BOX up evaluate on a grid
+    zero-padded to n >= 3*box+1 points per side, so the sharp truncation
+    stays exact.  The transforms are complex, so the form stays bilinear on
+    inputs without the reality pairing.  Smaller boxes contract the pair
+    tables with einsum, which sums without BLAS: a BLAS matrix-vector
+    product there ran 200x slower for hundreds of calls in some processes.
     """
     wf = np.ascontiguousarray(w, dtype=np.complex128).ravel()
     if box < _FFT_MIN_BOX:
-        coef, gather = _interaction_tables(box)
-        return ((coef * wf[gather]) @ wf).reshape(w.shape)
+        det, gather = _pair_tables(box)
+        u = wf / box_norm_sq(box).ravel()
+        return np.einsum("kq,kq,q->k", det, wf[gather], u).reshape(w.shape)
     n, index, mult = _fft_plan(box)
     grid = np.zeros((4, n * n), dtype=np.complex128)
     grid[:, index] = mult * wf

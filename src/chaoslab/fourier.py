@@ -11,7 +11,8 @@ Conventions used package-wide:
   ``dw[k] = sum_{p+q=k} A(p,q) w[p] w[q]`` restricted to the box (sharp
   Galerkin truncation), which reproduces minus the grid bracket of the
   stream function with the vorticity for fields that fit in half the box.
-  From a crossover box up, kernels.galerkin_rhs evaluates it as that
+  Below a crossover box, kernels.galerkin_rhs contracts the equivalent
+  det(p,q) form from pair tables; from it up, it evaluates it as that
   bracket on a grid zero-padded to n >= 3*box+1 points per side, where no
   product of two box modes wraps onto the box, so the truncation is exact.
 * Periodic grids sample ``[0, 2*pi)^2`` uniformly; products computed on the
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from ._kernels_py import box_norm_sq, grid_index
 from .errors import NumericError, PreconditionError
 from .util import check_schedule, rk4
 
@@ -200,10 +202,7 @@ class CoefficientField:
 
         Both members of a +-k pair are counted (doubling convention).
         """
-        k = np.arange(-self.box, self.box + 1)
-        k2 = k[:, None] ** 2 + k[None, :] ** 2
-        k2f = np.where(k2 > 0, k2, 1).astype(float)
-        return float(np.sum(np.abs(self._data) ** 2 / k2f))
+        return float(np.sum(np.abs(self._data) ** 2 / box_norm_sq(self.box)))
 
     def enstrophy(self) -> float:
         """Sum of |w_k|^2 over every stored nonzero mode."""
@@ -288,10 +287,8 @@ def galerkin_rhs(state: CoefficientField) -> CoefficientField:
 def energy_derivative(state: CoefficientField) -> float:
     """d(energy)/dt along galerkin_rhs, by direct summation."""
     rhs = galerkin_rhs(state)
-    k = np.arange(-state.box, state.box + 1)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    k2f = np.where(k2 > 0, k2, 1).astype(float)
-    return float(np.sum(np.real(np.conj(state._data) * rhs._data) / k2f))
+    return float(np.sum(np.real(np.conj(state._data) * rhs._data)
+                        / box_norm_sq(state.box)))
 
 
 def enstrophy_derivative(state: CoefficientField) -> float:
@@ -428,10 +425,7 @@ def invert_laplacian(f):
     """
     if isinstance(f, CoefficientField):
         out = CoefficientField(f.box)
-        k = np.arange(-f.box, f.box + 1)
-        k2 = (k[:, None] ** 2 + k[None, :] ** 2).astype(float)
-        k2[f.box, f.box] = 1.0
-        out._data[:, :] = f._data / (-k2)
+        out._data[:, :] = f._data / -box_norm_sq(f.box)
         out._data[f.box, f.box] = 0.0
         return out
     n = f.resolution
@@ -453,12 +447,7 @@ def coefficients_to_grid(field_: CoefficientField, n: int) -> GridField2D:
     if n < 2 * field_.box + 2:
         raise PreconditionError("grid too coarse for the coefficient box")
     fhat = np.zeros((n, n), dtype=np.complex128)
-    b = field_.box
-    for k1 in range(-b, b + 1):
-        for k2 in range(-b, b + 1):
-            v = field_._data[k1 + b, k2 + b]
-            if v != 0:
-                fhat[k1 % n, k2 % n] = v * n * n
+    fhat.ravel()[grid_index(field_.box, n)] = field_._data.ravel() * (n * n)
     vals = np.fft.ifft2(fhat)
     return GridField2D(vals.real)
 
@@ -474,10 +463,5 @@ def grid_to_coefficients(grid: GridField2D, box: int) -> CoefficientField:
     scale = np.max(np.abs(fhat)) or 1.0
     if abs(fhat[0, 0]) > 1e-10 * scale:
         raise PreconditionError("grid field has a nonzero mean")
-    out = CoefficientField(box)
-    for k1 in range(-box, box + 1):
-        for k2 in range(-box, box + 1):
-            if (k1, k2) != (0, 0):
-                out._data[k1 + box, k2 + box] = fhat[k1 % n, k2 % n]
-    out._data[box, box] = 0.0
-    return out
+    coefficients = fhat.ravel()[grid_index(box, n)]
+    return CoefficientField(box, coefficients.reshape(2 * box + 1, -1))

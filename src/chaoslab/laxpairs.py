@@ -5,7 +5,9 @@ the compatibility of the pair with the vorticity evolution reduces to the
 Jacobi identity of the bracket plus the transport of the evolution residual.
 The Rossby variant subtracts beta * d phi/dx from L.  3D: the scalar pair
 L phi = (Omega . grad) phi, A phi = (u . grad) phi, and the vector pair with
-the extra (phi . grad) terms.  All spectra and residuals are reported on
+the extra (phi . grad) terms.  On the coefficient box, {Omega, phi} is minus
+the bilinear form B(Omega, phi) of the Galerkin field, so its matrix reads
+the convolution's pair tables.  All spectra and residuals are reported on
 sharp truncations; isospectrality defects of non-steady flows are reported,
 not asserted, since truncation does not commute with the evolution.
 """
@@ -16,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels_py import _pair_tables
 from .errors import PreconditionError
-from .fourier import (CoefficientField, GridField2D, coefficients_to_grid, det2,
+from .fourier import (CoefficientField, GridField2D, coefficients_to_grid,
                       galerkin_rhs, grid_bracket, integrate_galerkin,
                       invert_laplacian)
 from .util import check_schedule, hausdorff_distance, sup_norm
@@ -107,47 +110,41 @@ def compatibility_residual_2d(omega: CoefficientField,
     return report
 
 
-def bracket_operator_matrix(omega: CoefficientField, box: int) -> np.ndarray:
+def bracket_operator_matrix(omega: CoefficientField) -> np.ndarray:
     """Matrix of phi -> {Omega, phi} on the truncated exponential basis.
 
-    Basis vectors are the nonzero modes of the size-``box`` square; the entry
-    coupling basis mode q into row k is -det(k, q) * omega_{k-q}.
+    Basis vectors are the nonzero modes of Omega's box in row-major order;
+    the entry coupling basis mode q into row k is -det(k, q) * omega_{k-q},
+    which is minus the pair-table form B(Omega, phi) that galerkin_rhs
+    evaluates, read from the same tables.
     """
-    modes = [(k1, k2) for k1 in range(-box, box + 1)
-             for k2 in range(-box, box + 1) if (k1, k2) != (0, 0)]
-    index = {k: i for i, k in enumerate(modes)}
-    dim = len(modes)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    b = omega.box
-    for q in modes:
-        jq = index[q]
-        for (m, w) in omega.modes():
-            k = (m[0] + q[0], m[1] + q[1])
-            if k in index:
-                mat[index[k], jq] = -det2(k, q) * w
-    return mat
+    det, gather = _pair_tables(omega.box)
+    w = omega.data.ravel()[gather]
+    # -det(k, q) * w as the integer -det times the complex amplitude, and an
+    # exact +0 wherever omega_{k-q} is zero (the origin slot included), so
+    # the entries keep the bits of a mode-by-mode assembly, signed zeros too
+    mat = np.where(w != 0, (0.0 - det) * w, 0.0)
+    keep = np.arange(det.shape[0]) != det.shape[0] // 2  # drop the origin
+    return mat[np.ix_(keep, keep)]
 
 
-def isospectrality_check(omega0: CoefficientField, T: float, dt: float,
-                         box: int | None = None) -> LaxReport:
+def isospectrality_check(omega0: CoefficientField, T: float,
+                         dt: float) -> LaxReport:
     """Hausdorff drift of the truncated bracket-operator spectrum.
 
     Evolves the vorticity by the truncated quadratic field over [0, T] and
-    compares eig({Omega(0), .}) against eig({Omega(T), .}) on the same basis.
-    Steady states must give distances at roundoff; for general data the
-    distance is a truncation measurement, reported rather than asserted.
+    compares eig({Omega(0), .}) against eig({Omega(T), .}) on the basis of
+    Omega's box.  Steady states must give distances at roundoff; for
+    general data the distance is a truncation measurement, reported rather
+    than asserted.
     """
-    if box is None:
-        box = omega0.box
-    if box > 6:
+    if omega0.box > 6:
         raise PreconditionError("operator box above 6 (matrix growth)")
     check_schedule(dt, 1, 1)  # before T / dt; the step count follows from T
     steps = max(1, int(round(T / dt)))
     omega_T = integrate_galerkin(omega0, dt, steps)
-    m0 = bracket_operator_matrix(omega0, box)
-    m1 = bracket_operator_matrix(omega_T, box)
-    e0 = np.linalg.eigvals(m0)
-    e1 = np.linalg.eigvals(m1)
+    e0 = np.linalg.eigvals(bracket_operator_matrix(omega0))
+    e1 = np.linalg.eigvals(bracket_operator_matrix(omega_T))
     report = LaxReport()
     report.residuals["hausdorff"] = hausdorff_distance(e0, e1)
     report.spectra["initial"] = list(e0)

@@ -95,15 +95,6 @@ class NLSLatticeState:
     def uniform(cls, N: int, value: complex) -> "NLSLatticeState":
         return cls(np.full(N, value, dtype=np.complex128))
 
-    @classmethod
-    def from_even_modes(cls, N: int, amplitudes: dict[int, complex]) -> "NLSLatticeState":
-        """State sum_k a_k cos(2 pi k n / N)."""
-        n = np.arange(N)
-        q = np.zeros(N, dtype=np.complex128)
-        for k, a in amplitudes.items():
-            q += a * np.cos(2.0 * np.pi * k * n / N)
-        return cls(q)
-
     @property
     def N(self) -> int:
         return self.q.size

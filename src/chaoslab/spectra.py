@@ -80,9 +80,9 @@ class ClassOperator:
     ``ns`` lists the kept chain positions n in [-trunc, trunc] (a slot is
     removed when khat + n*p hits the origin, splitting the chain).
     ``sub`` and ``sup`` hold the real Gamma-free couplings a_n and b_n of
-    each kept slot (`class_couplings`), and ``matrix`` is the dense complex
+    each kept slot (`class_couplings`).  `matrix` builds the dense complex
     tridiagonal-with-skips realization, with entries exactly a_n*Gamma and
-    b_n*conj(Gamma).  `real_form` is the real matrix |Gamma| * A that is
+    b_n*conj(Gamma), and `real_form` the real matrix |Gamma| * A that is
     similar to it.
     """
 
@@ -92,20 +92,23 @@ class ClassOperator:
     ns: list[int]
     sub: np.ndarray
     sup: np.ndarray
-    matrix: np.ndarray
     degenerate: bool
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.ns)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense complex matrix, built on each access.  The first slot's
+        a_n and the last slot's b_n reach outside the truncation and are
+        dropped; across the origin both couplings are zero."""
+        return _tridiagonal(self.sub[1:] * self.gamma,
+                            self.sup[:-1] * np.conj(self.gamma))
 
     def sub_coefficient(self, n: int) -> complex:
         """c_n, the coupling of w_n to w_{n-1}."""
         return complex(class_couplings(self.cls, [n])[0][0] * self.gamma)
-
-    def super_coefficient(self, n: int) -> complex:
-        """d_n, the coupling of w_n to w_{n+1}."""
-        return complex(class_couplings(self.cls, [n])[1][0] * np.conj(self.gamma))
 
     def real_bands(self) -> tuple[np.ndarray, np.ndarray]:
         """Sub- and super-diagonal of `real_form`, in float64."""
@@ -163,13 +166,8 @@ def build_class_operator(cls: ClassIndex, gamma: complex, trunc: int) -> ClassOp
         raise PreconditionError("Gamma and |Gamma| must be finite")
     ns = [n for n in range(-trunc, trunc + 1) if cls.member(n) != (0, 0)]
     sub, sup = class_couplings(cls, ns)
-    # the kept slots are consecutive except across the origin, where both
-    # couplings are zero, so a_n sits below and b_n above the diagonal;
-    # the first slot's a_n and the last slot's b_n reach outside the
-    # truncation and are dropped
-    mat = _tridiagonal(sub[1:] * gamma, sup[:-1] * np.conj(gamma))
     return ClassOperator(cls=cls, gamma=gamma, trunc=trunc, ns=ns, sub=sub,
-                         sup=sup, matrix=mat, degenerate=cls.is_degenerate())
+                         sup=sup, degenerate=cls.is_degenerate())
 
 
 def _even_odd_product(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -305,8 +303,9 @@ def spectral_mapping_check(op: ClassOperator, t: float) -> float:
         raise PreconditionError("t must be nonzero")
     if op.dimension > 200:
         raise PreconditionError("dimension above 200 for the matrix exponential")
-    lhs = np.linalg.eigvals(scipy.linalg.expm(t * op.matrix))
-    rhs = np.exp(t * np.linalg.eigvals(op.matrix))
+    mat = op.matrix
+    lhs = np.linalg.eigvals(scipy.linalg.expm(t * mat))
+    rhs = np.exp(t * np.linalg.eigvals(mat))
     return hausdorff_distance(lhs, rhs)
 
 

@@ -42,6 +42,25 @@ def galerkin_rhs_ref(w: np.ndarray, box: int) -> np.ndarray:
     return out
 
 
+def bracket_operator_matrix_ref(omega) -> np.ndarray:
+    """Matrix of phi -> {Omega, phi} on the nonzero modes of Omega's box, in
+    row-major order, assembled mode by mode: the entry coupling basis mode q
+    into row k = m + q is -det(k, q) * omega_m for every nonzero omega_m."""
+    box = omega.box
+    data = omega.data
+    modes = [(k1, k2) for k1 in range(-box, box + 1)
+             for k2 in range(-box, box + 1) if (k1, k2) != (0, 0)]
+    index = {k: i for i, k in enumerate(modes)}
+    mat = np.zeros((len(modes), len(modes)), dtype=np.complex128)
+    for q in modes:
+        for m in modes:
+            w = complex(data[m[0] + box, m[1] + box])
+            k = (m[0] + q[0], m[1] + q[1])
+            if w != 0 and k in index:
+                mat[index[k], index[q]] = -(k[0] * q[1] - k[1] * q[0]) * w
+    return mat
+
+
 def pdnls_rhs_ref(q: np.ndarray, N: int, omega: float, alpha: float,
                   beta: float, eps: float) -> np.ndarray:
     """Lattice vector field by an explicit index loop.

@@ -8,6 +8,7 @@ from chaoslab.laxpairs import (VectorField3D, bracket_operator_matrix,
                                compatibility_residual_2d, isospectrality_check,
                                jacobi_defect, lax_3d_scalar, lax_3d_vector,
                                lax_A_2d, lax_L_2d, rossby_L)
+from oracles import bracket_operator_matrix_ref
 
 
 def unit_random_grid(rng, box=8, n=64):
@@ -88,8 +89,8 @@ class TestIsospectrality:
         # near the essential spectrum (measured to grow from box 4 to 6)
         omega = CoefficientField.random(4, rng, decay=0.3)
         omega = omega.scaled(0.1 / np.sqrt(omega.enstrophy()))
-        d4 = isospectrality_check(omega, T=1.0, dt=0.01, box=4)
-        d6 = isospectrality_check(omega.embedded(6), T=1.0, dt=0.01, box=6)
+        d4 = isospectrality_check(omega, T=1.0, dt=0.01)
+        d6 = isospectrality_check(omega.embedded(6), T=1.0, dt=0.01)
         assert np.isfinite(d4.residuals["hausdorff"])
         assert np.isfinite(d6.residuals["hausdorff"])
         assert d4.residuals["hausdorff"] < 0.1  # small-amplitude sanity scale
@@ -98,7 +99,7 @@ class TestIsospectrality:
         # a matrix column is the box projection of {Omega, e^{iq.X}}
         omega = CoefficientField.random(3, rng)
         box = 3
-        mat = bracket_operator_matrix(omega, box)
+        mat = bracket_operator_matrix(omega)
         modes = [(k1, k2) for k1 in range(-box, box + 1)
                  for k2 in range(-box, box + 1) if (k1, k2) != (0, 0)]
         q = (1, -2)
@@ -113,7 +114,49 @@ class TestIsospectrality:
 
     def test_box_cap(self):
         with pytest.raises(PreconditionError):
-            isospectrality_check(CoefficientField(8), T=0.1, dt=0.01, box=8)
+            isospectrality_check(CoefficientField(8), T=0.1, dt=0.01)
+
+    @pytest.mark.parametrize("box", [1, 2, 3, 4, 5, 6])
+    def test_operator_matrix_same_bits_as_mode_loop(self, rng, box):
+        # the pair-table matrix against the mode-by-mode assembly, for a
+        # random field and a complex single pair; the bytes compare signed
+        # zeros too
+        for omega in (CoefficientField.random(box, rng),
+                      CoefficientField.single_pair(box, (1, -1), 1.3 - 0.7j)):
+            got = bracket_operator_matrix(omega)
+            ref = bracket_operator_matrix_ref(omega)
+            assert np.array_equal(got, ref)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("box, p, gamma", [
+        (4, (1, 1), 1.3), (5, (1, 0), 2.0), (6, (2, 1), 1.3 - 0.7j),
+        (3, (1, -2), 0.4j)])
+    def test_single_pair_closed_form(self, box, p, gamma):
+        # at Omega = Gamma e^{ip.x} + c.c. the operator couples q only to
+        # q +- p with the weight det(p, q), constant along each line
+        # khat + n*p; a run of m consecutive nonzero box modes on a line is
+        # a constant tridiagonal with eigenvalues
+        # 2i |det(p, khat)| |Gamma| cos(j pi / (m+1)), j = 1..m
+        def in_box(k):
+            return k != (0, 0) and abs(k[0]) <= box and abs(k[1]) <= box
+
+        expected = []
+        for k1 in range(-box, box + 1):
+            for k2 in range(-box, box + 1):
+                start = (k1, k2)
+                if not in_box(start) or in_box((k1 - p[0], k2 - p[1])):
+                    continue
+                m, k = 0, start
+                while in_box(k):
+                    m, k = m + 1, (k[0] + p[0], k[1] + p[1])
+                weight = 2.0 * abs(p[0] * k2 - p[1] * k1) * abs(gamma)
+                expected += [weight * np.cos(j * np.pi / (m + 1))
+                             for j in range(1, m + 1)]
+        eigs = np.linalg.eigvals(bracket_operator_matrix(
+            CoefficientField.single_pair(box, p, gamma)))
+        assert eigs.size == len(expected) == (2 * box + 1) ** 2 - 1
+        assert np.max(np.abs(np.sort(eigs.imag) - np.sort(expected))) < 1e-12 * abs(gamma)
+        assert np.max(np.abs(eigs.real)) < 1e-12 * abs(gamma)
 
 
 class TestRossby:
