@@ -13,10 +13,15 @@ steps, as `chaoslab shadow --map nls-poincare` sets it up) are numpy code
 and timed once.  So are that flow map and its Jacobians on 20 states 1e-3
 off the lattice saddle, as many as the shadow Newton of `shadow --map
 nls-poincare --word 010 --m 3` maps per step, as one stacked call and as
-the loop of single-state calls it replaces.  The dashed-line RK4 runs on
-the model's own couplings (trunc 10, epsilon 0.5) from a small kick off the
-stationary line, which it follows for all 10^5 steps; the bench fails if it
-reports a blow-up.  The dense
+the loop of single-state calls it replaces.  One shadow Newton step's
+linear solve, the minimum-norm correction of shadowing.min_norm_orbit_step
+(a block QR sweep along the orbit), is timed against the dense lstsq of
+tests/oracles.py that it replaced, on lattice flow-map Jacobians at L = 21,
+84 and 200 points 1e-3 off the saddle (d = 16); the dense solve runs only
+once after its warm-up at L = 200, where it takes seconds.  The
+dashed-line RK4 runs on the model's own couplings (trunc 10, epsilon 0.5)
+from a small kick off the stationary line, which it follows for all 10^5
+steps; the bench fails if it reports a blow-up.  The dense
 class-operator eigensolve `spectra.truncated_spectrum` is timed at trunc 50
 and 400 for a real and a complex Gamma of the benchmark class, and the
 continued-fraction Newton `spectra.continued_fraction_eigen` at the class
@@ -25,20 +30,27 @@ job spectrum-t400, from a fixed seed near its point eigenvalue.  Every figure
 is the median of several rounds, after one warm-up call that builds the
 convolution's pair tables or FFT plan and the lattice index caches.
 
-Run after installing the package, or from a source tree with the extension
-built in place (python setup.py build_ext --inplace) and src on PYTHONPATH:
+Run from a source tree, which holds the oracle in tests/, after installing
+the package or with the extension built in place (python setup.py
+build_ext --inplace) and src on PYTHONPATH:
     python benchmarks/bench_kernels.py
 """
 
 import json
 import os
 import statistics
+import sys
 import time
 
 import numpy as np
 
-from chaoslab import _kernels_py, dashed_line, kernels, laxpairs, nls, spectra
+from chaoslab import (_kernels_py, dashed_line, kernels, laxpairs, nls,
+                      shadowing, spectra)
 from chaoslab.fourier import ClassIndex, CoefficientField
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from oracles import min_norm_orbit_step_ref  # noqa: E402
 
 try:
     from chaoslab import _kernels
@@ -49,6 +61,7 @@ GALERKIN_BOXES = (2, 3, 4, 5, 6, 8, 16, 32, 64)
 OPERATOR_BOXES = (4, 6)
 SPECTRUM_TRUNCS = (50, 400)
 SPECTRUM_GAMMAS = {"real": 2.0, "complex": 1.3 - 0.7j}
+SHADOW_LENGTHS = (21, 84, 200)
 
 
 def median_seconds(fn, repeat, rounds):
@@ -146,6 +159,24 @@ def stacked_against_loop_ms(fn, points):
                                                repeat=1, rounds=7)}
 
 
+def shadow_step_ms(flow, saddle):
+    """Median milliseconds of one shadow Newton step's linear solve per
+    orbit length, at that many points 1e-3 off the saddle: the block QR
+    sweep and the dense lstsq oracle."""
+    rng = np.random.default_rng(2)
+    out = {}
+    for length in SHADOW_LENGTHS:
+        points = saddle + 1e-3 * rng.standard_normal((length, saddle.size))
+        jacs, res = flow.jacobian(points[:-1]), points[1:] - flow.map(points[:-1])
+        out[str(length)] = {
+            "block_sweep": 1e3 * median_seconds(
+                lambda: shadowing.min_norm_orbit_step(jacs, res), repeat=3, rounds=7),
+            "dense_lstsq": 1e3 * median_seconds(
+                lambda: min_norm_orbit_step_ref(jacs, res), repeat=1,
+                rounds=1 if length >= 200 else 5)}
+    return out
+
+
 def main():
     rng = np.random.default_rng(0)
 
@@ -156,8 +187,8 @@ def main():
     flow = nls.flow_map(params, 0.5 * params.max_stable_dt(), 20)
     x = np.concatenate([q.real, q.imag])
     saddle = nls.discrete_saddle(params).state.q
-    orbit = (np.concatenate([saddle.real, saddle.imag])
-             + 1e-3 * rng.standard_normal((20, 16)))
+    saddle = np.concatenate([saddle.real, saddle.imag])
+    orbit = saddle + 1e-3 * rng.standard_normal((20, 16))
 
     report = {
         "backend": kernels.BACKEND,
@@ -178,6 +209,7 @@ def main():
         "nls_flow_map_20_points_ms": stacked_against_loop_ms(flow.map, orbit),
         "nls_flow_map_jacobian_20_points_ms": stacked_against_loop_ms(
             flow.jacobian, orbit),
+        "shadow_newton_step_ms_by_length": shadow_step_ms(flow, saddle),
         "pdnls_rk4_N8_1e5_steps_s": backend_medians_s(
             lambda mod: (lambda: mod.pdnls_rk4(q, *args))),
         "dashed_rk4_1e5_steps_s": dashed_rk4_s(dargs),

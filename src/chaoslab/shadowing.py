@@ -9,6 +9,11 @@ the sequential orbit, iterate and shadow_distance call the map point by
 point.  A flow map raises NumericError on blow-up, for a stack at the
 earliest step at which any row blows up.
 
+The shadow Newton step is the minimum-norm solution of the block-bidiagonal
+orbit equations, found by a sweep of one small Householder QR per orbit
+point (min_norm_orbit_step), so a step costs O(L d^3) for L points in R^d
+and no (L-1)d x Ld matrix is ever formed.
+
 All distances between states are sup-norms over components, and all claims
 are made on finite windows: doubly infinite symbol sequences are represented
 by a finite window plus a declared extension rule, and hyperbolicity data
@@ -155,20 +160,23 @@ class PseudoOrbit:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] < 2:
             raise PreconditionError("a pseudo-orbit needs at least two points")
-        if self.delta < 0:
-            raise PreconditionError("delta must be >= 0")
+        if not np.all(np.isfinite(self.points)):
+            raise PreconditionError("pseudo-orbit points must be finite")
+        if not self.delta >= 0:
+            raise PreconditionError("delta must be a number >= 0")
 
     @classmethod
     def verified(cls, points: np.ndarray, system: MapSystem,
                  delta: float | None = None) -> "PseudoOrbit":
         """Construct with the defect bound checked (or measured)."""
-        defect = float(step_defects(points, system).max())
+        checked = cls(points, 0.0 if delta is None else delta)
+        defect = float(step_defects(checked.points, system).max())
         if delta is None:
-            delta = defect
-        elif defect > delta:
+            return cls(checked.points, defect)
+        if not defect <= delta:
             raise PreconditionError(
                 f"measured defect {defect:.3e} exceeds declared delta {delta:.3e}")
-        return cls(np.asarray(points, dtype=float), delta)
+        return checked
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -217,39 +225,91 @@ class ShadowResult:
     residual_history: list[float]
 
 
+def min_norm_orbit_step(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution x (L, d) of x_{j+1} - J_j x_j = -r_j, j < L-1.
+
+    jacs (L-1, d, d) holds the J_j and res (L-1, d) the r_j.  The system
+    matrix A has block rows [... -J_j, I ...], so A^T is block lower
+    bidiagonal and its QR factorization A^T = Q R is swept along the orbit:
+    one Householder QR per 2d x d block [M_j; I] (M_0 = -J_0^T), whose
+    orthogonal factor Q_j turns the next column block [0; -J_{j+1}^T] into
+    the coupling block S_j of the block-bidiagonal R and the next M_{j+1}.
+    Then R^T y = -r by forward block substitution, and x = Q [y; 0] by
+    applying the saved Q_j in reverse order.  Costs O(L d^3); every diagonal
+    block of R has singular values >= 1, since [M_j; I] has.
+    """
+    n, d = res.shape
+    neg_jt = -np.swapaxes(jacs, 1, 2)
+    qs = np.empty((n, 2 * d, 2 * d))
+    rts = np.empty((n, d, d))             # R_j^T
+    coupling = np.zeros((n, d, d))        # S_{j-1}^T; none for j = 0
+    block = np.empty((2 * d, d))
+    block[:d] = neg_jt[0]
+    block[d:] = np.eye(d)
+    for j in range(n):
+        q, r = np.linalg.qr(block, mode="complete")
+        qs[j] = q
+        rts[j] = r[:d].T
+        if j + 1 < n:
+            # Q_j^T [0; -J_{j+1}^T] needs only the bottom rows of Q_j
+            carried = q[d:].T @ neg_jt[j + 1]
+            coupling[j + 1] = carried[:d].T
+            block[:d] = carried[d:]
+    # R^T y = -r row block by row block: R_j^T y_j = -r_j - S_{j-1}^T y_{j-1};
+    # all the d x d solves go in one stacked call, the recurrence in a loop
+    sol = np.linalg.solve(rts, np.concatenate((-res[..., None], coupling), axis=2))
+    start, carry = sol[..., 0], sol[..., 1:]
+    y = np.empty((n, d))
+    y[0] = start[0]
+    for j in range(1, n):
+        y[j] = start[j] - carry[j] @ y[j - 1]
+    # x = Q_0 (Q_1 (... Q_{n-1} [y; 0])): Q_j maps (y_j, t_{j+1}) on the row
+    # blocks j, j+1 to (t_j, x_{j+1}), with t_n = 0 and x_0 = t_0
+    head = np.einsum("jab,jb->ja", qs[:, :d, :d], y)
+    t = np.zeros((n + 1, d))
+    for j in range(n - 1, -1, -1):
+        t[j] = head[j] + qs[j, :d, d:] @ t[j + 1]
+    x = np.empty((n + 1, d))
+    x[0] = t[0]
+    x[1:] = (np.einsum("jab,jb->ja", qs[:, d:, :d], y)
+             + np.einsum("jab,jb->ja", qs[:, d:, d:], t[1:]))
+    return x
+
+
 def find_shadow(pseudo: PseudoOrbit, system: MapSystem, tol: float = 1e-12,
                 max_iter: int = 60) -> ShadowResult:
     """Newton solve of the stacked orbit equations x_{j+1} = f(x_j).
 
     The linearized system is underdetermined by one copy of the state space;
-    each Newton step takes the minimum-norm least-squares correction, so the
+    each Newton step takes its minimum-norm correction, solved by the block
+    QR sweep along the orbit of min_norm_orbit_step in O(L d^3), so the
     solver selects the true orbit nearest the pseudo-orbit in the stacked
-    2-norm.  Raises NumericError with the residual history on stagnation.
+    2-norm.  Raises NumericError with the residual history on stagnation
+    and at the first residual or step that is not finite.
     """
     if system.jacobian is None:
         raise PreconditionError("find_shadow needs a jacobian")
-    L, d = pseudo.points.shape
     x = pseudo.points.copy()
     history: list[float] = []
     scale = max(1.0, float(np.max(np.abs(pseudo.points))))
-    diag = np.arange(L - 1)
     for _ in range(max_iter):
         res = x[1:] - system.map(x[:-1])
         rnorm = float(np.max(np.abs(res)))
         history.append(rnorm)
+        if not np.isfinite(rnorm):
+            raise NumericError("shadow Newton residual is not finite",
+                               history=history)
         if rnorm < tol * scale:
             eps = float(np.max(np.abs(x - pseudo.points)))
             return ShadowResult(orbit=x, start=x[0].copy(), epsilon=eps,
                                 residual_history=history)
         if len(history) > 3 and rnorm > 0.5 * history[-3]:
             raise NumericError("shadow Newton stagnated", history=history)
-        jac = np.zeros(((L - 1) * d, L * d))
-        # block (j, k) of the orbit Jacobian is blocks[j, :, k, :]
-        blocks = jac.reshape(L - 1, d, L, d)
-        blocks[diag, :, diag + 1, :] = np.eye(d)
-        blocks[diag, :, diag, :] = -system.jacobian(x[:-1])
-        step, *_ = np.linalg.lstsq(jac, -res.ravel(), rcond=None)
-        x = x + step.reshape(L, d)
+        step = min_norm_orbit_step(system.jacobian(x[:-1]), res)
+        if not np.all(np.isfinite(step)):
+            raise NumericError("shadow Newton step is not finite",
+                               history=history)
+        x = x + step
     raise NumericError("shadow Newton did not converge", history=history)
 
 

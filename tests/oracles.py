@@ -210,7 +210,7 @@ def exact_linear_shadow(diag: np.ndarray, points: np.ndarray) -> np.ndarray:
     Expanding components are corrected by the backward geometric series with
     a zero far end, contracting ones by the forward series with a zero
     start; the free orbit-family parameter is then fixed by projecting to
-    the minimum stacked-2-norm member, matching the least-squares Newton
+    the minimum stacked-2-norm member, matching the minimum-norm Newton
     convention.
     """
     lam = np.asarray(diag, dtype=float)
@@ -230,6 +230,20 @@ def exact_linear_shadow(diag: np.ndarray, points: np.ndarray) -> np.ndarray:
         coef = -np.dot(powers, e[:, i]) / np.dot(powers, powers)
         e[:, i] += coef * powers
     return y + e
+
+
+def min_norm_orbit_step_ref(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution x (L, d) of x_{j+1} - J_j x_j = -r_j by dense
+    least squares: the whole (L-1)d x Ld orbit Jacobian, then lstsq."""
+    jacs = np.asarray(jacs, dtype=float)
+    res = np.asarray(res, dtype=float)
+    n, d = res.shape
+    mat = np.zeros((n * d, (n + 1) * d))
+    for j in range(n):
+        mat[j * d:(j + 1) * d, j * d:(j + 1) * d] = -jacs[j]
+        mat[j * d:(j + 1) * d, (j + 1) * d:(j + 2) * d] = np.eye(d)
+    step, *_ = np.linalg.lstsq(mat, -res.ravel(), rcond=None)
+    return step.reshape(n + 1, d)
 
 
 def double_well_rhs(v: np.ndarray) -> np.ndarray:

@@ -9,11 +9,12 @@ from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.shadowing import (MapSystem, PseudoOrbit, SymbolSequence,
                                 cylinder_distance, find_shadow,
                                 hyperbolicity_estimate, is_pseudo_orbit,
-                                linear_map_system, palmer_assembly,
-                                rk4_flow_system, shadow_distance, shift_map,
-                                step_defects)
+                                linear_map_system, min_norm_orbit_step,
+                                palmer_assembly, rk4_flow_system,
+                                shadow_distance, shift_map, step_defects)
 from oracles import (double_well_homoclinic, double_well_jacobian,
-                     double_well_rhs, exact_linear_shadow)
+                     double_well_rhs, exact_linear_shadow,
+                     min_norm_orbit_step_ref)
 
 HYP = linear_map_system(np.diag([2.0, 0.5]))
 
@@ -24,6 +25,27 @@ def well_map():
     # map accurate to ~1e-10 so homoclinic bookkeeping is exact at test scale
     return rk4_flow_system(double_well_rhs, double_well_jacobian, 2,
                            dt=0.01, steps=80)
+
+
+@pytest.fixture(scope="module")
+def lattice_map():
+    """The lattice flow map and saddle of `chaoslab shadow --map nls-poincare`
+    at its default parameters."""
+    from chaoslab.nls import NLSParams, discrete_saddle, flow_map
+    params = NLSParams(N=8, omega=3.5, alpha=1.0, beta=4.0, epsilon=0.01)
+    system = flow_map(params, dt=0.5 * params.max_stable_dt(), steps=20)
+    q = discrete_saddle(params).state.q
+    return system, np.concatenate([q.real, q.imag])
+
+
+@pytest.fixture(scope="module")
+def dashed_map():
+    """The dashed-line flow map of `chaoslab shadow --map dashed-line` and a
+    point of its stationary line."""
+    from chaoslab.dashed_line import DashedLineParams, flow_map
+    params = DashedLineParams(gamma=1.0, epsilon=0.0, trunc=5)
+    system = flow_map(params, dt=0.05, steps=10)
+    return system, np.concatenate(([1.0], np.zeros(params.size)))
 
 
 class TestPseudoOrbit:
@@ -49,6 +71,20 @@ class TestPseudoOrbit:
         pts = orbit + 1e-3
         with pytest.raises(PreconditionError):
             PseudoOrbit.verified(pts, HYP, delta=1e-9)
+
+    def test_non_finite_point_rejected(self):
+        # a NaN defect is never > delta, so it once passed as delta = nan
+        orbit = HYP.orbit(np.array([1e-4, 1.0]), 8)
+        for bad in (np.nan, np.inf):
+            pts = orbit.copy()
+            pts[3, 1] = bad
+            for build in (lambda: PseudoOrbit(pts, 0.1),
+                          lambda: PseudoOrbit.verified(pts, HYP),
+                          lambda: PseudoOrbit.verified(pts, HYP, delta=1.0)):
+                with pytest.raises(PreconditionError):
+                    build()
+        with pytest.raises(PreconditionError):
+            PseudoOrbit(orbit, float("nan"))
 
 
 class TestFlowMap:
@@ -175,6 +211,50 @@ class TestFindShadow:
         pseudo = PseudoOrbit(np.zeros((3, 2)), 0.0)
         with pytest.raises(PreconditionError):
             find_shadow(pseudo, bare)
+
+    def test_non_finite_residual_or_step_raises_at_once(self):
+        pseudo = PseudoOrbit(HYP.orbit(np.array([1e-4, 1.0]), 8) + 1e-3, 1e-2)
+        nan_map = MapSystem(dimension=2,
+                            map=lambda x: np.full(np.shape(x), np.nan),
+                            jacobian=HYP.jacobian)
+        nan_jacobian = MapSystem(
+            dimension=2, map=HYP.map,
+            jacobian=lambda x: np.full(np.shape(x)[:-1] + (2, 2), np.nan))
+        for system in (nan_map, nan_jacobian):
+            with pytest.raises(NumericError) as excinfo:
+                find_shadow(pseudo, system)
+            assert len(excinfo.value.history) == 1
+
+    @pytest.mark.parametrize("length", [2, 3, 21, 50])
+    def test_step_matches_dense_lstsq(self, rng, well_map, lattice_map,
+                                      dashed_map, length):
+        cases = {"linear": (HYP, rng.uniform(-1.0, 1.0, (length, 2))),
+                 "double-well": (well_map, rng.uniform(-1.0, 1.0, (length, 2)))}
+        for name, (system, base) in (("lattice", lattice_map),
+                                     ("dashed-line", dashed_map)):
+            cases[name] = (system, base + 1e-2 * rng.standard_normal(
+                (length, system.dimension)))
+        for name, (system, pts) in cases.items():
+            jacs = system.jacobian(pts[:-1])
+            res = pts[1:] - system.map(pts[:-1])
+            step = min_norm_orbit_step(jacs, res)
+            ref = min_norm_orbit_step_ref(jacs, res)
+            gap = np.max(np.abs(step - ref)) / np.max(np.abs(ref))
+            assert gap < 1e-12, (name, gap)
+
+    def test_long_lattice_orbit(self, lattice_map):
+        # L = 84 in R^16, the pseudo-orbit of `chaoslab shadow --map
+        # nls-poincare --word 0110 --m 10`; the dense lstsq step took three
+        # Newton steps (four residuals) here too
+        system, saddle = lattice_map
+        kick = 1e-3 * np.random.default_rng(0).standard_normal(16)
+        seg = system.orbit(saddle + kick, 21)
+        pseudo = palmer_assembly(saddle, seg, "0110", system)
+        assert len(pseudo) == 84
+        result = find_shadow(pseudo, system)
+        scale = max(1.0, float(np.max(np.abs(pseudo.points))))
+        assert np.max(step_defects(result.orbit, system)) < 1e-9 * scale
+        assert len(result.residual_history) == 4
 
 
 class TestPalmerAssembly:
