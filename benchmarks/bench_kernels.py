@@ -21,7 +21,11 @@ tests/oracles.py that it replaced, on lattice flow-map Jacobians at L = 21,
 once after its warm-up at L = 200, where it takes seconds.  The
 dashed-line RK4 runs on the model's own couplings (trunc 10, epsilon 0.5)
 from a small kick off the stationary line, which it follows for all 10^5
-steps; the bench fails if it reports a blow-up.  The dense
+steps; the bench fails if it reports a blow-up.  The numpy dashed-line RK4
+is also timed per step at trunc 10 and 100, where its dense coupling-matrix
+product costs O(L^2), and the dashed-line field per single-state call:
+dashed_rhs on each backend, and the numpy dashed_field on a prebuilt
+coupling matrix, as the numpy RK4 loop calls it.  The dense
 class-operator eigensolve `spectra.truncated_spectrum` is timed at trunc 50
 and 400 for a real and a complex Gamma of the benchmark class, and the
 continued-fraction Newton `spectra.continued_fraction_eigen` at the class
@@ -62,6 +66,8 @@ OPERATOR_BOXES = (4, 6)
 SPECTRUM_TRUNCS = (50, 400)
 SPECTRUM_GAMMAS = {"real": 2.0, "complex": 1.3 - 0.7j}
 SHADOW_LENGTHS = (21, 84, 200)
+DASHED_TRUNCS = (10, 100)
+DASHED_STEPS = 2000
 
 
 def median_seconds(fn, repeat, rounds):
@@ -135,20 +141,46 @@ def continued_fraction_ms():
         lambda: spectra.continued_fraction_eigen(op, 0.09 + 0.31j), repeat=3, rounds=7)
 
 
-def dashed_rk4_s(dargs):
-    """dashed_rk4 medians per backend; fails unless every run takes all steps."""
-    params = dashed_line.DashedLineParams(gamma=1.0, epsilon=0.5, trunc=10)
+def dashed_call(mod, trunc, dargs):
+    """A call of mod.dashed_rk4 on the model's couplings (epsilon 0.5) at
+    trunc from a small kick off the stationary line; it fails unless the run
+    takes all steps."""
+    params = dashed_line.DashedLineParams(gamma=1.0, epsilon=0.5, trunc=trunc)
     om = 1e-2 * np.random.default_rng(1).standard_normal(params.size)
 
-    def make_call(mod):
-        def call():
-            blowup_step = mod.dashed_rk4(params.gamma, om, params.sub, params.sup,
-                                         params.pair, *dargs)[2]
-            if blowup_step != -1:  # the kernels' value for no blow-up
-                raise SystemExit(f"dashed_rk4 blew up at step {blowup_step}")
-        return call
+    def call():
+        blowup_step = mod.dashed_rk4(params.gamma, om, params.sub, params.sup,
+                                     params.pair, *dargs)[2]
+        if blowup_step != -1:  # the kernels' value for no blow-up
+            raise SystemExit(f"dashed_rk4 blew up at step {blowup_step}")
+    return call
 
-    return backend_medians_s(make_call)
+
+def dashed_numpy_us_per_step():
+    """Microseconds per step of the numpy dashed_rk4 at each trunc, from
+    runs of DASHED_STEPS steps."""
+    dargs = (1e-3, DASHED_STEPS, DASHED_STEPS)
+    return {f"trunc{trunc}": 1e6 / DASHED_STEPS * median_seconds(
+                dashed_call(_kernels_py, trunc, dargs), repeat=1, rounds=7)
+            for trunc in DASHED_TRUNCS}
+
+
+def dashed_field_us():
+    """Microseconds per single-state call of the dashed-line field at trunc
+    10: dashed_rhs on each backend, which the numpy one serves by building
+    the coupling matrix, and the numpy dashed_field on a prebuilt matrix, as
+    dashed_rk4 calls it."""
+    params = dashed_line.DashedLineParams(gamma=1.0, epsilon=0.5, trunc=10)
+    om = 1e-2 * np.random.default_rng(1).standard_normal(params.size)
+    x = np.concatenate(([params.gamma], om))
+    c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
+    out = {f"dashed_rhs_{name}": 1e6 * t for name, t in backend_medians_s(
+        lambda mod: (lambda: mod.dashed_rhs(params.gamma, om, params.sub,
+                                            params.sup, params.pair)),
+        repeat=2000, rounds=7).items()}
+    out["dashed_field_python"] = 1e6 * median_seconds(
+        lambda: _kernels_py.dashed_field(x, c), repeat=2000, rounds=7)
+    return out
 
 
 def stacked_against_loop_ms(fn, points):
@@ -212,7 +244,10 @@ def main():
         "shadow_newton_step_ms_by_length": shadow_step_ms(flow, saddle),
         "pdnls_rk4_N8_1e5_steps_s": backend_medians_s(
             lambda mod: (lambda: mod.pdnls_rk4(q, *args))),
-        "dashed_rk4_1e5_steps_s": dashed_rk4_s(dargs),
+        "dashed_rk4_1e5_steps_s": backend_medians_s(
+            lambda mod: dashed_call(mod, 10, dargs)),
+        "dashed_rk4_numpy_us_per_step": dashed_numpy_us_per_step(),
+        "dashed_field_one_state_us": dashed_field_us(),
         "truncated_spectrum_ms": spectrum_medians_ms(),
         "continued_fraction_eigen_trunc400_ms": continued_fraction_ms(),
     }

@@ -1,9 +1,11 @@
 """Pure numpy implementations of the hot kernels.
 
 The lattice and dashed-line kernels have a C twin in _kernels.c, the
-extension chaoslab._kernels, with the same arithmetic; chaoslab.kernels
-picks the backend once at import time.  galerkin_rhs exists only here and
-serves both backends, with the box maps that chaoslab.fourier and
+extension chaoslab._kernels, with the same formulas; chaoslab.kernels
+picks the backend once at import time.  The dashed-line field here is one
+coupling-matrix product per state, which adds its terms in another order
+than the C loop, so the two agree to roundoff.  galerkin_rhs exists only
+here and serves both backends, with the box maps that chaoslab.fourier and
 chaoslab.laxpairs share.  The right-hand sides are vectorized; the lattice one
 gathers its periodic neighbours through index arrays cached per lattice
 size, which the analytic lattice Jacobian in chaoslab.nls shares.  The two
@@ -173,43 +175,80 @@ def pdnls_rk4(q0, h2inv, two_omega_sq, alpha, beta, eps, dt, steps, sample_every
                dt, steps, sample_every)
 
 
+def dashed_coupling_matrix(sub, sup, pair) -> np.ndarray:
+    """Coupling matrix C of the dashed-line field, shape (L+1, 2L-1).
+
+    On the stacked state x = (op, om) the product v = x @ C holds the
+    tridiagonal T, v[i] = sub[i]*om[i-1] - sup[i]*om[i+1] with zero
+    Dirichlet ends, in its first L items and the pair coupling P,
+    v[L+i] = pair[i]*om[i+1], in its last L-1.  Raises ValueError unless
+    sub, sup and pair hold L, L and L-1 items, as the C twin does.
+    """
+    sub, sup, pair = (np.asarray(c, dtype=np.float64) for c in (sub, sup, pair))
+    L = sub.size
+    if (sub.shape, sup.shape, pair.shape) != ((L,), (L,), (L - 1,)):
+        raise ValueError("sub, sup and pair need L, L and L - 1 items")
+    c = np.zeros((L + 1, 2 * L - 1))
+    # the rows of om's items; T is tridiagonal and P diagonal in them
+    t, p = c[1:, :L], c[2:, L:]
+    t.flat[1::L + 1] = sub[1:]
+    t.flat[L::L + 1] = -sup[:-1]
+    p.flat[::L] = pair
+    return c
+
+
+def dashed_field(x, c):
+    """Dashed-line field at stacked states x = (op, om), with the coupling
+    matrix c of dashed_coupling_matrix.
+
+    From v = x @ c, dom = op * v[:L] and dop = -(v[L:] @ om[:-1]).  x is one
+    state (L+1,) or a batch (B, L+1) along a leading axis.  numpy runs the
+    product of one state and of each row of (B, 1, L+1) @ c as the same BLAS
+    vector-matrix product, and the pair sum of one state and of each row of
+    vecdot as the same BLAS dot product, so each row of a batch is the
+    single-state result bit for bit; (B, L+1) @ c, a matrix-matrix product,
+    would not be.  The terms add in another order than in the C loop, so
+    the two agree to roundoff.
+    """
+    L = x.shape[-1] - 1
+    dx = np.empty(x.shape)
+    if x.ndim == 1:
+        v = x.dot(c)
+        dx[0] = -v[L:].dot(x[1:-1])
+        dx[1:] = x[0] * v[:L]
+    else:
+        v = (x[..., None, :] @ c)[..., 0, :]
+        dx[..., 0] = -np.vecdot(v[..., L:], x[..., 1:-1])
+        dx[..., 1:] = x[..., :1] * v[..., :L]
+    return dx
+
+
 def dashed_rhs(op, om, sub, sup, pair):
-    """Dashed-line model vector field.
+    """Dashed-line model vector field; the signature of the C twin.
 
     dom[i] = op*(sub[i]*om[i-1] - sup[i]*om[i+1]) with zero Dirichlet ends,
     dop    = -sum_i pair[i-1]*om[i-1]*om[i].
 
     om is one state (L,) with a scalar op, or a batch (B, L) along a leading
-    axis with op of shape (B,).  A batch sums the dop coupling by
-    matrix-vector product where one state takes a dot product, so its rows
-    agree with the 1-D results to roundoff.  om is converted as
-    np.asarray(om, float64), which copies no float64 array.
+    axis with op of shape (B,), evaluated by dashed_field.  om is converted
+    as np.asarray(om, float64).
     """
     om = np.asarray(om, dtype=np.float64)
-    dom = np.empty_like(om)
-    dom[..., 1:] = sub[1:] * om[..., :-1]
-    dom[..., 0] = 0.0
-    dom[..., :-1] -= sup[:-1] * om[..., 1:]
-    # the transpose puts the batch last, where op broadcasts
-    dom_t = dom.T
-    dom_t *= op
-    dop = -((om[..., :-1] * om[..., 1:]) @ pair)
-    return dop, dom
+    x = np.concatenate((np.expand_dims(op, -1), om), axis=-1)
+    dx = dashed_field(x, dashed_coupling_matrix(sub, sup, pair))
+    # [()] makes the 0-d dop of one state a scalar and leaves a batch's as is
+    return dx[..., 0][()], dx[..., 1:]
 
 
 def dashed_rk4(op0, om0, sub, sup, pair, dt, steps, sample_every):
     """RK4 trajectory of the dashed-line model; mirrors pdnls_rk4.
 
-    The driver integrates the stacked vector (omega_p, omega).
+    The driver integrates the stacked vector (omega_p, omega) through
+    dashed_field, with the coupling matrix built once.
     """
-
-    def rhs(y):
-        dy = np.empty_like(y)
-        dy[0], dy[1:] = dashed_rhs(y[0], y[1:], sub, sup, pair)
-        return dy
-
     om0 = np.asarray(om0, dtype=np.float64)
     check_state(om0.size)
+    c = dashed_coupling_matrix(sub, sup, pair)
     y0 = np.concatenate(([float(op0)], om0))
-    samples, blowup_step = rk4(rhs, y0, dt, steps, sample_every)
+    samples, blowup_step = rk4(lambda y: dashed_field(y, c), y0, dt, steps, sample_every)
     return samples[:, 0], samples[:, 1:], blowup_step

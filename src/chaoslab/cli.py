@@ -341,6 +341,8 @@ def _cmd_shadow(args, run) -> None:
     from .shadowing import (find_shadow, hyperbolicity_estimate,
                             linear_map_system, palmer_assembly)
 
+    if not (np.isfinite(args.delta) and args.delta >= 0):
+        raise PreconditionError("delta must be a finite number >= 0")
     rng = np.random.default_rng(args.rng_seed)
 
     if args.map == "linear-test":
@@ -351,16 +353,14 @@ def _cmd_shadow(args, run) -> None:
         seed_pt = np.array([1e-9, 1.0])
         seg = system.orbit(seed_pt, 2 * args.m + 1)
     elif args.map == "dashed-line":
-        from .dashed_line import DashedLineParams, flow_map
+        from .dashed_line import (DashedLineParams, HeteroclinicParams,
+                                  flow_map, heteroclinic_states)
         params = DashedLineParams(gamma=args.gamma, epsilon=0.0, trunc=5)
         system = flow_map(params, dt=0.05, steps=10)
         x0 = np.concatenate(([args.gamma], np.zeros(params.size)))
-        from .dashed_line import HeteroclinicParams, analytic_heteroclinic
         het = HeteroclinicParams(tau0=0.0, theta0=0.0, kappa_sign=1)
         ts = 0.5 * np.arange(-args.m, args.m + 1)
-        seg = np.array([
-            np.concatenate(([s.omega_p], s.omega))
-            for s in (analytic_heteroclinic(t, het, args.gamma, trunc=5) for t in ts)])
+        seg = heteroclinic_states(ts, het, args.gamma, trunc=5)
     elif args.map == "nls-poincare":
         from .nls import NLSParams, discrete_saddle, flow_map
         params = NLSParams(N=args.N, omega=args.omega, alpha=args.alpha,

@@ -218,41 +218,56 @@ def phase_sum_constant(sign: int) -> float:
     return -math.asin(x) if sign > 0 else math.pi + math.asin(x)
 
 
-def analytic_heteroclinic(t: float, het: HeteroclinicParams, gamma: float,
-                          trunc: int = 10) -> DashedLineState:
-    """Closed-form connecting orbit embedded in a truncated state.
+def heteroclinic_states(ts, het: HeteroclinicParams, gamma: float,
+                        trunc: int = 10) -> np.ndarray:
+    """Closed-form connecting orbit at the times ts, as stacked vectors
+    (omega_p, omega_{-trunc}..omega_{trunc}) of shape ts.shape + (2*trunc+2,).
 
     Modes 0..5 follow the explicit formulas (the block plus the two driven
     auxiliaries); every other chain amplitude is zero, which is exact for
-    the epsilon = 0 dashing.
+    the epsilon = 0 dashing.  Raises NumericError where cosh(tau)
+    overflows, which a large |gamma * t| brings about.
     """
     if trunc < 5:
         raise PreconditionError("trunc must be >= 5 to hold the block")
+    if not math.isfinite(gamma):
+        raise PreconditionError("gamma must be finite")
     a1, a2 = block_couplings()
     kap = kappa_value(het.kappa_sign)
-    tau = kap * gamma * t + het.tau0
-    sech = 1.0 / math.cosh(tau)
-    lncosh = math.log(math.cosh(tau))
-
     beta = -a2 / (2.0 * kap)
-    theta = beta * lncosh + het.theta0
-    r = math.sqrt(a2 / (a2 - a1)) * gamma * sech
-    rho = math.sqrt(-a1 / a2) * r
-    vartheta = phase_sum_constant(het.kappa_sign) - theta
     alpha = -a1 * gamma / kap * math.sqrt(a2 / (a2 - a1))
-    aux = alpha * beta / (1.0 + beta * beta) * sech
-    omega0 = aux * (math.sin(theta) - math.cos(theta) / beta)
-    omega5 = aux * (math.cos(theta) + math.sin(theta) / beta)
+    t = np.asarray(ts, dtype=float)
+    x = np.zeros(t.shape + (2 * trunc + 2,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = kap * gamma * t + het.tau0
+        cosh = np.cosh(tau)
+        sech = 1.0 / cosh
+        theta = beta * np.log(cosh) + het.theta0
+        r = math.sqrt(a2 / (a2 - a1)) * gamma * sech
+        rho = math.sqrt(-a1 / a2) * r
+        vartheta = phase_sum_constant(het.kappa_sign) - theta
+        aux = alpha * beta / (1.0 + beta * beta) * sech
+        cos, sin = np.cos(theta), np.sin(theta)
+        x[..., 0] = gamma * np.tanh(tau)
+        n0 = trunc + 1  # index of chain position n = 0
+        x[..., n0 + 0] = aux * (sin - cos / beta)
+        x[..., n0 + 1] = r * cos
+        x[..., n0 + 2] = rho * np.cos(vartheta)
+        x[..., n0 + 3] = rho * np.sin(vartheta)
+        x[..., n0 + 4] = r * sin
+        x[..., n0 + 5] = aux * (cos + sin / beta)
+    if not np.all(np.isfinite(x)):
+        raise NumericError(f"closed-form orbit overflows: cosh(tau) is out of "
+                           f"range at gamma = {gamma!r}")
+    return x
 
-    state = DashedLineState(gamma * math.tanh(tau), np.zeros(2 * trunc + 1))
-    base = trunc  # index of chain position n = 0
-    state.omega[base + 0] = omega0
-    state.omega[base + 1] = r * math.cos(theta)
-    state.omega[base + 2] = rho * math.cos(vartheta)
-    state.omega[base + 3] = rho * math.sin(vartheta)
-    state.omega[base + 4] = r * math.sin(theta)
-    state.omega[base + 5] = omega5
-    return state
+
+def analytic_heteroclinic(t: float, het: HeteroclinicParams, gamma: float,
+                          trunc: int = 10) -> DashedLineState:
+    """Closed-form connecting orbit at time t embedded in a truncated state;
+    see heteroclinic_states."""
+    x = heteroclinic_states(t, het, gamma, trunc)
+    return DashedLineState(float(x[0]), x[1:])
 
 
 _STENCILS = {
@@ -269,29 +284,23 @@ def orbit_residual(het: HeteroclinicParams, gamma: float,
     """Sup defect between the model field and the analytic orbit derivative.
 
     The time derivative of the closed-form orbit is taken by a central finite
-    difference (default 5-point) and compared against model_rhs evaluated on
-    the orbit with epsilon = 0.
+    difference (default 5-point) and compared against the model field
+    evaluated on the orbit with epsilon = 0, at all samples at once.
     """
     if stencil not in _STENCILS:
         raise PreconditionError(f"stencil must be one of {sorted(_STENCILS)}")
     offsets, weights = _STENCILS[stencil]
     params = DashedLineParams(gamma=gamma, epsilon=0.0, trunc=trunc)
-    worst = 0.0
-    for t in np.asarray(t_samples, dtype=float):
-        state = analytic_heteroclinic(t, het, gamma, trunc)
-        rhs = model_rhs(state, params)
-        fd_p = 0.0
-        fd_om = np.zeros(params.size)
-        for off, wgt in zip(offsets, weights):
-            s = analytic_heteroclinic(t + off * fd_step, het, gamma, trunc)
-            fd_p += wgt * s.omega_p
-            fd_om += wgt * s.omega
-        fd_p /= fd_step
-        fd_om /= fd_step
-        worst = max(worst,
-                    abs(rhs.omega_p - fd_p),
-                    float(np.max(np.abs(rhs.omega - fd_om))))
-    return worst
+    t = np.ravel(np.asarray(t_samples, dtype=float))
+    c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
+    rhs = _kernels_py.dashed_field(heteroclinic_states(t, het, gamma, trunc), c)
+    shifted = heteroclinic_states(
+        t + np.multiply(offsets, fd_step)[:, None], het, gamma, trunc)
+    fd = 0.0
+    for wgt, x in zip(weights, shifted):
+        fd += wgt * x
+    fd /= fd_step
+    return float(np.max(np.abs(rhs - fd), initial=0.0))
 
 
 def quadratic_invariant(state: DashedLineState) -> float:
@@ -309,13 +318,12 @@ def flow_map(params: DashedLineParams, dt: float, steps: int):
     """
     from .shadowing import rk4_flow_system
 
-    # on array slices, as _kernels_py.dashed_rk4: an overflowing RK4 stage
+    # on arrays, as _kernels_py.dashed_rk4: an overflowing RK4 stage
     # reaches the blow-up rule of util.rk4 instead of DashedLineState's check
+    c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
+
     def rhs_vec(x):
-        dx = np.empty_like(x)
-        dx[..., 0], dx[..., 1:] = _kernels_py.dashed_rhs(
-            x[..., 0], x[..., 1:], params.sub, params.sup, params.pair)
-        return dx
+        return _kernels_py.dashed_field(x, c)
 
     def jac_vec(x):
         return _jacobian(x[..., 0], x[..., 1:], params)

@@ -56,6 +56,11 @@ class TestDispatch:
             ["spectrum", "--trunc", "20000"],
             # a saddle parameter that is not finite
             ["nls-saddle", "--omega", "nan"],
+            # a shadow defect limit that is not a finite number >= 0; a NaN
+            # one would fail every comparison and mean no limit at all
+            ["shadow", "--map", "linear-test", "--delta", "nan"],
+            ["shadow", "--map", "linear-test", "--delta", "inf"],
+            ["shadow", "--map", "linear-test", "--delta", "-1"],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
@@ -67,6 +72,10 @@ class TestDispatch:
              "--dt", "0.05", "--steps", "200000"],
             # a vorticity step far too large for the amplitude
             ["euler-sim", "--box", "3", "--dt", "10", "--amplitude", "100"],
+            # cosh(tau) of the closed-form dashed-line orbit overflows, in
+            # dashed-line's residual and in shadow's heteroclinic segment
+            ["dashed-line", "--from-analytic=-2,0.3,1", "--gamma", "1e200"],
+            ["shadow", "--map", "dashed-line", "--gamma", "1e200", "--m", "2"],
         ]
         for i, args in enumerate(cases):
             out = tmp_path / str(i)

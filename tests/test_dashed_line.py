@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from chaoslab.dashed_line import (DashedLineParams, DashedLineState,
+from chaoslab import _kernels_py
+from chaoslab.dashed_line import (_STENCILS, DashedLineParams, DashedLineState,
                                   HeteroclinicParams, analytic_heteroclinic,
                                   block_couplings, coupling, dash_factor,
-                                  flow_map, integrate, kappa_value,
-                                  model_jacobian, model_rhs, orbit_residual,
-                                  phase_sum_constant, quadratic_invariant)
+                                  flow_map, heteroclinic_states, integrate,
+                                  kappa_value, model_jacobian, model_rhs,
+                                  orbit_residual, phase_sum_constant,
+                                  quadratic_invariant)
 from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.fourier import coef_A
 from oracles import dashed_rhs_ref
@@ -64,12 +66,14 @@ class TestModelRHS:
 
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.8])
     def test_matches_loop_oracle_dashed(self, rng, eps):
-        p = DashedLineParams(gamma=1.0, epsilon=eps, trunc=7)
-        st = DashedLineState(0.7, 0.4 * rng.standard_normal(15))
-        got = model_rhs(st, p)
-        dop, dom = dashed_rhs_ref(st.omega_p, st.omega, None, eps, 7)
-        assert abs(got.omega_p - dop) < 1e-14
-        assert np.max(np.abs(got.omega - dom)) < 1e-14
+        # trunc 1 is the shortest chain, where both pair couplings are dashed
+        for trunc in (7, 1):
+            p = DashedLineParams(gamma=1.0, epsilon=eps, trunc=trunc)
+            st = DashedLineState(0.7, 0.4 * rng.standard_normal(p.size))
+            got = model_rhs(st, p)
+            dop, dom = dashed_rhs_ref(st.omega_p, st.omega, None, eps, trunc)
+            assert abs(got.omega_p - dop) < 1e-14
+            assert np.max(np.abs(got.omega - dom)) < 1e-14
 
     def test_jacobian_of_a_stack_is_bitwise_per_row(self, rng):
         from chaoslab.dashed_line import _jacobian
@@ -143,6 +147,17 @@ class TestAnalyticOrbit:
         with pytest.raises(PreconditionError):
             analytic_heteroclinic(0.0, HeteroclinicParams(0.0, 0.0), 1.0, trunc=4)
 
+    def test_overflow_is_a_numeric_failure(self):
+        # cosh(tau) overflows at |kappa * gamma * t| near 710; a non-finite
+        # gamma is a bad input
+        het = HeteroclinicParams(tau0=-2.0, theta0=0.3)
+        assert np.all(np.isfinite(heteroclinic_states(0.0, het, 1e200)))
+        with pytest.raises(NumericError):
+            heteroclinic_states(np.array([0.0, -1.0]), het, 1e200)
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(PreconditionError):
+                heteroclinic_states(0.0, het, gamma)
+
 
 class TestOrbitResidual:
     def test_contract_100_samples(self):
@@ -154,6 +169,27 @@ class TestOrbitResidual:
         for sign in (1, -1):
             het = HeteroclinicParams(tau0=0.5, theta0=-1.0, kappa_sign=sign)
             assert orbit_residual(het, 1.7, np.linspace(-3, 3, 25)) < 1e-7
+
+    def test_matches_per_sample_loop(self):
+        # the residual evaluates all samples at once; per sample it does
+        # the arithmetic of a loop over the samples
+        het = HeteroclinicParams(tau0=-2.0, theta0=0.3, kappa_sign=-1)
+        gamma, fd_step, ts = 1.3, 1e-4, np.linspace(-5, 5, 37)
+        p = DashedLineParams(gamma=gamma, epsilon=0.0, trunc=10)
+        offsets, weights = _STENCILS[5]
+        worst = 0.0
+        for t in ts:
+            s = analytic_heteroclinic(t, het, gamma)
+            dop, dom = _kernels_py.dashed_rhs(s.omega_p, s.omega, p.sub, p.sup, p.pair)
+            fd_p, fd_om = 0.0, np.zeros(p.size)
+            for off, wgt in zip(offsets, weights):
+                s = analytic_heteroclinic(t + off * fd_step, het, gamma)
+                fd_p += wgt * s.omega_p
+                fd_om += wgt * s.omega
+            worst = max(worst, abs(dop - fd_p / fd_step),
+                        np.max(np.abs(dom - fd_om / fd_step)))
+        res = orbit_residual(het, gamma, ts, fd_step=fd_step)
+        assert abs(res - worst) <= 1e-12 * worst
 
     def test_degenerate_gamma_zero(self):
         het = HeteroclinicParams(tau0=0.2, theta0=0.4)
@@ -257,8 +293,8 @@ class TestFlowMap:
 
     @pytest.mark.parametrize("B", [1, 3, 20])
     def test_stack_rows_match_single_states(self, rng, B):
-        # a stack sums the omega_p coupling by matrix-vector product where
-        # one state takes a dot product, so rows agree to roundoff
+        # a stack runs the field's products per row as one state does, and
+        # a stacked Jacobian product; rows agree with single states to roundoff
         p = DashedLineParams(gamma=1.0, epsilon=0.5, trunc=4)
         flow = flow_map(p, dt=0.02, steps=5)
         x = np.column_stack((0.8 + 0.1 * rng.standard_normal(B),

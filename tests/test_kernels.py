@@ -129,26 +129,35 @@ class TestPDNLSKernel:
 
 
 class TestDashedKernel:
+    # chain lengths: one site, where the pair coupling is empty, two sites,
+    # and the trunc-10 chain
+    CHAINS = (1, 2, 21)
+
     def test_backends_agree(self, kernel_backend, rng):
         from chaoslab import _kernels_py
-        om = rng.standard_normal(21)
-        sub, sup = rng.standard_normal(21), rng.standard_normal(21)
-        pair = rng.standard_normal(20)
-        # a strided om and float32 or list couplings give the result for the
-        # float64 arrays np.ascontiguousarray makes of them
-        for forms in [(om, sub, sup, pair),
-                      (np.repeat(om, 2)[::2], sub.astype(np.float32), sup.tolist(), pair.tolist()),
-                      (om.tolist(), sub.tolist(), sup, pair),
-                      (np.rint(3 * om).astype(np.int64).tolist(), sub, sup.tolist(), pair)]:
-            g_op, g_om = kernel_backend.dashed_rhs(0.8, *forms)
-            r_op, r_om = _kernels_py.dashed_rhs(
-                0.8, *(np.ascontiguousarray(x, np.float64) for x in forms))
-            assert abs(g_op - r_op) < 1e-13
-            assert np.max(np.abs(g_om - r_om)) < 1e-13
+        for L in self.CHAINS:
+            om = rng.standard_normal(L)
+            sub, sup = rng.standard_normal(L), rng.standard_normal(L)
+            pair = rng.standard_normal(L - 1)
+            # a strided om and float32 or list couplings give the result for
+            # the float64 arrays np.ascontiguousarray makes of them
+            for forms in [(om, sub, sup, pair),
+                          (np.repeat(om, 2)[::2], sub.astype(np.float32), sup.tolist(), pair.tolist()),
+                          (om.tolist(), sub.tolist(), sup, pair),
+                          (np.rint(3 * om).astype(np.int64).tolist(), sub, sup.tolist(), pair)]:
+                g_op, g_om = kernel_backend.dashed_rhs(0.8, *forms)
+                r_op, r_om = _kernels_py.dashed_rhs(
+                    0.8, *(np.ascontiguousarray(x, np.float64) for x in forms))
+                assert abs(g_op - r_op) < 1e-13
+                assert np.max(np.abs(g_om - r_om)) < 1e-13
+                if L == 1:
+                    # the empty pair sum is -0.0, as the C loop returns it
+                    assert g_op == r_op == 0.0
+                    assert np.signbit(g_op) and np.signbit(r_op)
 
     def test_rows_of_a_batch_match_single_states(self, rng):
-        # dom is elementwise and bitwise per row; dop sums by matrix-vector
-        # product on a batch and by dot product on one state
+        # dom is elementwise and bitwise per row; dop sums each row by the
+        # same dot product as one state, so it is bitwise too
         om = rng.standard_normal((6, 21))
         op = rng.standard_normal(6)
         sub, sup = rng.standard_normal(21), rng.standard_normal(21)
@@ -158,24 +167,25 @@ class TestDashedKernel:
         for j in range(6):
             r_op, r_om = _kernels_py.dashed_rhs(op[j], om[j], sub, sup, pair)
             assert np.array_equal(dom[j], r_om)
-            assert abs(dop[j] - r_op) <= 1e-14 * abs(r_op)
+            assert dop[j] == r_op
 
     def test_rk4_backends_agree(self, kernel_backend, rng):
         from chaoslab import _kernels_py
-        om = 1e-3 * rng.standard_normal(21)
-        sub, sup = rng.standard_normal(21), rng.standard_normal(21)
-        pair = rng.standard_normal(20)
-        # list, integer, float32 and strided inputs are converted as
-        # np.ascontiguousarray does, never reinterpreted
-        for forms in [(om, sub, sup, pair),
-                      (om.tolist(), np.rint(3 * sub).astype(np.int64),
-                       sup.astype(np.float32), np.repeat(pair, 2)[::2])]:
-            a = kernel_backend.dashed_rk4(0.8, *forms, 1e-3, 1000, 100)
-            b = _kernels_py.dashed_rk4(
-                0.8, *(np.ascontiguousarray(x, np.float64) for x in forms), 1e-3, 1000, 100)
-            assert a[2] == b[2] == -1
-            assert np.max(np.abs(a[0] - b[0])) < 1e-12
-            assert np.max(np.abs(a[1] - b[1])) < 1e-12
+        for L in self.CHAINS:
+            om = 1e-3 * rng.standard_normal(L)
+            sub, sup = rng.standard_normal(L), rng.standard_normal(L)
+            pair = rng.standard_normal(L - 1)
+            # list, integer, float32 and strided inputs are converted as
+            # np.ascontiguousarray does, never reinterpreted
+            for forms in [(om, sub, sup, pair),
+                          (om.tolist(), np.rint(3 * sub).astype(np.int64),
+                           sup.astype(np.float32), np.repeat(pair, 2)[::2])]:
+                a = kernel_backend.dashed_rk4(0.8, *forms, 1e-3, 1000, 100)
+                b = _kernels_py.dashed_rk4(
+                    0.8, *(np.ascontiguousarray(x, np.float64) for x in forms), 1e-3, 1000, 100)
+                assert a[2] == b[2] == -1
+                assert np.max(np.abs(a[0] - b[0])) < 1e-12
+                assert np.max(np.abs(a[1] - b[1])) < 1e-12
 
     def test_mismatched_couplings_raise(self, kernel_backend):
         # sub, sup and pair must fit om as numpy broadcasting needs them to,
