@@ -4,35 +4,35 @@
 The Galerkin convolution has one implementation for both backends and is
 timed per box half-width, and so is the Lax operator matrix
 `laxpairs.bracket_operator_matrix`, which reads the same pair tables, at
-boxes 4 and 6; the lattice right-hand side and the lattice and
-dashed-line RK4 loops are timed side by side on the numpy backend and, where
-the C extension chaoslab._kernels is built from _kernels.c, the compiled
-one.  The analytic lattice Jacobian and the variational-RK4 Jacobian of the
-lattice flow map that the shadow Newton calls (N=8, dt = 0.5*0.1*h^2, 20
-steps, as `chaoslab shadow --map nls-poincare` sets it up) are numpy code
-and timed once.  So are that flow map and its Jacobians on 20 states 1e-3
-off the lattice saddle, as many as the shadow Newton of `shadow --map
-nls-poincare --word 010 --m 3` maps per step, as one stacked call and as
-the loop of single-state calls it replaces.  One shadow Newton step's
+boxes 4 and 6; the lattice and dashed-line RK4 loops are timed side by side
+on the numpy backend and, where the C extension chaoslab._kernels is built
+from _kernels.c, the compiled one.  The lattice right-hand side, numpy on
+both backends, is timed once, and so are the analytic lattice Jacobian and
+the variational-RK4 Jacobian of the lattice flow map that the shadow Newton
+calls (N=8, dt = 0.5*0.1*h^2, 20 steps, as `chaoslab shadow --map
+nls-poincare` sets it up).  So are that flow map and its Jacobians on 20
+states 1e-3 off the lattice saddle, as many as the shadow Newton of `shadow
+--map nls-poincare --word 010 --m 3` maps per step, as one stacked call and
+as the loop of single-state calls it replaces.  One shadow Newton step's
 linear solve, the minimum-norm correction of shadowing.min_norm_orbit_step
 (a block QR sweep along the orbit), is timed against the dense lstsq of
 tests/oracles.py that it replaced, on lattice flow-map Jacobians at L = 21,
 84 and 200 points 1e-3 off the saddle (d = 16); the dense solve runs only
-once after its warm-up at L = 200, where it takes seconds.  The
-dashed-line RK4 runs on the model's own couplings (trunc 10, epsilon 0.5)
-from a small kick off the stationary line, which it follows for all 10^5
-steps; the bench fails if it reports a blow-up.  The numpy dashed-line RK4
-is also timed per step at trunc 10 and 100, where its dense coupling-matrix
-product costs O(L^2), and the dashed-line field per single-state call:
-dashed_rhs on each backend, and the numpy dashed_field on a prebuilt
-coupling matrix, as the numpy RK4 loop calls it.  The dense
-class-operator eigensolve `spectra.truncated_spectrum` is timed at trunc 50
-and 400 for a real and a complex Gamma of the benchmark class, and the
-continued-fraction Newton `spectra.continued_fraction_eigen` at the class
-(-3,-1), (2,1) with Gamma = 2 and trunc 400 (depth 1600) of the perfbench
-job spectrum-t400, from a fixed seed near its point eigenvalue.  Every figure
-is the median of several rounds, after one warm-up call that builds the
-convolution's pair tables or FFT plan and the lattice index caches.
+once after its warm-up at L = 200, where it takes seconds.  The dashed-line
+RK4 runs on the model's own couplings (trunc 10, epsilon 0.5) from a small
+kick off the stationary line, which it follows for all 10^5 steps; the
+bench fails if it reports a blow-up.  The numpy dashed-line RK4 is also
+timed per step at trunc 10 and 100, where its dense coupling-matrix product
+costs O(L^2), and the numpy dashed-line field dashed_field per single-state
+call on a prebuilt coupling matrix, as the numpy RK4 loop calls it.  The
+dense class-operator eigensolve `spectra.truncated_spectrum` is timed at
+trunc 50 and 400 for a real and a complex Gamma of the benchmark class, and
+the continued-fraction Newton `spectra.continued_fraction_eigen` at the
+class (-3,-1), (2,1) with Gamma = 2 and trunc 400 (depth 1600) of the
+perfbench job spectrum-t400, from a fixed seed near its point eigenvalue.
+Every figure is the median of several rounds, after one warm-up call that
+builds the convolution's pair tables or FFT plan and the lattice index
+caches.
 
 Run from a source tree, which holds the oracle in tests/, after installing
 the package or with the extension built in place (python setup.py
@@ -166,21 +166,14 @@ def dashed_numpy_us_per_step():
 
 
 def dashed_field_us():
-    """Microseconds per single-state call of the dashed-line field at trunc
-    10: dashed_rhs on each backend, which the numpy one serves by building
-    the coupling matrix, and the numpy dashed_field on a prebuilt matrix, as
-    dashed_rk4 calls it."""
+    """Microseconds per single-state call of the numpy dashed_field at trunc
+    10 on a prebuilt coupling matrix, as dashed_rk4 calls it."""
     params = dashed_line.DashedLineParams(gamma=1.0, epsilon=0.5, trunc=10)
     om = 1e-2 * np.random.default_rng(1).standard_normal(params.size)
     x = np.concatenate(([params.gamma], om))
     c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
-    out = {f"dashed_rhs_{name}": 1e6 * t for name, t in backend_medians_s(
-        lambda mod: (lambda: mod.dashed_rhs(params.gamma, om, params.sub,
-                                            params.sup, params.pair)),
-        repeat=2000, rounds=7).items()}
-    out["dashed_field_python"] = 1e6 * median_seconds(
-        lambda: _kernels_py.dashed_field(x, c), repeat=2000, rounds=7)
-    return out
+    return 1e6 * median_seconds(lambda: _kernels_py.dashed_field(x, c),
+                                repeat=2000, rounds=7)
 
 
 def stacked_against_loop_ms(fn, points):
@@ -230,10 +223,8 @@ def main():
                                                       GALERKIN_BOXES),
         "bracket_operator_matrix_ms_by_box": operator_matrix_medians_ms(
             OPERATOR_BOXES),
-        "pdnls_rhs_N8_us": {
-            name: 1e6 * t for name, t in backend_medians_s(
-                lambda mod: (lambda: mod.pdnls_rhs(q, *args[:5])),
-                repeat=2000, rounds=7).items()},
+        "pdnls_rhs_N8_us": 1e6 * median_seconds(
+            lambda: kernels.pdnls_rhs(q, *args[:5]), repeat=2000, rounds=7),
         "pdnls_jacobian_full_N8_us": 1e6 * median_seconds(
             lambda: nls.pdnls_jacobian_full(q, params), repeat=2000, rounds=7),
         "nls_flow_map_jacobian_N8_ms": 1e3 * median_seconds(

@@ -1,5 +1,6 @@
-/* Compiled lattice and dashed-line kernels: chaoslab._kernels_py's functions,
- * arithmetic, blow-up rule, schedule and state checks in C loops.  Inputs go
+/* Compiled lattice and dashed-line RK4 loops: chaoslab._kernels_py's pdnls_rk4
+ * and dashed_rk4, with their arithmetic, blow-up rule, schedule and state
+ * checks, in C loops.  The right-hand sides stay numpy only.  Inputs go
  * through numpy.ascontiguousarray(x, dtype), outputs come from numpy.empty,
  * and the items are read and written through the buffer protocol.  A real
  * times a complex value is the complex product with (x, +0), as in numpy;
@@ -89,39 +90,21 @@ static double dashed(double *const c[3], double op, const double *om, double *do
     return -acc;
 }
 
-/* om, sub, sup, pair as float64 vectors of L, L, L, L - 1 items, held in a[];
- * a loop that steps the state also needs L >= 1. */
-static int dashed_inputs(PyObject *obj[4], PyObject *a[4], double *d[4], Py_ssize_t *L,
-                         int stepping)
+/* om, sub, sup, pair as float64 vectors of L >= 1, L, L, L - 1 items, held in a[]. */
+static int dashed_inputs(PyObject *obj[4], PyObject *a[4], double *d[4], Py_ssize_t *L)
 {
     Py_ssize_t len[4] = {0};
     int k = 0;
     while (k < 4 && (a[k] = vector(obj[k], f64, &d[k], &len[k])) != NULL)
         k++;
     *L = len[0];
-    if (k == 4 && (!stepping || state_ok(*L))) {
+    if (k == 4 && state_ok(*L)) {
         if (len[1] == *L && len[2] == *L && len[3] == *L - 1)
             return 1;
         PyErr_SetString(PyExc_ValueError, "sub, sup and pair need L, L and L - 1 items");
     }
     while (k-- > 0) Py_DECREF(a[k]);
     return 0;
-}
-
-static PyObject *pdnls_rhs(PyObject *self, PyObject *args)
-{
-    PyObject *obj, *in, *out = NULL;
-    Lattice p;
-    Py_ssize_t n;
-    cplx *q, *o;
-    if (PyArg_ParseTuple(args, "Oddddd", &obj, &p.h2inv, &p.two_omega_sq, &p.alpha,
-                         &p.beta, &p.eps)
-        && (in = vector(obj, c128, &q, &n)) != NULL) {
-        if ((out = empty(-1, n, c128, &o)) != NULL)
-            pdnls(&p, q, o, n);
-        Py_DECREF(in);
-    }
-    return out;
 }
 
 static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
@@ -166,20 +149,6 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
     return result;
 }
 
-static PyObject *dashed_rhs(PyObject *self, PyObject *args)
-{
-    PyObject *obj[4], *a[4], *dom;
-    double op, *d[4], *dd;
-    Py_ssize_t L;
-    if (!PyArg_ParseTuple(args, "dOOOO", &op, &obj[0], &obj[1], &obj[2], &obj[3])
-        || !dashed_inputs(obj, a, d, &L, 0))
-        return NULL;
-    if ((dom = empty(-1, L, f64, &dd)) != NULL)
-        op = dashed(d + 1, op, d[0], dd, L);
-    for (int k = 0; k < 4; k++) Py_DECREF(a[k]);
-    return dom == NULL ? NULL : Py_BuildValue("dN", op, dom);
-}
-
 static PyObject *dashed_rk4(PyObject *self, PyObject *args)
 {
     PyObject *obj[4], *a[4], *work, *ops = NULL, *oms = NULL, *result = NULL;
@@ -188,7 +157,7 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
     Py_ssize_t L, n, i;
     if (!PyArg_ParseTuple(args, "dOOOOdll", &op, &obj[0], &obj[1], &obj[2], &obj[3],
                           &dt, &steps, &every)
-        || !schedule_ok(dt, steps, every) || !dashed_inputs(obj, a, d, &L, 1))
+        || !schedule_ok(dt, steps, every) || !dashed_inputs(obj, a, d, &L))
         return NULL;
     if ((work = empty(6, n = L + 1, f64, &y)) != NULL /* y = (op, om), then the stages */
         && (ops = empty(-1, steps / every + 1, f64, &so)) != NULL
@@ -228,11 +197,11 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
 
 #define METHOD(f) {#f, f, METH_VARARGS, "As chaoslab._kernels_py." #f "."}
 static PyMethodDef methods[] = {
-    METHOD(pdnls_rhs), METHOD(pdnls_rk4), METHOD(dashed_rhs), METHOD(dashed_rk4), {NULL},
+    METHOD(pdnls_rk4), METHOD(dashed_rk4), {NULL},
 };
 
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "chaoslab._kernels",
-                                    "Compiled lattice and dashed-line kernels.", -1, methods};
+                                    "Compiled lattice and dashed-line RK4 loops.", -1, methods};
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {

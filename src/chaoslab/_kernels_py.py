@@ -1,21 +1,19 @@
 """Pure numpy implementations of the hot kernels.
 
-The lattice and dashed-line kernels have a C twin in _kernels.c, the
-extension chaoslab._kernels, with the same formulas; chaoslab.kernels
-picks the backend once at import time.  The dashed-line field here is one
-coupling-matrix product per state, which adds its terms in another order
-than the C loop, so the two agree to roundoff.  galerkin_rhs exists only
-here and serves both backends, with the box maps that chaoslab.fourier and
-chaoslab.laxpairs share.  The right-hand sides are vectorized; the lattice one
-gathers its periodic neighbours through index arrays cached per lattice
-size, which the analytic lattice Jacobian in chaoslab.nls shares.  The two
-trajectory loops run on the shared RK4 driver chaoslab.util.rk4, whose
-blow-up rule, schedule check and empty-state check the C loops apply too.
-The C loops are still far faster on the long lattice runs.  The right-hand
-sides also take a batch of states, which the shadowing flow maps of
-chaoslab.nls and chaoslab.dashed_line integrate in one RK4 run; those maps
-call these numpy versions on either backend, since the C twins take one
-state per call.
+The two trajectory loops pdnls_rk4 and dashed_rk4 have a C twin in
+_kernels.c, the extension chaoslab._kernels, with the same formulas;
+chaoslab.kernels picks their backend once at import time.  They run on the
+shared RK4 driver chaoslab.util.rk4, whose blow-up rule, schedule check and
+empty-state check the C loops apply too; the C loops are far faster on the
+long runs.  The right-hand sides exist only here and serve both backends:
+galerkin_rhs, with the box maps that chaoslab.fourier and chaoslab.laxpairs
+share, pdnls_rhs and dashed_field.  They are vectorized and take a batch of
+states, which the shadowing flow maps of chaoslab.nls and
+chaoslab.dashed_line integrate in one RK4 run.  The lattice field gathers
+its periodic neighbours through index arrays cached per lattice size, which
+the analytic lattice Jacobian in chaoslab.nls shares.  The dashed-line field
+is one coupling-matrix product per state, which adds its terms in another
+order than the C loop, so the two loops agree to roundoff.
 """
 
 import functools
@@ -182,7 +180,7 @@ def dashed_coupling_matrix(sub, sup, pair) -> np.ndarray:
     tridiagonal T, v[i] = sub[i]*om[i-1] - sup[i]*om[i+1] with zero
     Dirichlet ends, in its first L items and the pair coupling P,
     v[L+i] = pair[i]*om[i+1], in its last L-1.  Raises ValueError unless
-    sub, sup and pair hold L, L and L-1 items, as the C twin does.
+    sub, sup and pair hold L, L and L-1 items, as the C dashed_rk4 does.
     """
     sub, sup, pair = (np.asarray(c, dtype=np.float64) for c in (sub, sup, pair))
     L = sub.size
@@ -221,23 +219,6 @@ def dashed_field(x, c):
         dx[..., 0] = -np.vecdot(v[..., L:], x[..., 1:-1])
         dx[..., 1:] = x[..., :1] * v[..., :L]
     return dx
-
-
-def dashed_rhs(op, om, sub, sup, pair):
-    """Dashed-line model vector field; the signature of the C twin.
-
-    dom[i] = op*(sub[i]*om[i-1] - sup[i]*om[i+1]) with zero Dirichlet ends,
-    dop    = -sum_i pair[i-1]*om[i-1]*om[i].
-
-    om is one state (L,) with a scalar op, or a batch (B, L) along a leading
-    axis with op of shape (B,), evaluated by dashed_field.  om is converted
-    as np.asarray(om, float64).
-    """
-    om = np.asarray(om, dtype=np.float64)
-    x = np.concatenate((np.expand_dims(op, -1), om), axis=-1)
-    dx = dashed_field(x, dashed_coupling_matrix(sub, sup, pair))
-    # [()] makes the 0-d dop of one state a scalar and leaves a batch's as is
-    return dx[..., 0][()], dx[..., 1:]
 
 
 def dashed_rk4(op0, om0, sub, sup, pair, dt, steps, sample_every):

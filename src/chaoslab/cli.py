@@ -56,22 +56,30 @@ def write_json(path: str, obj) -> None:
     _write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def _parse_pair(text: str, kind=int):
+def _parse_values(text: str, kind=int, count=2):
     parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated values: {text!r}")
+    if len(parts) != count:
+        raise argparse.ArgumentTypeError(
+            f"expected {count} comma-separated values: {text!r}")
     try:
-        return (kind(parts[0]), kind(parts[1]))
+        return tuple(kind(part) for part in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _int_pair(text: str):
-    return _parse_pair(text, int)
+    return _parse_values(text, int)
 
 
 def _float_pair(text: str):
-    return _parse_pair(text, float)
+    return _parse_values(text, float)
+
+
+def _analytic_start(text: str):
+    """TAU0,THETA0,SIGN: three numbers, kept as the strings given, which the
+    manifest records; the sign is checked against +-1 as a precondition."""
+    _parse_values(text, float, 3)
+    return tuple(text.split(","))
 
 
 def _load_config_file(path: str) -> dict:
@@ -201,9 +209,8 @@ def _cmd_dashed_line(args, run) -> None:
     params = DashedLineParams(gamma=args.gamma, epsilon=args.epsilon,
                               trunc=args.trunc)
     if args.from_analytic is not None:
-        tau0, theta0, sign = args.from_analytic
-        het = HeteroclinicParams(tau0=float(tau0), theta0=float(theta0),
-                                 kappa_sign=int(float(sign)))
+        tau0, theta0, sign = map(float, args.from_analytic)
+        het = HeteroclinicParams(tau0=tau0, theta0=theta0, kappa_sign=sign)
         state0 = analytic_heteroclinic(0.0, het, args.gamma, trunc=args.trunc)
         residual = orbit_residual(het, args.gamma, np.linspace(-5.0, 5.0, 100))
         write_json(run.path("residual.json"),
@@ -444,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=10000)
     sp.add_argument("--sample-every", type=int, default=100)
     sp.add_argument("--kick", type=float, default=1e-4)
-    sp.add_argument("--from-analytic", type=lambda s: s.split(","), default=None,
+    sp.add_argument("--from-analytic", type=_analytic_start, default=None,
                     metavar="TAU0,THETA0,SIGN")
     sp.set_defaults(func=_cmd_dashed_line)
 

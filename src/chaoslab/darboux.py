@@ -31,14 +31,6 @@ class GaugeTransform:
     values_y: np.ndarray
     mask_y: np.ndarray
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.values_x
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.mask_x
-
     def agreement_defect(self) -> float:
         both = self.mask_x & self.mask_y
         if not both.any():

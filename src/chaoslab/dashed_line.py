@@ -121,9 +121,9 @@ def model_rhs(state: DashedLineState, params: DashedLineParams) -> DashedLineSta
     """Vector field of the model, Dirichlet beyond the truncation."""
     if state.omega.size != params.size:
         raise PreconditionError("state size does not match params truncation")
-    dop, dom = kernels.dashed_rhs(state.omega_p, state.omega,
-                                  params.sub, params.sup, params.pair)
-    return DashedLineState(dop, dom)
+    c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
+    dx = _kernels_py.dashed_field(np.concatenate(([state.omega_p], state.omega)), c)
+    return DashedLineState(dx[0], dx[1:])
 
 
 def model_jacobian(state: DashedLineState, params: DashedLineParams) -> np.ndarray:
@@ -313,8 +313,7 @@ def flow_map(params: DashedLineParams, dt: float, steps: int):
 
     A MapSystem on stacked vectors (omega_p, omega_{-Nt}..omega_{Nt}) for
     the shadowing tools; the map and the Jacobian take one vector or a
-    stack (B, size + 1) and integrate it in one RK4 run.  Both backends use
-    the numpy field here, since the compiled one takes one state per call.
+    stack (B, size + 1) and integrate it in one RK4 run.
     """
     from .shadowing import rk4_flow_system
 

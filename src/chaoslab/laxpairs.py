@@ -25,8 +25,6 @@ from .fourier import (CoefficientField, GridField2D, coefficients_to_grid,
                       invert_laplacian)
 from .util import check_schedule, hausdorff_distance, sup_norm
 
-ScalarField2D = GridField2D
-
 
 @dataclass
 class LaxReport:

@@ -434,10 +434,9 @@ def flow_map(p: NLSParams, dt: float, steps: int):
     variational-RK4 Jacobian, as a MapSystem for the shadowing tools.
 
     The map and the Jacobian take one state (2N,) or a stack (B, 2N) and
-    integrate it in one RK4 run.  The right-hand side hands the numpy
-    kernel the transposed (N, B) view of the complex stack, whose first-axis
-    neighbour gather serves a stack as it serves one state; both backends
-    use that kernel here, since the compiled one takes one state per call.
+    integrate it in one RK4 run.  The right-hand side hands pdnls_rhs the
+    transposed (N, B) view of the complex stack, whose first-axis neighbour
+    gather serves a stack as it serves one state.
     """
     from .shadowing import rk4_flow_system
 

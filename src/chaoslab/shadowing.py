@@ -5,8 +5,7 @@ maps, the dashed-line flow map, and the lattice stroboscopic map.  A map
 and its Jacobian take one state of shape (d,) or a stack of states of
 shape (B, d) and act row by row, so the Newton residual, the defects of a
 pseudo-orbit and the Jacobians along an orbit each take one call; only
-the sequential orbit, iterate and shadow_distance call the map point by
-point.  A flow map raises NumericError on blow-up, for a stack at the
+the sequential orbit and shadow_distance call the map point by point.  A flow map raises NumericError on blow-up, for a stack at the
 earliest step at which any row blows up.
 
 The shadow Newton step is the minimum-norm solution of the block-bidiagonal
@@ -44,12 +43,6 @@ class MapSystem:
     dimension: int
     map: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def iterate(self, x: np.ndarray, n: int) -> np.ndarray:
-        y = np.asarray(x, dtype=float)
-        for _ in range(n):
-            y = self.map(y)
-        return y
 
     def orbit(self, x: np.ndarray, length: int) -> np.ndarray:
         out = np.empty((length, self.dimension))

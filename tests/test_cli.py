@@ -65,6 +65,20 @@ class TestDispatch:
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
 
+    def test_from_analytic_values(self, tmp_path):
+        # malformed values are usage errors; a sign other than exactly +-1
+        # is a precondition error, never truncated to one
+        base = ["dashed-line", "--steps", "10", "--sample-every", "5"]
+        assert run_cli(base + ["--from-analytic=1,2"], tmp_path / "a") == 2
+        assert run_cli(base + ["--from-analytic=a,0.3,1"], tmp_path / "b") == 2
+        assert run_cli(base + ["--from-analytic=-2,0.3,1.5"], tmp_path / "c") == 4
+        for name in "abc":
+            assert not (tmp_path / name / "manifest.json").exists()
+        # the manifest keeps the values as given
+        assert run_cli(base + ["--from-analytic", "-2.0,0.3,1"], tmp_path / "d") == 0
+        config = json.loads(read(tmp_path / "d" / "manifest.json"))["config"]
+        assert config["from_analytic"] == ["-2.0", "0.3", "1"]
+
     def test_numeric_failure_exit_code(self, tmp_path):
         cases = [
             # kick the dashed-line model hard enough to blow up
@@ -190,6 +204,8 @@ class TestConfigFiles:
              ["energy.csv", "final_state.json"]),
             (["dashed-line", "--kick", "0.3", "--steps", "50",
               "--sample-every", "10"], ["trajectory.csv"]),
+            (["dashed-line", "--from-analytic=-2.0,0.3,-1", "--steps", "50",
+              "--sample-every", "10"], ["trajectory.csv", "residual.json"]),
             (["shadow", "--map", "dashed-line", "--gamma", "1.5",
               "--word", "1", "--m", "2"], ["pseudo_orbit.csv"]),
             (["lax-check", "--case", "rossby", "--resolution", "32",

@@ -177,10 +177,12 @@ class TestOrbitResidual:
         gamma, fd_step, ts = 1.3, 1e-4, np.linspace(-5, 5, 37)
         p = DashedLineParams(gamma=gamma, epsilon=0.0, trunc=10)
         offsets, weights = _STENCILS[5]
+        c = _kernels_py.dashed_coupling_matrix(p.sub, p.sup, p.pair)
         worst = 0.0
         for t in ts:
             s = analytic_heteroclinic(t, het, gamma)
-            dop, dom = _kernels_py.dashed_rhs(s.omega_p, s.omega, p.sub, p.sup, p.pair)
+            dx = _kernels_py.dashed_field(np.concatenate(([s.omega_p], s.omega)), c)
+            dop, dom = dx[0], dx[1:]
             fd_p, fd_om = 0.0, np.zeros(p.size)
             for off, wgt in zip(offsets, weights):
                 s = analytic_heteroclinic(t + off * fd_step, het, gamma)

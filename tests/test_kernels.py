@@ -1,7 +1,7 @@
-"""Backend agreement: the compiled extension and the numpy fallback must be
-interchangeable bit-for-bit up to summation order.  The Galerkin convolution
-has one implementation for both backends and is checked against the loop
-oracle instead."""
+"""Backend agreement: the compiled RK4 loops and their numpy twins must be
+interchangeable bit-for-bit up to summation order.  The right-hand sides
+have one numpy implementation for both backends and are checked against
+loop formulas instead."""
 
 import numpy as np
 import pytest
@@ -73,16 +73,24 @@ class TestGalerkinKernel:
         assert np.max(np.abs(out)) == 0.0
 
 
+def test_extension_compiles_only_the_rk4_loops(compiled_kernels):
+    # the right-hand sides are the numpy ones on every backend
+    public = {name for name in dir(compiled_kernels) if not name.startswith("_")}
+    assert public == {"BACKEND", "pdnls_rk4", "dashed_rk4"}
+    assert kernels.pdnls_rhs is _kernels_py.pdnls_rhs
+    assert kernels.galerkin_rhs is _kernels_py.galerkin_rhs
+
+
 class TestPDNLSKernel:
-    def test_backends_agree(self, kernel_backend, rng):
-        from chaoslab import _kernels_py
+    def test_backends_agree(self, rng):
         q = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         args = (64.0, 22.445, 1.0, 5.7, 0.07)
-        # a strided, a real-valued and an integer q give the result for the
-        # complex128 array np.ascontiguousarray makes of them
+        # kernels.pdnls_rhs is the numpy field on both backends: a strided,
+        # a real-valued and an integer q give the result for the complex128
+        # array np.ascontiguousarray makes of them
         for form in (q, np.repeat(q, 2)[::2], q.real, rng.integers(-3, 4, 8),
                      list(q), q.real.tolist()):
-            got = kernel_backend.pdnls_rhs(form, *args)
+            got = kernels.pdnls_rhs(form, *args)
             ref = _kernels_py.pdnls_rhs(np.ascontiguousarray(form, np.complex128), *args)
             assert np.max(np.abs(got - ref)) < 1e-13
 
@@ -133,41 +141,56 @@ class TestDashedKernel:
     # and the trunc-10 chain
     CHAINS = (1, 2, 21)
 
-    def test_backends_agree(self, kernel_backend, rng):
-        from chaoslab import _kernels_py
+    @staticmethod
+    def field_loop(op, om, sub, sup, pair):
+        """(dop, dom) summed as the loop of _kernels.c sums them."""
+        L = len(om)
+        dom = np.zeros(L)
+        for i in range(L):
+            dom[i] = sub[i] * om[i - 1] if i > 0 else 0.0
+            if i + 1 < L:
+                dom[i] -= sup[i] * om[i + 1]
+            dom[i] *= op
+        acc = 0.0
+        for i in range(1, L):
+            acc += pair[i - 1] * om[i - 1] * om[i]
+        return -acc, dom
+
+    def test_backends_agree(self, rng):
+        # the numpy field, which serves both backends, against the C loop
         for L in self.CHAINS:
-            om = rng.standard_normal(L)
+            x = np.concatenate(([0.8], rng.standard_normal(L)))
             sub, sup = rng.standard_normal(L), rng.standard_normal(L)
             pair = rng.standard_normal(L - 1)
-            # a strided om and float32 or list couplings give the result for
-            # the float64 arrays np.ascontiguousarray makes of them
-            for forms in [(om, sub, sup, pair),
-                          (np.repeat(om, 2)[::2], sub.astype(np.float32), sup.tolist(), pair.tolist()),
-                          (om.tolist(), sub.tolist(), sup, pair),
-                          (np.rint(3 * om).astype(np.int64).tolist(), sub, sup.tolist(), pair)]:
-                g_op, g_om = kernel_backend.dashed_rhs(0.8, *forms)
-                r_op, r_om = _kernels_py.dashed_rhs(
-                    0.8, *(np.ascontiguousarray(x, np.float64) for x in forms))
-                assert abs(g_op - r_op) < 1e-13
-                assert np.max(np.abs(g_om - r_om)) < 1e-13
+            # a strided x and float32, list, strided or integer couplings give
+            # the result for the float64 arrays np.ascontiguousarray makes of
+            # them
+            for state, forms in [
+                    (x, (sub, sup, pair)),
+                    (np.repeat(x, 2)[::2], (sub.astype(np.float32), sup.tolist(), pair.tolist())),
+                    (x, (sub.tolist(), sup, np.repeat(pair, 2)[::2])),
+                    (x, (np.rint(3 * sub).astype(np.int64).tolist(), sup.tolist(), pair))]:
+                dx = _kernels_py.dashed_field(
+                    state, _kernels_py.dashed_coupling_matrix(*forms))
+                r_op, r_om = self.field_loop(
+                    0.8, x[1:], *(np.ascontiguousarray(c, np.float64) for c in forms))
+                assert abs(dx[0] - r_op) < 1e-13
+                assert np.max(np.abs(dx[1:] - r_om)) < 1e-13
                 if L == 1:
                     # the empty pair sum is -0.0, as the C loop returns it
-                    assert g_op == r_op == 0.0
-                    assert np.signbit(g_op) and np.signbit(r_op)
+                    assert dx[0] == r_op == 0.0
+                    assert np.signbit(dx[0]) and np.signbit(r_op)
 
     def test_rows_of_a_batch_match_single_states(self, rng):
         # dom is elementwise and bitwise per row; dop sums each row by the
         # same dot product as one state, so it is bitwise too
-        om = rng.standard_normal((6, 21))
-        op = rng.standard_normal(6)
+        x = rng.standard_normal((6, 22))
         sub, sup = rng.standard_normal(21), rng.standard_normal(21)
-        pair = rng.standard_normal(20)
-        dop, dom = _kernels_py.dashed_rhs(op, om, sub, sup, pair)
-        assert dop.shape == (6,) and dom.shape == (6, 21)
+        c = _kernels_py.dashed_coupling_matrix(sub, sup, rng.standard_normal(20))
+        dx = _kernels_py.dashed_field(x, c)
+        assert dx.shape == (6, 22)
         for j in range(6):
-            r_op, r_om = _kernels_py.dashed_rhs(op[j], om[j], sub, sup, pair)
-            assert np.array_equal(dom[j], r_om)
-            assert dop[j] == r_op
+            assert np.array_equal(dx[j], _kernels_py.dashed_field(x[j], c))
 
     def test_rk4_backends_agree(self, kernel_backend, rng):
         from chaoslab import _kernels_py
@@ -188,13 +211,18 @@ class TestDashedKernel:
                 assert np.max(np.abs(a[1] - b[1])) < 1e-12
 
     def test_mismatched_couplings_raise(self, kernel_backend):
-        # sub, sup and pair must fit om as numpy broadcasting needs them to,
-        # so the compiled loops never read past the end of a coupling array
+        # sub, sup and pair must fit om, as the numpy coupling matrix needs
+        # them to, so the compiled loop never reads past the end of one
         om, sub, sup, pair = np.ones(6), np.ones(6), np.ones(6), np.ones(5)
-        for args in [(om, sub[:3], sup, pair), (om, sub, sup[:5], pair),
-                     (om, sub, sup, pair[:2])]:
+        if kernel_backend is _kernels_py:
+            check = _kernels_py.dashed_coupling_matrix
+        else:
+            def check(*couplings):
+                kernel_backend.dashed_rk4(0.8, om, *couplings, 1e-3, 10, 1)
+        for couplings in [(sub[:3], sup, pair), (sub, sup[:5], pair),
+                          (sub, sup, pair[:2])]:
             with pytest.raises(ValueError):
-                kernel_backend.dashed_rhs(0.8, *args)
+                check(*couplings)
 
     def test_rk4_blowup_step_agrees(self, kernel_backend, rng):
         # quadratic couplings this large blow up in finite time; both
