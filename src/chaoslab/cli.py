@@ -400,6 +400,7 @@ def _cmd_shadow(args, run) -> None:
             "tail_rates": list(map(float, est.tail_rates)),
             "angle_min": est.angle_min,
             "hyperbolic": bool(est.hyperbolic),
+            "n_neutral": est.details["n_neutral"],
         }
     write_json(run.path("report.json"), report)
 

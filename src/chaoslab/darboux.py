@@ -158,6 +158,8 @@ def shear_power_construction(c: float, n: int = 64):
     background that no periodic stream function can carry; it drops out of
     every bracket, so Psi absorbs only the oscillatory part.
     """
+    if not np.isfinite(c):
+        raise PreconditionError(f"c must be finite, got {c}")
     omega = GridField2D.from_function(n, lambda x, y: 2.0 + np.cos(x + y))
     psi = GridField2D.from_function(n, lambda x, y: -0.5 * np.cos(x + y))
     p = GridField2D(omega.values ** 2)

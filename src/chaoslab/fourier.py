@@ -226,6 +226,8 @@ class CoefficientField:
     def random(cls, box: int, rng: np.random.Generator,
                decay: float = 0.0) -> "CoefficientField":
         """Random field with the reality pairing, optional |k|^2 decay."""
+        if not (np.isfinite(decay) and decay >= 0):
+            raise PreconditionError(f"decay must be a finite number >= 0, got {decay}")
         out = cls(box)
         for k1 in range(-box, box + 1):
             for k2 in range(-box, box + 1):

@@ -55,6 +55,8 @@ def lax_A_2d(psi: GridField2D, phi: GridField2D) -> GridField2D:
 
 def rossby_L(omega: GridField2D, beta_param: float, phi: GridField2D) -> GridField2D:
     """L phi = {Omega, phi} - beta * d(phi)/dx."""
+    if not np.isfinite(beta_param):
+        raise PreconditionError(f"beta must be finite, got {beta_param}")
     bracket = grid_bracket(omega, phi)
     n = phi.resolution
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -138,6 +140,8 @@ def isospectrality_check(omega0: CoefficientField, T: float,
     """
     if omega0.box > 6:
         raise PreconditionError("operator box above 6 (matrix growth)")
+    if not (np.isfinite(T) and T > 0):
+        raise PreconditionError(f"T must be a finite number > 0, got {T}")
     check_schedule(dt, 1, 1)  # before T / dt; the step count follows from T
     steps = max(1, int(round(T / dt)))
     omega_T = integrate_galerkin(omega0, dt, steps)

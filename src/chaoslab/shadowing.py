@@ -45,6 +45,8 @@ class MapSystem:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def orbit(self, x: np.ndarray, length: int) -> np.ndarray:
+        if length < 1:
+            raise PreconditionError(f"orbit length must be >= 1, got {length}")
         out = np.empty((length, self.dimension))
         y = np.asarray(x, dtype=float)
         out[0] = y
@@ -381,70 +383,110 @@ class DichotomyReport:
     expansion_rate: float
     contraction_rate: float
     bound_surrogate: float            # K: transient bulge above the fitted rates
-    angle_min: float                  # smallest principal angle between subspaces
+    angle_min: float                  # smallest angle between E^u and E^s over
+                                      # the middle half of the orbit
     hyperbolic: bool
     details: dict = field(default_factory=dict)
 
 
-def _qr_exponents(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lyapunov exponents by repeated orthonormalization.
+def qr_sweep(jacs: np.ndarray, q0: np.ndarray) -> np.ndarray:
+    """The R_j of Q_{j+1} R_j = J_j Q_j along an orbit, from Q_0 = q0.
 
-    Returns (rates, cumulative log diagonals) for the product J_{L-1}...J_0.
+    jacs (L, d, d) holds the J_j and q0 (d, k) orthonormal columns.  Returns
+    the stacked R_j (L, k, k), upper triangular with diag R_j > 0, so
+    log diag R_j are the per-step growths of the nested subspaces spanned by
+    the leading columns of Q_j; Q_j lives only inside the loop.  Raises
+    NumericError at the first orbit index whose R_j has a diagonal entry
+    that is 0 or not finite: a singular or non-finite Jacobian.
     """
-    d = jacs[0].shape[0]
-    q = np.eye(d)
-    logs = np.zeros((len(jacs), d))
+    q = q0
+    rs = np.empty((len(jacs), q0.shape[1], q0.shape[1]))
     for j, jac in enumerate(jacs):
         q, r = np.linalg.qr(jac @ q)
-        diag = np.abs(np.diag(r))
-        diag = np.where(diag > 0, diag, 1e-300)
-        signs = np.sign(np.diag(r))
-        q = q * np.where(signs == 0, 1.0, signs)[None, :]
-        logs[j] = np.log(diag)
-    return logs.sum(axis=0) / len(jacs), logs
+        signs = np.where(np.diag(r) < 0, -1.0, 1.0)
+        q = q * signs
+        rs[j] = r * signs[:, None]
+    bad = np.flatnonzero(~np.all(np.diagonal(rs, axis1=1, axis2=2) > 0, axis=1))
+    if bad.size:
+        raise NumericError(
+            f"Jacobian singular or not finite at orbit index {bad[0]}",
+            step=int(bad[0]))
+    return rs
+
+
+def _bundle_angles(rs: np.ndarray, n_up: int, n_down: int, lo: int,
+                   hi: int) -> np.ndarray:
+    """Smallest principal angle between E^u and E^s at orbit points lo..hi.
+
+    rs are the R_j of a qr_sweep that meets the expanding directions first.
+    In the frame Q_j, E^u is spanned by the first n_up coordinate axes and
+    E^s by the last n_down columns of the upper triangular covariant
+    coefficients C_j of the back-pass C_j = R_j^{-1} C_{j+1}, C_L = I, with
+    columns normalised (Ginelli et al., PRL 99, 130601, 2007).  R_j^{-1}
+    acts on each column alone, so only those n_down columns are carried.
+    """
+    n, d = rs.shape[0], rs.shape[-1]
+    c = np.eye(d)[:, d - n_down:]
+    stable = np.empty((hi - lo + 1, d, n_down))
+    for j in range(n, lo - 1, -1):
+        if j < n:
+            c = np.linalg.solve(rs[j], c)
+            c /= np.linalg.norm(c, axis=0)
+        if j <= hi:
+            stable[j - lo] = c
+    basis = np.linalg.qr(stable)[0]
+    cosines = np.linalg.svd(basis[:, :n_up], compute_uv=False)
+    return np.arccos(np.clip(cosines[:, 0], -1.0, 1.0))
 
 
 def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
                            rate_tol: float = 1e-3) -> DichotomyReport:
-    """Finite-time expansion/contraction rates and subspace separation.
+    """Finite-time rates and the angle between the bundles E^u and E^s.
 
-    Forward QR along the orbit estimates the most-expanding directions;
-    the same procedure on inverse transposes running backward estimates the
-    most-contracting ones.  The K surrogate is the exponential of the
-    largest deviation of the cumulative growth from its fitted linear rate.
-    These are window statistics, not certificates.
+    One qr_sweep from the coordinate axes gives the rates (log diag R_j
+    averaged over the window) and the tail rates (over its second half).
+    n_up and n_down count the rates above rate_tol and below -rate_tol; the
+    other n_neutral are neutral.  E^u and E^s come from the covariant
+    back-pass over the sweep's R_j (_bundle_angles), and angle_min is the
+    minimum angle over the middle half L//4 <= j <= L - L//4 of the orbit
+    (L Jacobians), where the forward and backward alignment transients have
+    decayed.  When the coordinate start leaves the rates out of order (an
+    invariant coordinate flag, as for [[0.5, a], [0, 2]]), the angle takes a
+    second sweep started from the axes in rate order.  hyperbolic needs
+    n_up > 0, n_down > 0, n_neutral == 0 and angle_min > rate_tol.  The K
+    surrogate is the exponential of the largest deviation of the cumulative
+    growth from its fitted linear rate.  These are window statistics, not
+    certificates.
     """
     if system.jacobian is None:
         raise PreconditionError("hyperbolicity_estimate needs a jacobian")
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     jacs = np.asarray(system.jacobian(orbit), dtype=float)
-    d = jacs[0].shape[0]
-    rates, logs = _qr_exponents(jacs)
+    n, d = len(jacs), jacs.shape[-1]
+    rs = qr_sweep(jacs, np.eye(d))
+    logs = np.log(np.diagonal(rs, axis1=1, axis2=2))
+    rates = logs.sum(axis=0) / n
     order = np.argsort(rates)[::-1]
     rates_sorted = rates[order]
-    half = len(jacs) // 2
-    tail = logs[half:].sum(axis=0) / max(len(jacs) - half, 1)
+    half = n // 2
+    tail = logs[half:].sum(axis=0) / max(n - half, 1)
     tail_sorted = np.sort(tail)[::-1]
 
-    # backward product of inverse transposes has exponents -rates reversed;
-    # its dominant subspace estimates the contracting directions.
-    inv_jacs = np.linalg.inv(jacs[::-1]).transpose(0, 2, 1)
-    n_unstable = int(np.sum(rates_sorted > rate_tol))
-    n_stable = int(np.sum(rates_sorted < -rate_tol))
-
-    angle = np.pi / 2.0
-    if 0 < n_unstable < d and n_stable > 0:
-        qf = np.linalg.qr(np.column_stack(
-            [_power_subspace(jacs, n_unstable)]))[0]
-        qb = np.linalg.qr(np.column_stack(
-            [_power_subspace(inv_jacs, n_stable)]))[0]
-        sv = np.linalg.svd(qf.T @ qb, compute_uv=False)
-        angle = float(np.arccos(np.clip(sv.max(), -1.0, 1.0)))
+    n_up = int(np.sum(rates_sorted > rate_tol))
+    n_down = int(np.sum(rates_sorted < -rate_tol))
+    n_neutral = d - n_up - n_down
+    lo, hi = n // 4, n - n // 4
+    angles = np.full(hi - lo + 1, np.pi / 2.0)
+    if n_up > 0 and n_down > 0:
+        if np.any(np.diff(rates) > 0):
+            rs = qr_sweep(jacs, np.eye(d)[:, order])
+        angles = _bundle_angles(rs, n_up, n_down, lo, hi)
+    angle = float(angles.min())
 
     cum = np.cumsum(logs[:, 0])
-    steps = np.arange(1, len(jacs) + 1)
+    steps = np.arange(1, n + 1)
     bulge = float(np.exp(np.max(np.abs(cum - steps * rates[0]))))
-    hyperbolic = (rates_sorted[0] > rate_tol and rates_sorted[-1] < -rate_tol
+    hyperbolic = (n_up > 0 and n_down > 0 and n_neutral == 0
                   and angle > rate_tol)
     return DichotomyReport(rates=rates_sorted,
                            tail_rates=tail_sorted,
@@ -453,19 +495,6 @@ def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
                            bound_surrogate=bulge,
                            angle_min=angle,
                            hyperbolic=hyperbolic,
-                           details={"n_unstable": n_unstable,
-                                    "n_stable": n_stable})
-
-
-def _power_subspace(jacs: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal basis of the dominant k-dimensional subspace of a product.
-
-    The start basis is generic (seeded) rather than coordinate axes, which
-    can be exact non-dominant eigenvectors and stall the power iteration.
-    """
-    d = jacs[0].shape[0]
-    rng = np.random.default_rng(0x5EED)
-    q, _ = np.linalg.qr(rng.standard_normal((d, k)))
-    for jac in jacs:
-        q, _ = np.linalg.qr(jac @ q)
-    return q
+                           details={"n_unstable": n_up, "n_stable": n_down,
+                                    "n_neutral": n_neutral,
+                                    "window": (lo, hi), "angles": angles})

@@ -25,17 +25,19 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
-    """chaoslab._kernels built once per session from src/chaoslab/_kernels.c.
+def session_kernels(tmp_path_factory):
+    """chaoslab._kernels built once per session from src/chaoslab/_kernels.c,
+    or the numpy twins chaoslab._kernels_py where no C compiler exists.
 
     `setup.py build_ext` writes the extension into a temporary directory and
     nothing under src/, so chaoslab.BACKEND stays what the installation
     gives.  The module is loaded from there without replacing any
-    chaoslab._kernels in sys.modules.  Skips where no C compiler exists.
+    chaoslab._kernels in sys.modules.
     """
     cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) to build chaoslab._kernels")
+        from chaoslab import _kernels_py
+        return _kernels_py
     out = tmp_path_factory.mktemp("kernels")
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
@@ -53,6 +55,14 @@ def compiled_kernels(tmp_path_factory):
     else:
         sys.modules["chaoslab._kernels"] = saved
     return module
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(session_kernels):
+    """The session-built extension; skips where no C compiler exists."""
+    if session_kernels.BACKEND != "compiled":
+        pytest.skip("no C compiler to build chaoslab._kernels")
+    return session_kernels
 
 
 @pytest.fixture(params=["python", "compiled"])

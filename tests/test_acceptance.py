@@ -238,23 +238,44 @@ class TestDiscreteSaddle:
         assert n_unstable == 2
 
 
+def chaotic_demo():
+    """(config, params, kicked start) of configs/chaotic_demo.cfg."""
+    from chaoslab.cli import _load_config_file
+    from chaoslab.nls import NLSLatticeState, NLSParams, discrete_saddle
+    cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "chaotic_demo.cfg")
+    cfg = _load_config_file(cfg_path)
+    p = NLSParams(N=int(cfg["N"]), omega=float(cfg["omega"]),
+                  alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
+                  epsilon=float(cfg["epsilon"]))
+    sad = discrete_saddle(p)
+    n = np.arange(p.N)
+    kick = float(cfg["kick"])
+    q0 = NLSLatticeState(sad.state.q * (1 + kick * np.cos(2 * np.pi * n / p.N)))
+    return cfg, p, q0
+
+
 class TestCenterWingSymbolics:
-    def test_criterion_center_wing(self):
-        from chaoslab.cli import _load_config_file
-        from chaoslab.nls import (NLSLatticeState, NLSParams,
-                                  center_wing_encode, discrete_saddle,
-                                  half_period_translate, simulate,
-                                  swap_symbols)
-        cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs",
-                                "chaotic_demo.cfg")
-        cfg = _load_config_file(cfg_path)
-        p = NLSParams(N=int(cfg["N"]), omega=float(cfg["omega"]),
-                      alpha=float(cfg["alpha"]), beta=float(cfg["beta"]),
-                      epsilon=float(cfg["epsilon"]))
-        sad = discrete_saddle(p)
-        n = np.arange(p.N)
-        kick = float(cfg["kick"])
-        q0 = NLSLatticeState(sad.state.q * (1 + kick * np.cos(2 * np.pi * n / p.N)))
+    def test_demo_prefix_backends_agree(self, compiled_kernels):
+        # the criterion below runs the C loop; on a 50,000-step prefix of the
+        # demo it gives the numpy loop's samples bit for bit
+        from chaoslab import _kernels_py
+        cfg, p, q0 = chaotic_demo()
+        args = (q0.q, p.N ** 2, 2.0 * p.omega ** 2, p.alpha, p.beta,
+                p.epsilon, float(cfg["dt"]), 50_000, int(cfg["sample_every"]))
+        ref, ref_blow = _kernels_py.pdnls_rk4(*args)
+        got, got_blow = compiled_kernels.pdnls_rk4(*args)
+        assert ref_blow == got_blow == -1
+        assert np.array_equal(got, ref)
+
+    def test_criterion_center_wing(self, session_kernels, monkeypatch):
+        # 10^6 steps on the session-built extension, or on numpy where no C
+        # compiler exists
+        from chaoslab import kernels
+        from chaoslab.nls import (center_wing_encode, half_period_translate,
+                                  simulate, swap_symbols)
+        monkeypatch.setattr(kernels, "pdnls_rk4", session_kernels.pdnls_rk4)
+        cfg, p, q0 = chaotic_demo()
         traj = simulate(q0, p, float(cfg["dt"]), int(cfg["steps"]),
                         sample_every=int(cfg["sample_every"]))
         enc = center_wing_encode(traj.samples)
@@ -267,8 +288,9 @@ class TestCenterWingSymbolics:
               and alternations >= 10 and equivariant)
         report("center-wing-symbolics", ok,
                f"{len(enc.symbols)} symbols, {alternations} alternations in "
-               f"{cfg['steps']} steps, translation equivariance exact: "
-               f"{equivariant} (exploratory parameters from configs/)")
+               f"{cfg['steps']} steps on the {session_kernels.BACKEND} loop, "
+               f"translation equivariance exact: {equivariant} (exploratory "
+               f"parameters from configs/)")
         assert "C" in enc.symbols and "W" in enc.symbols
         assert alternations >= 10
         assert equivariant

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -61,6 +62,18 @@ class TestDispatch:
             ["shadow", "--map", "linear-test", "--delta", "nan"],
             ["shadow", "--map", "linear-test", "--delta", "inf"],
             ["shadow", "--map", "linear-test", "--delta", "-1"],
+            # a segment of 2m + 1 < 1 points
+            ["shadow", "--map", "linear-test", "--m", "-1"],
+            ["shadow", "--map", "nls-poincare", "--m", "-1"],
+            # an isospectrality horizon that is not a finite number > 0
+            ["lax-check", "--case", "isospec", "--box", "2", "--T", "nan"],
+            ["lax-check", "--case", "isospec", "--box", "2", "--T", "inf"],
+            ["lax-check", "--case", "isospec", "--box", "2", "--T", "-1"],
+            # parameters that would give null residuals or no decay at all
+            ["darboux", "--c", "nan"],
+            ["lax-check", "--case", "rossby", "--beta-param", "nan"],
+            ["euler-sim", "--box", "3", "--steps", "10", "--decay", "nan"],
+            ["euler-sim", "--box", "3", "--steps", "10", "--decay", "-1"],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
@@ -279,3 +292,12 @@ class TestOutputs:
                         "--m", "6"], tmp_path) == 0
         doc = json.loads(read(tmp_path / "report.json"))
         assert "delta" in doc and np.isfinite(doc["delta"])
+
+    def test_shadow_dichotomy_fields(self, tmp_path):
+        assert run_cli(["shadow", "--map", "linear-test"], tmp_path) == 0
+        dichotomy = json.loads(read(tmp_path / "report.json"))["dichotomy"]
+        assert np.allclose(dichotomy["rates"], [math.log(2.0), math.log(0.5)],
+                           rtol=0.0, atol=1e-14)
+        assert dichotomy["angle_min"] == math.pi / 2
+        assert dichotomy["n_neutral"] == 0
+        assert dichotomy["hyperbolic"] is True

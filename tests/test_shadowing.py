@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -85,6 +86,12 @@ class TestPseudoOrbit:
                     build()
         with pytest.raises(PreconditionError):
             PseudoOrbit(orbit, float("nan"))
+
+    def test_orbit_length_below_one_rejected(self):
+        assert HYP.orbit(np.ones(2), 1).shape == (1, 2)
+        for length in (0, -1):
+            with pytest.raises(PreconditionError):
+                HYP.orbit(np.ones(2), length)
 
 
 class TestFlowMap:
@@ -398,6 +405,79 @@ class TestHyperbolicity:
         bottom_pair = rep.tail_rates[-2:].mean() / T
         assert abs(top_pair - real_parts.max()) < 1e-6
         assert abs(bottom_pair - real_parts.min()) < 1e-6
+
+    @pytest.mark.parametrize("form", ["upper", "flag-contracting", "lower"])
+    @pytest.mark.parametrize("a, angle", [(0.0, 1.5708), (1.0, 0.9828),
+                                          (5.0, 0.2915), (50.0, 0.0300)])
+    def test_constant_map_angle_closed_form(self, form, a, angle):
+        # [[2, a], [0, 0.5]] has E^u = (1, 0) and E^s = (-a, 1.5), at an angle
+        # arccos(|a| / sqrt(a^2 + 2.25)); so have [[0.5, a], [0, 2]] (whose
+        # invariant flag e_1 contracts, so the angle takes the second sweep)
+        # and [[2, 0], [a, 0.5]]
+        matrix = {"upper": [[2.0, a], [0.0, 0.5]],
+                  "flag-contracting": [[0.5, a], [0.0, 2.0]],
+                  "lower": [[2.0, 0.0], [a, 0.5]]}[form]
+        system = linear_map_system(np.array(matrix))
+        rep = hyperbolicity_estimate(system.orbit(np.ones(2), 60), system)
+        exact = math.acos(abs(a) / math.sqrt(a * a + 2.25))
+        assert exact == pytest.approx(angle, abs=5e-5)
+        assert rep.angle_min == pytest.approx(exact, abs=1e-12)
+        assert rep.hyperbolic and rep.details["n_neutral"] == 0
+        if form != "lower":
+            assert rep.rates == pytest.approx([math.log(2.0), math.log(0.5)],
+                                              abs=1e-14)
+
+    def test_time_varying_angles_match_dense_products(self):
+        # J_j = (I + 0.2 G_j) diag(4, 2.5, 0.5, 0.25) (I + 0.2 G'_j).  At point j,
+        # E^u is the top-2 left singular space of J_{j-1}...J_{j-k} and E^s
+        # the bottom-2 right singular space of J_{j+k-1}...J_j, both aligned
+        # to about 0.2^k.  The dense products also carry roundoff of about
+        # eps (4 / 2.5)^k into both spaces: 2e-8 at k = 30, 5e-11 at k = 20.
+        rng = np.random.default_rng(7)
+        L, d, k = 120, 4, 20
+        eye = np.eye(d)
+        jacs = np.array([(eye + 0.2 * rng.standard_normal((d, d)))
+                         @ np.diag([4.0, 2.5, 0.5, 0.25])
+                         @ (eye + 0.2 * rng.standard_normal((d, d)))
+                         for _ in range(L)])
+        # the states count the orbit index, which picks the Jacobian
+        system = MapSystem(dimension=d, map=lambda x: x + 1.0,
+                           jacobian=lambda x: jacs[np.asarray(x)[..., 0].astype(int)])
+        rep = hyperbolicity_estimate(system.orbit(np.zeros(d), L), system)
+        lo, hi = rep.details["window"]
+        assert (lo, hi) == (30, 90)
+        assert (rep.details["n_unstable"], rep.details["n_stable"]) == (2, 2)
+
+        def product(factors):
+            return reduce(lambda p, m: m @ p, factors, eye)
+
+        for j in range(lo, hi + 1):
+            e_up = np.linalg.svd(product(jacs[j - k:j]))[0][:, :2]
+            e_down = np.linalg.svd(product(jacs[j:j + k]))[2][2:].T
+            cos = np.linalg.svd(e_up.T @ e_down, compute_uv=False)[0]
+            assert rep.details["angles"][j - lo] == pytest.approx(
+                math.acos(min(cos, 1.0)), abs=1e-8)
+        assert rep.angle_min == rep.details["angles"].min()
+
+    def test_neutral_rate_counted_and_not_hyperbolic(self):
+        system = linear_map_system(np.diag([2.0, 1.0, 0.5]))
+        rep = hyperbolicity_estimate(system.orbit(np.ones(3), 20), system)
+        assert rep.details["n_neutral"] == 1
+        assert rep.angle_min == pytest.approx(math.pi / 2, abs=1e-12)
+        assert not rep.hyperbolic
+
+    def test_singular_jacobian_raises_with_orbit_index(self):
+        flat = linear_map_system(np.diag([2.0, 0.0]))
+        with pytest.raises(NumericError) as err:
+            hyperbolicity_estimate(flat.orbit(np.ones(2), 10), flat)
+        assert err.value.step == 0
+        jacs = np.tile(np.diag([2.0, 0.5]), (10, 1, 1))
+        jacs[3] = np.diag([2.0, 0.0])
+        system = MapSystem(dimension=2, map=lambda x: x + 1.0,
+                           jacobian=lambda x: jacs[np.asarray(x)[..., 0].astype(int)])
+        with pytest.raises(NumericError, match="orbit index 3") as err:
+            hyperbolicity_estimate(system.orbit(np.zeros(2), 10), system)
+        assert err.value.step == 3
 
     def test_jacobian_validation(self, well_map):
         assert well_map.validate_jacobian(
