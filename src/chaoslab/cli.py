@@ -150,6 +150,8 @@ def _cmd_spectrum(args, run) -> None:
     from .spectra import (build_class_operator, continued_fraction_eigen,
                           truncated_spectrum)
 
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise PreconditionError("tol must be a finite number > 0")
     cls = ClassIndex(khat=args.khat, p=args.p)
     gamma = complex(args.gamma[0], args.gamma[1])
     op = build_class_operator(cls, gamma, args.trunc)
@@ -274,8 +276,8 @@ def _cmd_lax_check(args, run) -> None:
     rng = np.random.default_rng(args.rng_seed)
     n = args.resolution
 
-    def rand_grid(kmax=None):
-        box = kmax or max(2, n // 8)
+    def rand_grid():
+        box = max(2, n // 8)
         return coefficients_to_grid(CoefficientField.random(box, rng, decay=0.2), n)
 
     report = LaxReport()

@@ -23,6 +23,13 @@ from .fourier import GridField2D, grid_bracket, laplacian, _spectral_gradient
 from .laxpairs import LaxReport
 from .util import sup_norm
 
+# bound on the kernel and potential-constraint residuals
+PRECONDITION_TOL = 1e-9
+# darboux_gauge masks where |f| or |Omega_x| (|Omega_y|) is at most MASK_TOL
+# times its sup norm, on at most a MAX_MASKED share of the grid
+MASK_TOL = 1e-8
+MAX_MASKED = 0.5
+
 
 @dataclass
 class GaugeTransform:
@@ -38,13 +45,12 @@ class GaugeTransform:
         return sup_norm(self.values_x[both] - self.values_y[both])
 
 
-def darboux_gauge(p: GridField2D, f: GridField2D, omega: GridField2D,
-                  mask_tol: float = 1e-8, max_masked: float = 0.5) -> GaugeTransform:
+def darboux_gauge(p: GridField2D, f: GridField2D, omega: GridField2D) -> GaugeTransform:
     """Gauge transform with validity masks on the zero sets of f and Omega_x.
 
     The numerator is formed as p_x*f - f_x*p so that f is p gives an exactly
-    zero transform.  Raises when more than ``max_masked`` of the grid is
-    masked in the x-form.
+    zero transform.  Raises when more than a MAX_MASKED share of the grid
+    is masked in the x-form.
     """
     if p.resolution != f.resolution or p.resolution != omega.resolution:
         raise PreconditionError("resolution mismatch")
@@ -52,11 +58,12 @@ def darboux_gauge(p: GridField2D, f: GridField2D, omega: GridField2D,
     fx, fy = _spectral_gradient(f.values)
     ox, oy = _spectral_gradient(omega.values)
 
-    f_ok = np.abs(f.values) > mask_tol * (sup_norm(f.values) or 1.0)
-    mask_x = f_ok & (np.abs(ox) > mask_tol * (sup_norm(ox) or 1.0))
-    mask_y = f_ok & (np.abs(oy) > mask_tol * (sup_norm(oy) or 1.0))
-    if mask_x.mean() < 1.0 - max_masked:
-        raise PreconditionError("gauge transform masked on more than half the grid")
+    f_ok = np.abs(f.values) > MASK_TOL * (sup_norm(f.values) or 1.0)
+    mask_x = f_ok & (np.abs(ox) > MASK_TOL * (sup_norm(ox) or 1.0))
+    mask_y = f_ok & (np.abs(oy) > MASK_TOL * (sup_norm(oy) or 1.0))
+    if mask_x.mean() < 1.0 - MAX_MASKED:
+        raise PreconditionError(
+            f"gauge transform masked on more than {MAX_MASKED:.0%} of the grid")
 
     num_x = px * f.values - fx * p.values
     num_y = py * f.values - fy * p.values
@@ -76,9 +83,10 @@ class PotentialTransform:
     valid: bool
 
 
-def darboux_potentials(omega: GridField2D, psi: GridField2D, F: GridField2D,
-                       tol: float = 1e-9) -> PotentialTransform:
-    """Potential shift with the two constraint residuals attached."""
+def darboux_potentials(omega: GridField2D, psi: GridField2D,
+                       F: GridField2D) -> PotentialTransform:
+    """Potential shift with the two constraint residuals attached; valid
+    when both are below PRECONDITION_TOL."""
     if omega.resolution != psi.resolution or omega.resolution != F.resolution:
         raise PreconditionError("resolution mismatch")
     lap_F = laplacian(F)
@@ -91,19 +99,17 @@ def darboux_potentials(omega: GridField2D, psi: GridField2D, F: GridField2D,
         psi_t=GridField2D(psi.values + F.values),
         lap_F=lap_F,
         constraint_norms=norms,
-        valid=max(norms.values()) < tol,
+        valid=max(norms.values()) < PRECONDITION_TOL,
     )
 
 
 def verify_darboux(omega: GridField2D, psi: GridField2D, F: GridField2D,
-                   p: GridField2D, f: GridField2D,
-                   precondition_tol: float = 1e-9,
-                   mask_tol: float = 1e-8) -> LaxReport:
+                   p: GridField2D, f: GridField2D) -> LaxReport:
     """End-to-end check that the transformed eigenfunction still solves the
     transformed system (steady configurations).
 
     Preconditions: p and f lie in the bracket kernel of Omega to
-    ``precondition_tol`` and F satisfies both constraints.  The report
+    PRECONDITION_TOL and F satisfies both constraints.  The report
     carries the kernel residual of ptilde at the shifted vorticity (off the
     gauge mask) together with the steady transport residuals {Psi, p} and
     {Psi_t, ptilde}.
@@ -113,18 +119,18 @@ def verify_darboux(omega: GridField2D, psi: GridField2D, F: GridField2D,
     for name, field_ in (("omega_p_bracket", p), ("omega_f_bracket", f)):
         r = sup_norm(grid_bracket(omega, field_).values)
         report.residuals[name] = r
-        if r > precondition_tol:
+        if r > PRECONDITION_TOL:
             failures.append(name)
-    pot = darboux_potentials(omega, psi, F, tol=precondition_tol)
+    pot = darboux_potentials(omega, psi, F)
     report.residuals.update(pot.constraint_norms)
     if not pot.valid:
         failures.extend(k for k, v in pot.constraint_norms.items()
-                        if v >= precondition_tol)
+                        if v >= PRECONDITION_TOL)
     if failures:
         raise PreconditionError(
             "darboux preconditions failed: " + ", ".join(sorted(set(failures))))
 
-    gauge = darboux_gauge(p, f, omega, mask_tol=mask_tol)
+    gauge = darboux_gauge(p, f, omega)
     ptilde = np.where(gauge.mask_x, gauge.values_x, 0.0)
     kernel_res = grid_bracket(pot.omega_t, GridField2D(ptilde)).values
     # residuals are meaningful only away from the mask boundary, where the

@@ -31,6 +31,9 @@ from .util import check_schedule
 BASE_POINT = (-3, -2)
 DIRECTION = (1, 1)
 DASH_PERIOD = 5
+# Truncation of orbit_residual's states; the residual's BLAS dot sums over
+# the truncation length, so another value changes its last bits.
+RESIDUAL_TRUNC = 10
 
 
 def line_mode(n: int) -> tuple[int, int]:
@@ -280,22 +283,24 @@ _STENCILS = {
 
 def orbit_residual(het: HeteroclinicParams, gamma: float,
                    t_samples: np.ndarray, fd_step: float = 1e-4,
-                   stencil: int = 5, trunc: int = 10) -> float:
+                   stencil: int = 5) -> float:
     """Sup defect between the model field and the analytic orbit derivative.
 
     The time derivative of the closed-form orbit is taken by a central finite
     difference (default 5-point) and compared against the model field
-    evaluated on the orbit with epsilon = 0, at all samples at once.
+    evaluated on the orbit with epsilon = 0, at all samples at once, on
+    states truncated at RESIDUAL_TRUNC.
     """
     if stencil not in _STENCILS:
         raise PreconditionError(f"stencil must be one of {sorted(_STENCILS)}")
     offsets, weights = _STENCILS[stencil]
-    params = DashedLineParams(gamma=gamma, epsilon=0.0, trunc=trunc)
+    params = DashedLineParams(gamma=gamma, epsilon=0.0, trunc=RESIDUAL_TRUNC)
     t = np.ravel(np.asarray(t_samples, dtype=float))
     c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
-    rhs = _kernels_py.dashed_field(heteroclinic_states(t, het, gamma, trunc), c)
+    rhs = _kernels_py.dashed_field(
+        heteroclinic_states(t, het, gamma, RESIDUAL_TRUNC), c)
     shifted = heteroclinic_states(
-        t + np.multiply(offsets, fd_step)[:, None], het, gamma, trunc)
+        t + np.multiply(offsets, fd_step)[:, None], het, gamma, RESIDUAL_TRUNC)
     fd = 0.0
     for wgt, x in zip(weights, shifted):
         fd += wgt * x

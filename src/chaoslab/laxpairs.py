@@ -25,6 +25,10 @@ from .fourier import (CoefficientField, GridField2D, coefficients_to_grid,
                       invert_laplacian)
 from .util import check_schedule, hausdorff_distance, sup_norm
 
+# the 3D pairs' sup-norm bounds on curl(u) - Omega and on div u
+CURL_TOL = 1e-8
+DIV_TOL = 1e-10
+
 
 @dataclass
 class LaxReport:
@@ -97,10 +101,7 @@ def compatibility_residual_2d(omega: CoefficientField,
 
     report = LaxReport()
     for i, phi in enumerate(phi_samples):
-        jac = (grid_bracket(omega_grid, grid_bracket(psi_grid, phi)).values
-               - grid_bracket(psi_grid, grid_bracket(omega_grid, phi)).values
-               - grid_bracket(grid_bracket(omega_grid, psi_grid), phi).values)
-        report.residuals[f"jacobi_{i}"] = sup_norm(jac)
+        report.residuals[f"jacobi_{i}"] = jacobi_defect(omega_grid, psi_grid, phi)
         report.residuals[f"transport_{i}"] = sup_norm(
             grid_bracket(transport_src, phi).values)
     report.residuals["jacobi_max"] = max(
@@ -167,7 +168,8 @@ def _deriv3(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 class VectorField3D:
-    """Three periodic scalar components on an n^3 grid, period 2*pi."""
+    """Three periodic scalar components on an n^3 grid, period 2*pi; n is a
+    power of two >= 16, as for GridField2D."""
 
     def __init__(self, components: np.ndarray):
         components = np.asarray(components, dtype=np.float64)
@@ -176,6 +178,8 @@ class VectorField3D:
         n = components.shape[1]
         if components.shape[1:] != (n, n, n):
             raise PreconditionError("grid must be cubic")
+        if n < 16 or (n & (n - 1)) != 0:
+            raise PreconditionError("grid resolution must be a power of two >= 16")
         self.components = components
 
     @property
@@ -193,14 +197,14 @@ class VectorField3D:
         return cls(np.stack([fx(x, y, z), fy(x, y, z), fz(x, y, z)]))
 
     @classmethod
-    def abc_flow(cls, n: int, a: float = 1.0, b: float = 1.0,
-                 c: float = 1.0) -> "VectorField3D":
-        """The ABC velocity field, an eigenfield of curl (curl u = u)."""
+    def abc_flow(cls, n: int) -> "VectorField3D":
+        """The ABC velocity field with A = B = C = 1, an eigenfield of curl
+        (curl u = u)."""
         return cls.from_functions(
             n,
-            lambda x, y, z: a * np.sin(z) + c * np.cos(y),
-            lambda x, y, z: b * np.sin(x) + a * np.cos(z),
-            lambda x, y, z: c * np.sin(y) + b * np.cos(x),
+            lambda x, y, z: np.sin(z) + np.cos(y),
+            lambda x, y, z: np.sin(x) + np.cos(z),
+            lambda x, y, z: np.sin(y) + np.cos(x),
         )
 
     @classmethod
@@ -228,31 +232,29 @@ def directional_derivative(w: VectorField3D, phi: np.ndarray) -> np.ndarray:
     return sum(w.components[i] * _deriv3(phi, i) for i in range(3))
 
 
-def _check_pair(omega: VectorField3D, u: VectorField3D, curl_tol: float,
-                div_tol: float) -> None:
+def _check_pair(omega: VectorField3D, u: VectorField3D) -> None:
     if omega.resolution != u.resolution:
         raise PreconditionError("resolution mismatch between vorticity and velocity")
     div = u.divergence_defect()
-    if div > div_tol:
-        raise PreconditionError(f"velocity divergence defect {div:.2e} above {div_tol}")
+    if div > DIV_TOL:
+        raise PreconditionError(f"velocity divergence defect {div:.2e} above {DIV_TOL}")
     defect = max(sup_norm(u.curl().components[i] - omega.components[i])
                  for i in range(3))
-    if defect > curl_tol:
-        raise PreconditionError(f"curl(u) mismatch {defect:.2e} above {curl_tol}")
+    if defect > CURL_TOL:
+        raise PreconditionError(f"curl(u) mismatch {defect:.2e} above {CURL_TOL}")
 
 
-def lax_3d_scalar(omega: VectorField3D, u: VectorField3D, phi: np.ndarray,
-                  curl_tol: float = 1e-8, div_tol: float = 1e-10):
-    """Scalar pair (L phi, A phi) = ((Omega.grad) phi, (u.grad) phi)."""
-    _check_pair(omega, u, curl_tol, div_tol)
+def lax_3d_scalar(omega: VectorField3D, u: VectorField3D, phi: np.ndarray):
+    """Scalar pair (L phi, A phi) = ((Omega.grad) phi, (u.grad) phi); u must
+    be divergence-free to DIV_TOL with curl(u) = Omega to CURL_TOL."""
+    _check_pair(omega, u)
     return directional_derivative(omega, phi), directional_derivative(u, phi)
 
 
-def lax_3d_vector(omega: VectorField3D, u: VectorField3D, phi: VectorField3D,
-                  curl_tol: float = 1e-8, div_tol: float = 1e-10):
+def lax_3d_vector(omega: VectorField3D, u: VectorField3D, phi: VectorField3D):
     """Vector pair L phi = (Omega.grad) phi - (phi.grad) Omega and the same
-    combination with u for A."""
-    _check_pair(omega, u, curl_tol, div_tol)
+    combination with u for A, under the preconditions of lax_3d_scalar."""
+    _check_pair(omega, u)
 
     def lie(w: VectorField3D, v: VectorField3D) -> VectorField3D:
         out = np.stack([

@@ -24,6 +24,18 @@ from ._kernels_py import neighbour_index
 from .errors import NumericError, PreconditionError
 from .util import check_schedule
 
+# solve_uniform_saddle: the Newton step target and step cap.
+SADDLE_TOL = 1e-13
+SADDLE_MAX_ITER = 60
+# silnikov_check: slack in the mode-2 slowest-decay comparison.
+SILNIKOV_TOL = 1e-12
+# DiscreteSaddle.unstable_count: real parts above this count as unstable.
+UNSTABLE_TOL = 1e-4
+# classify_profile: a max - min spread at or below FLAT_TOL * max is flat.
+FLAT_TOL = 1e-12
+# center_wing_encode: unambiguous samples a new basin must persist for.
+MIN_RUN = 5
+
 
 @dataclass
 class NLSParams:
@@ -179,6 +191,8 @@ def eigenvalue_table(omega: float, alpha: float, beta: float, epsilon: float,
                      n_max: int = 6, n_cut: int = 10,
                      variant: str = "regular") -> tuple[SaddleInfo, list]:
     """Saddle data plus (n, lam+, lam-) for n = 0..n_max."""
+    if n_max < 0:
+        raise PreconditionError(f"n_max must be >= 0, got {n_max}")
     info = continuum_saddle(omega, alpha, beta, epsilon)
     table = []
     for n in range(n_max + 1):
@@ -199,13 +213,13 @@ class SilnikovReport:
         return self.two_unstable and self.mode2_slowest_decay and self.silnikov_inequality
 
 
-def silnikov_check(tagged_eigs, tol: float = 1e-12) -> SilnikovReport:
+def silnikov_check(tagged_eigs) -> SilnikovReport:
     """Saddle-type ordering flags on mode-tagged eigenvalues.
 
     ``tagged_eigs`` is an iterable of (mode_index, eigenvalue) pairs.  Checks:
     exactly two eigenvalues with positive real part; |Re| of the mode-2
-    eigenvalues is smallest among the decaying ones; that value is below the
-    positive mode-0 rate.
+    eigenvalues is smallest among the decaying ones, up to SILNIKOV_TOL; that
+    value is below the positive mode-0 rate.
     """
     entries = [(int(n), complex(z)) for n, z in tagged_eigs]
     pos = [z for _, z in entries if z.real > 0]
@@ -213,7 +227,8 @@ def silnikov_check(tagged_eigs, tol: float = 1e-12) -> SilnikovReport:
     two_unstable = len(pos) == 2
 
     neg2 = [abs(z.real) for n, z in entries if n == 2 and z.real < 0]
-    mode2_slowest = bool(neg2) and min(abs(z.real) for z in neg) >= min(neg2) - tol
+    mode2_slowest = (bool(neg2) and min(abs(z.real) for z in neg)
+                     >= min(neg2) - SILNIKOV_TOL)
 
     pos0 = [z.real for n, z in entries if n == 0 and z.real > 0]
     inequality = bool(neg2) and bool(pos0) and min(neg2) < max(pos0)
@@ -228,8 +243,7 @@ def _saddle_residual(Q: complex, p: NLSParams) -> complex:
             + p.epsilon * (-p.alpha * Q + p.beta))
 
 
-def solve_uniform_saddle(p: NLSParams, tol: float = 1e-13,
-                         max_iter: int = 60) -> complex:
+def solve_uniform_saddle(p: NLSParams) -> complex:
     """Uniform fixed point q_n = Q = R e^{i theta} by a 2D real Newton.
 
     Writing the fixed-point condition in amplitude and phase gives
@@ -238,13 +252,15 @@ def solve_uniform_saddle(p: NLSParams, tol: float = 1e-13,
 
     which stays well conditioned through the epsilon -> 0 circle degeneracy
     and pins the theta in (0, pi/2) branch, the limit of the perturbed phase
-    condition.  The Cartesian residual is verified before returning.
+    condition.  Newton stops once a step is below SADDLE_TOL * max(1, R),
+    within SADDLE_MAX_ITER steps, and the Cartesian residual is verified to
+    1e4 * SADDLE_TOL before returning.
     """
     c = p.alpha * p.omega / p.beta
     if c >= 1.0:
         raise PreconditionError("saddle needs alpha*omega < beta")
     r, th = p.omega, math.acos(c)
-    for _ in range(max_iter):
+    for _ in range(SADDLE_MAX_ITER):
         h = np.array([p.beta * math.cos(th) - p.alpha * r,
                       2.0 * (p.omega ** 2 - r * r) * r
                       - p.epsilon * p.beta * math.sin(th)])
@@ -258,12 +274,12 @@ def solve_uniform_saddle(p: NLSParams, tol: float = 1e-13,
             raise NumericError("saddle Newton hit a singular Jacobian",
                                last_iterate=r * cmath.exp(1j * th)) from exc
         r, th = r + dx[0], th + dx[1]
-        if np.max(np.abs(dx)) < tol * max(1.0, r):
+        if np.max(np.abs(dx)) < SADDLE_TOL * max(1.0, r):
             Q = r * cmath.exp(1j * th)
             if not (0.0 < th < 0.5 * math.pi):
                 raise NumericError("saddle Newton left the (0, pi/2) phase branch",
                                    last_iterate=Q)
-            if abs(_saddle_residual(Q, p)) > 1e4 * tol * max(1.0, abs(Q)):
+            if abs(_saddle_residual(Q, p)) > 1e4 * SADDLE_TOL * max(1.0, abs(Q)):
                 raise NumericError("saddle residual check failed", last_iterate=Q)
             return Q
     raise NumericError("saddle Newton did not converge",
@@ -380,8 +396,8 @@ class DiscreteSaddle:
     jacobian_full: np.ndarray
     eigenvalues_full: np.ndarray
 
-    def unstable_count(self, tol: float = 1e-4) -> int:
-        return int(np.sum(self.eigenvalues.real > tol))
+    def unstable_count(self) -> int:
+        return int(np.sum(self.eigenvalues.real > UNSTABLE_TOL))
 
 
 def discrete_saddle(p: NLSParams) -> DiscreteSaddle:
@@ -470,17 +486,18 @@ def half_period_translate(samples: np.ndarray) -> np.ndarray:
     return np.roll(samples, N // 2, axis=1)
 
 
-def classify_profile(q: np.ndarray, flat_tol: float = 1e-12) -> str:
+def classify_profile(q: np.ndarray) -> str:
     """'C' for a hump at the center, 'W' at the boundary, '?' if ambiguous.
 
     All sites attaining the exact maximum are classified by their circular
     distance to the center N/2 versus the boundary 0; disagreement among the
-    maximizing sites, exact ties, or a flat profile give '?'.  The rule
+    maximizing sites, exact ties, or a flat profile (max - min at most
+    FLAT_TOL * max) give '?'.  The rule
     commutes exactly with the half-period translation (classes swap).
     """
     u = np.abs(np.asarray(q))
     mx = float(u.max())
-    if mx <= 0.0 or (mx - float(u.min())) <= flat_tol * mx:
+    if mx <= 0.0 or (mx - float(u.min())) <= FLAT_TOL * mx:
         return "?"
     N = u.size
     labels = set()
@@ -503,16 +520,14 @@ class CenterWingEncoding:
     n_ambiguous: int
 
 
-def center_wing_encode(samples: np.ndarray, min_run: int = 5) -> CenterWingEncoding:
+def center_wing_encode(samples: np.ndarray) -> CenterWingEncoding:
     """Two-symbol encoding of hump jumping with hysteresis compression.
 
     A symbol is emitted only when the hump basin changes and the new basin
-    persists for at least ``min_run`` consecutive unambiguous samples;
+    persists for at least MIN_RUN consecutive unambiguous samples;
     ambiguous samples break the candidate run and are excluded from the
     statistics.
     """
-    if min_run < 1:
-        raise PreconditionError("min_run must be >= 1")
     per = "".join(classify_profile(q) for q in np.atleast_2d(samples))
     emitted = []
     current: str | None = None
@@ -526,7 +541,7 @@ def center_wing_encode(samples: np.ndarray, min_run: int = 5) -> CenterWingEncod
             run += 1
         else:
             cand, run = ch, 1
-        if run >= min_run:
+        if run >= MIN_RUN:
             emitted.append(ch)
             current = ch
             cand, run = None, 0

@@ -30,6 +30,15 @@ import numpy as np
 from .errors import NumericError, PreconditionError
 from .util import rk4
 
+# find_shadow's convergence target and step cap
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
+# hyperbolicity_estimate's neutral-rate and bundle-angle threshold
+RATE_TOL = 1e-3
+# validate_jacobian's central-difference step and accepted mismatch
+FD_STEP = 1e-6
+JACOBIAN_RTOL = 1e-5
+
 
 @dataclass
 class MapSystem:
@@ -55,22 +64,22 @@ class MapSystem:
             out[j] = y
         return out
 
-    def validate_jacobian(self, points, rtol: float = 1e-5,
-                          fd_step: float = 1e-6) -> float:
-        """Worst relative mismatch between the Jacobian and finite differences."""
+    def validate_jacobian(self, points) -> float:
+        """Worst relative mismatch between the Jacobian and central differences
+        of step FD_STEP; raises PreconditionError above JACOBIAN_RTOL."""
         if self.jacobian is None:
             raise PreconditionError("system has no jacobian")
         worst = 0.0
-        shifts = fd_step * np.eye(self.dimension)
+        shifts = FD_STEP * np.eye(self.dimension)
         for x in points:
             x = np.asarray(x, dtype=float)
             jac = self.jacobian(x)
             # all 2d perturbed states x + e_j, then x - e_j, in one map call
             images = self.map(np.concatenate((x + shifts, x - shifts)))
-            fd = (images[:self.dimension] - images[self.dimension:]).T / (2 * fd_step)
+            fd = (images[:self.dimension] - images[self.dimension:]).T / (2 * FD_STEP)
             scale = max(np.max(np.abs(jac)), 1e-30)
             worst = max(worst, float(np.max(np.abs(jac - fd)) / scale))
-        if worst > rtol:
+        if worst > JACOBIAN_RTOL:
             raise PreconditionError(
                 f"jacobian mismatches finite differences by {worst:.2e}")
         return worst
@@ -271,30 +280,31 @@ def min_norm_orbit_step(jacs: np.ndarray, res: np.ndarray) -> np.ndarray:
     return x
 
 
-def find_shadow(pseudo: PseudoOrbit, system: MapSystem, tol: float = 1e-12,
-                max_iter: int = 60) -> ShadowResult:
+def find_shadow(pseudo: PseudoOrbit, system: MapSystem) -> ShadowResult:
     """Newton solve of the stacked orbit equations x_{j+1} = f(x_j).
 
     The linearized system is underdetermined by one copy of the state space;
     each Newton step takes its minimum-norm correction, solved by the block
     QR sweep along the orbit of min_norm_orbit_step in O(L d^3), so the
     solver selects the true orbit nearest the pseudo-orbit in the stacked
-    2-norm.  Raises NumericError with the residual history on stagnation
-    and at the first residual or step that is not finite.
+    2-norm.  It converges when the sup residual is below NEWTON_TOL times
+    max(1, sup |pseudo-orbit|).  Raises NumericError with the residual
+    history on stagnation, after NEWTON_MAX_ITER steps, and at the first
+    residual or step that is not finite.
     """
     if system.jacobian is None:
         raise PreconditionError("find_shadow needs a jacobian")
     x = pseudo.points.copy()
     history: list[float] = []
     scale = max(1.0, float(np.max(np.abs(pseudo.points))))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         res = x[1:] - system.map(x[:-1])
         rnorm = float(np.max(np.abs(res)))
         history.append(rnorm)
         if not np.isfinite(rnorm):
             raise NumericError("shadow Newton residual is not finite",
                                history=history)
-        if rnorm < tol * scale:
+        if rnorm < NEWTON_TOL * scale:
             eps = float(np.max(np.abs(x - pseudo.points)))
             return ShadowResult(orbit=x, start=x[0].copy(), epsilon=eps,
                                 residual_history=history)
@@ -439,13 +449,12 @@ def _bundle_angles(rs: np.ndarray, n_up: int, n_down: int, lo: int,
     return np.arccos(np.clip(cosines[:, 0], -1.0, 1.0))
 
 
-def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
-                           rate_tol: float = 1e-3) -> DichotomyReport:
+def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem) -> DichotomyReport:
     """Finite-time rates and the angle between the bundles E^u and E^s.
 
     One qr_sweep from the coordinate axes gives the rates (log diag R_j
     averaged over the window) and the tail rates (over its second half).
-    n_up and n_down count the rates above rate_tol and below -rate_tol; the
+    n_up and n_down count the rates above RATE_TOL and below -RATE_TOL; the
     other n_neutral are neutral.  E^u and E^s come from the covariant
     back-pass over the sweep's R_j (_bundle_angles), and angle_min is the
     minimum angle over the middle half L//4 <= j <= L - L//4 of the orbit
@@ -453,10 +462,11 @@ def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
     decayed.  When the coordinate start leaves the rates out of order (an
     invariant coordinate flag, as for [[0.5, a], [0, 2]]), the angle takes a
     second sweep started from the axes in rate order.  hyperbolic needs
-    n_up > 0, n_down > 0, n_neutral == 0 and angle_min > rate_tol.  The K
-    surrogate is the exponential of the largest deviation of the cumulative
-    growth from its fitted linear rate.  These are window statistics, not
-    certificates.
+    L >= 4, n_up > 0, n_down > 0, n_neutral == 0 and angle_min > RATE_TOL:
+    below 4 points the window reaches j = 0 or j = L, where E^u and E^s are
+    still the sweep's start frames.  The K surrogate is the exponential of
+    the largest deviation of the cumulative growth from its fitted linear
+    rate.  These are window statistics, not certificates.
     """
     if system.jacobian is None:
         raise PreconditionError("hyperbolicity_estimate needs a jacobian")
@@ -472,8 +482,8 @@ def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
     tail = logs[half:].sum(axis=0) / max(n - half, 1)
     tail_sorted = np.sort(tail)[::-1]
 
-    n_up = int(np.sum(rates_sorted > rate_tol))
-    n_down = int(np.sum(rates_sorted < -rate_tol))
+    n_up = int(np.sum(rates_sorted > RATE_TOL))
+    n_down = int(np.sum(rates_sorted < -RATE_TOL))
     n_neutral = d - n_up - n_down
     lo, hi = n // 4, n - n // 4
     angles = np.full(hi - lo + 1, np.pi / 2.0)
@@ -486,8 +496,9 @@ def hyperbolicity_estimate(orbit: np.ndarray, system: MapSystem,
     cum = np.cumsum(logs[:, 0])
     steps = np.arange(1, n + 1)
     bulge = float(np.exp(np.max(np.abs(cum - steps * rates[0]))))
-    hyperbolic = (n_up > 0 and n_down > 0 and n_neutral == 0
-                  and angle > rate_tol)
+    # lo > 0 exactly when L >= 4, the first window that excludes both ends
+    hyperbolic = (lo > 0 and n_up > 0 and n_down > 0 and n_neutral == 0
+                  and angle > RATE_TOL)
     return DichotomyReport(rates=rates_sorted,
                            tail_rates=tail_sorted,
                            expansion_rate=float(tail_sorted[0]),

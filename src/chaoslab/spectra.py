@@ -40,6 +40,11 @@ from .errors import NumericError, PreconditionError
 from .fourier import ClassIndex, class_intersects_disk, coef_A, det2, norm_sq, zeta
 from .util import hausdorff_distance
 
+# continued_fraction_eigen's depth per unit of trunc, |F| target and step cap
+CF_DEPTH_PER_TRUNC = 4
+CF_TOL = 1e-13
+CF_MAX_ITER = 100
+
 
 class SpectrumCase(Enum):
     CONTINUOUS_ONLY = "ContinuousOnly"
@@ -233,9 +238,7 @@ def count_nonimaginary(report: SpectrumReport, tol: float) -> int:
     return int(np.sum(np.abs(report.eigenvalues.real) > tol))
 
 
-def continued_fraction_eigen(op: ClassOperator, seed: complex,
-                             depth: int | None = None, tol: float = 1e-13,
-                             max_iter: int = 100) -> complex:
+def continued_fraction_eigen(op: ClassOperator, seed: complex) -> complex:
     """Refine a point eigenvalue via the continued-fraction root equation.
 
     Eliminating the two exponentially decaying tails of the recurrence gives
@@ -245,11 +248,11 @@ def continued_fraction_eigen(op: ClassOperator, seed: complex,
         F(lam) = lam - c_0 S_{-1}(lam) - d_0 R_1(lam) = 0
 
     at the chain center.  Newton's method with the derivative propagated
-    through the recursions is run until |F| < tol.  The truncation depth
-    defaults to 4*trunc with a zero tail.
+    through the recursions is run until |F| < CF_TOL, for at most
+    CF_MAX_ITER steps.  The recursions run to depth CF_DEPTH_PER_TRUNC*trunc
+    with a zero tail.
     """
-    if depth is None:
-        depth = 4 * op.trunc
+    depth = CF_DEPTH_PER_TRUNC * op.trunc
     cls = op.cls
     for n in range(-depth - 1, depth + 2):
         if cls.member(n) == (0, 0):
@@ -280,16 +283,17 @@ def continued_fraction_eigen(op: ClassOperator, seed: complex,
         return lam - c[0] * s - d[0] * r, 1.0 - c[0] * sp - d[0] * rp
 
     lam = complex(seed)
-    for _ in range(max_iter):
+    for _ in range(CF_MAX_ITER):
         fval, fder = f_and_deriv(lam)
-        if abs(fval) < tol:
+        if abs(fval) < CF_TOL:
             return lam
         if fder == 0 or not np.isfinite(fder):
             raise NumericError("continued-fraction Newton hit a flat point",
                                last_iterate=lam)
         lam = lam - fval / fder
     raise NumericError(
-        f"continued-fraction Newton did not reach residual {tol} in {max_iter} steps",
+        f"continued-fraction Newton did not reach residual {CF_TOL} in "
+        f"{CF_MAX_ITER} steps",
         last_iterate=lam)
 
 

@@ -74,6 +74,17 @@ class TestDispatch:
             ["lax-check", "--case", "rossby", "--beta-param", "nan"],
             ["euler-sim", "--box", "3", "--steps", "10", "--decay", "nan"],
             ["euler-sim", "--box", "3", "--steps", "10", "--decay", "-1"],
+            # a spectrum tolerance that is not a finite number > 0
+            ["spectrum", "--trunc", "3", "--refine", "--tol", "nan"],
+            ["spectrum", "--trunc", "3", "--refine", "--tol", "inf"],
+            ["spectrum", "--trunc", "3", "--refine", "--tol", "-1"],
+            # a negative highest saddle mode, which would list no eigenvalues
+            ["nls-saddle", "--n-max", "-1"],
+            # a 3D grid that is not a power of two >= 16
+            ["lax-check", "--case", "3dscalar", "--resolution", "0"],
+            ["lax-check", "--case", "3dvector", "--resolution", "-4"],
+            ["lax-check", "--case", "3dscalar", "--resolution", "1"],
+            ["lax-check", "--case", "3dvector", "--resolution", "2"],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args

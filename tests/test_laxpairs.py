@@ -231,6 +231,11 @@ class TestLax3D:
             expected = -_deriv3(omega.components[i], 0)
             assert np.max(np.abs(L.components[i] - expected)) < 1e-12
 
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_grid_resolution_rejected(self, n):
+        with pytest.raises(PreconditionError, match="power of two >= 16"):
+            VectorField3D(np.zeros((3, n, n, n)))
+
     def test_curl_mismatch_rejected(self):
         u = VectorField3D.abc_flow(16)
         wrong = VectorField3D(2.0 * u.curl().components)

@@ -326,7 +326,7 @@ class TestCenterWing:
         wing = np.roll(center, 4)
         samples = np.array([center] * 7 + [wing] * 2 + [center] * 3
                            + [wing] * 9 + [center] * 6)
-        enc = center_wing_encode(samples, min_run=5)
+        enc = center_wing_encode(samples)
         assert enc.symbols == "CWC"  # short excursions are debounced
 
     def test_translation_equivariance_exact(self, rng):

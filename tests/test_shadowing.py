@@ -466,6 +466,17 @@ class TestHyperbolicity:
         assert rep.angle_min == pytest.approx(math.pi / 2, abs=1e-12)
         assert not rep.hyperbolic
 
+    def test_orbit_below_four_points_not_hyperbolic(self):
+        # below L = 4 the window L//4 .. L - L//4 reaches j = 0 and j = L,
+        # where E^u and E^s are still the sweep's start frames
+        system = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
+        short = hyperbolicity_estimate(system.orbit(np.ones(2), 3), system)
+        assert short.details["window"] == (0, 3)
+        assert not short.hyperbolic
+        rep = hyperbolicity_estimate(system.orbit(np.ones(2), 4), system)
+        assert rep.details["window"] == (1, 3)
+        assert rep.hyperbolic
+
     def test_singular_jacobian_raises_with_orbit_index(self):
         flat = linear_map_system(np.diag([2.0, 0.0]))
         with pytest.raises(NumericError) as err:
@@ -481,7 +492,7 @@ class TestHyperbolicity:
 
     def test_jacobian_validation(self, well_map):
         assert well_map.validate_jacobian(
-            [np.array([0.2, 0.1]), np.array([-0.8, 0.4])], rtol=1e-5) < 1e-7
+            [np.array([0.2, 0.1]), np.array([-0.8, 0.4])]) < 1e-7
         bad = MapSystem(dimension=2, map=lambda x: x * 2.0,
                         jacobian=lambda x: np.eye(2) * 2.5)
         with pytest.raises(PreconditionError):
