@@ -50,6 +50,7 @@ import numpy as np
 
 from chaoslab import (_kernels_py, dashed_line, kernels, laxpairs, nls,
                       shadowing, spectra)
+from chaoslab.errors import NumericError
 from chaoslab.fourier import ClassIndex, CoefficientField
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -149,10 +150,10 @@ def dashed_call(mod, trunc, dargs):
     om = 1e-2 * np.random.default_rng(1).standard_normal(params.size)
 
     def call():
-        blowup_step = mod.dashed_rk4(params.gamma, om, params.sub, params.sup,
-                                     params.pair, *dargs)[2]
-        if blowup_step != -1:  # the kernels' value for no blow-up
-            raise SystemExit(f"dashed_rk4 blew up at step {blowup_step}")
+        try:
+            mod.dashed_rk4(params.gamma, om, params.sub, params.sup, params.pair, *dargs)
+        except NumericError as exc:
+            raise SystemExit(f"dashed_rk4 {exc}") from exc
     return call
 
 

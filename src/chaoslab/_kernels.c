@@ -1,6 +1,8 @@
 /* Compiled lattice and dashed-line RK4 loops: chaoslab._kernels_py's pdnls_rk4
  * and dashed_rk4, with their arithmetic, blow-up rule, schedule and state
- * checks, in C loops.  The right-hand sides stay numpy only.  Inputs go
+ * checks, in C loops.  They return only the samples; at the first step that
+ * breaks the blow-up rule they stop and call chaoslab.util.blew_up, which
+ * raises NumericError.  The right-hand sides stay numpy only.  Inputs go
  * through numpy.ascontiguousarray(x, dtype), outputs come from numpy.empty,
  * and the items are read and written through the buffer protocol.  A real
  * times a complex value is the complex product with (x, +0), as in numpy;
@@ -14,7 +16,8 @@
 typedef double complex cplx;
 #define R(x) CMPLX((x), 0.0)
 
-static PyObject *np_empty, *np_contiguous, *c128, *f64, *check_schedule, *check_state;
+static PyObject *np_empty, *np_contiguous, *c128, *f64, *check_schedule, *check_state,
+    *blew_up;
 
 typedef struct { double h2inv, two_omega_sq, alpha, beta, eps; } Lattice;
 
@@ -112,7 +115,7 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
     PyObject *obj, *in, *work = NULL, *samples = NULL, *result = NULL;
     Lattice p;
     double dt;
-    long steps, every, step, idx = 1, blow = -1;
+    long steps, every, step, blow = 0;
     Py_ssize_t n, i;
     cplx *q0, *q, *s;
     if (!PyArg_ParseTuple(args, "Oddddddll", &obj, &p.h2inv, &p.two_omega_sq, &p.alpha,
@@ -125,7 +128,7 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
         double half = 0.5 * dt, sixth = dt / 6.0;
         memcpy(q, q0, n * sizeof(cplx));
         memcpy(s, q0, n * sizeof(cplx));
-        for (step = 1; step <= steps && blow < 0; step++) {
+        for (step = 1; step <= steps && !blow; step++) {
             pdnls(&p, q, k1, n);
             for (i = 0; i < n; i++) t[i] = q[i] + R(half) * k1[i];
             pdnls(&p, t, k2, n);
@@ -138,10 +141,10 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
                 if (!below_limit(creal(q[i])) || !below_limit(cimag(q[i])))
                     blow = step;
             }
-            if (blow < 0 && step % every == 0)
-                memcpy(s + n * idx++, q, n * sizeof(cplx));
+            if (step % every == 0)
+                memcpy(s + n * (step / every), q, n * sizeof(cplx));
         }
-        result = Py_BuildValue("Nl", PySequence_GetSlice(samples, 0, idx), blow);
+        result = blow ? PyObject_CallFunction(blew_up, "l", blow) : Py_NewRef(samples);
     }
     Py_DECREF(in);
     Py_XDECREF(work);
@@ -153,7 +156,7 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
 {
     PyObject *obj[4], *a[4], *work, *ops = NULL, *oms = NULL, *result = NULL;
     double op, dt, *d[4], *y, *so, *sw;
-    long steps, every, step, idx = 1, blow = -1;
+    long steps, every, step, blow = 0;
     Py_ssize_t L, n, i;
     if (!PyArg_ParseTuple(args, "dOOOOdll", &op, &obj[0], &obj[1], &obj[2], &obj[3],
                           &dt, &steps, &every)
@@ -167,7 +170,7 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
         so[0] = y[0] = op;
         memcpy(y + 1, d[0], L * sizeof(double));
         memcpy(sw, d[0], L * sizeof(double));
-        for (step = 1; step <= steps && blow < 0; step++) {
+        for (step = 1; step <= steps && !blow; step++) {
             k1[0] = dashed(c, y[0], y + 1, k1 + 1, L);
             for (i = 0; i < n; i++) t[i] = y[i] + half * k1[i];
             k2[0] = dashed(c, t[0], t + 1, k2 + 1, L);
@@ -180,13 +183,12 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
                 if (!below_limit(y[i]))
                     blow = step;
             }
-            if (blow < 0 && step % every == 0) {
-                so[idx] = y[0];
-                memcpy(sw + L * idx++, y + 1, L * sizeof(double));
+            if (step % every == 0) {
+                so[step / every] = y[0];
+                memcpy(sw + L * (step / every), y + 1, L * sizeof(double));
             }
         }
-        result = Py_BuildValue("NNl", PySequence_GetSlice(ops, 0, idx),
-                               PySequence_GetSlice(oms, 0, idx), blow);
+        result = blow ? PyObject_CallFunction(blew_up, "l", blow) : PyTuple_Pack(2, ops, oms);
     }
     for (int k = 0; k < 4; k++) Py_DECREF(a[k]);
     Py_XDECREF(work);
@@ -213,6 +215,7 @@ PyMODINIT_FUNC PyInit__kernels(void)
         && (f64 = PyObject_GetAttrString(np, "float64"))
         && (check_schedule = PyObject_GetAttrString(util, "check_schedule"))
         && (check_state = PyObject_GetAttrString(util, "check_state"))
+        && (blew_up = PyObject_GetAttrString(util, "blew_up"))
         && (m = PyModule_Create(&module))
         && PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0)
         Py_CLEAR(m);

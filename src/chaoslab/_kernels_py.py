@@ -4,10 +4,11 @@ The two trajectory loops pdnls_rk4 and dashed_rk4 have a C twin in
 _kernels.c, the extension chaoslab._kernels, with the same formulas;
 chaoslab.kernels picks their backend once at import time.  They run on the
 shared RK4 driver chaoslab.util.rk4, whose blow-up rule, schedule check and
-empty-state check the C loops apply too; the C loops are far faster on the
-long runs.  The right-hand sides exist only here and serve both backends:
-galerkin_rhs, with the box maps that chaoslab.fourier and chaoslab.laxpairs
-share, pdnls_rhs and dashed_field.  They are vectorized and take a batch of
+empty-state check the C loops apply too, and return only the samples; on
+every backend a blow-up raises NumericError through chaoslab.util.blew_up.
+The C loops are far faster on the long runs.  The right-hand sides exist
+only here and serve both backends: galerkin_rhs, with the box maps that
+chaoslab.fourier and chaoslab.laxpairs share, pdnls_rhs and dashed_field.  They are vectorized and take a batch of
 states, which the shadowing flow maps of chaoslab.nls and
 chaoslab.dashed_line integrate in one RK4 run.  The lattice field gathers
 its periodic neighbours through index arrays cached per lattice size, which
@@ -163,11 +164,8 @@ def pdnls_rhs(q, h2inv, two_omega_sq, alpha, beta, eps):
 
 
 def pdnls_rk4(q0, h2inv, two_omega_sq, alpha, beta, eps, dt, steps, sample_every):
-    """Fixed-step RK4 trajectory of the lattice; returns sampled states.
-
-    Returns (samples, blowup_step); blowup_step is -1 on success, else the
-    first step index at which the state became non-finite.
-    """
+    """Fixed-step RK4 trajectory of the lattice; returns the sampled states
+    and raises NumericError, through util.blew_up, on blow-up."""
     args = (h2inv, two_omega_sq, alpha, beta, eps)
     return rk4(lambda q: pdnls_rhs(q, *args), np.array(q0, dtype=np.complex128),
                dt, steps, sample_every)
@@ -225,11 +223,12 @@ def dashed_rk4(op0, om0, sub, sup, pair, dt, steps, sample_every):
     """RK4 trajectory of the dashed-line model; mirrors pdnls_rk4.
 
     The driver integrates the stacked vector (omega_p, omega) through
-    dashed_field, with the coupling matrix built once.
+    dashed_field, with the coupling matrix built once; returns the sampled
+    (omega_p, omega).
     """
     om0 = np.asarray(om0, dtype=np.float64)
     check_state(om0.size)
     c = dashed_coupling_matrix(sub, sup, pair)
     y0 = np.concatenate(([float(op0)], om0))
-    samples, blowup_step = rk4(lambda y: dashed_field(y, c), y0, dt, steps, sample_every)
-    return samples[:, 0], samples[:, 1:], blowup_step
+    samples = rk4(lambda y: dashed_field(y, c), y0, dt, steps, sample_every)
+    return samples[:, 0], samples[:, 1:]

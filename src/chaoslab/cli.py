@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .errors import NumericError, PreconditionError
-from .util import check_schedule
+from .util import blew_up, check_schedule
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -193,9 +193,7 @@ def _cmd_euler_sim(args, run) -> None:
         try:
             current = integrate_galerkin(current, args.dt, chunk)
         except NumericError as exc:
-            step = args.steps - remaining + exc.step
-            raise NumericError(f"vorticity state blew up at step {step}",
-                               step=step) from exc
+            blew_up(args.steps - remaining + exc.step)
         remaining -= chunk
         t += chunk * args.dt
         rows.append((t, current.energy(), current.enstrophy()))
@@ -267,12 +265,13 @@ def _cmd_nls_saddle(args, run) -> None:
 
 
 def _cmd_lax_check(args, run) -> None:
-    from .fourier import (CoefficientField, GridField2D, coefficients_to_grid,
-                          grid_bracket)
+    from .fourier import (CoefficientField, check_resolution,
+                          coefficients_to_grid, grid_bracket)
     from .laxpairs import (LaxReport, VectorField3D, compatibility_residual_2d,
                            isospectrality_check, jacobi_defect, lax_3d_scalar,
                            lax_3d_vector, rossby_L)
 
+    check_resolution(args.resolution)
     rng = np.random.default_rng(args.rng_seed)
     n = args.resolution
 

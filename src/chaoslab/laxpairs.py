@@ -20,9 +20,9 @@ import numpy as np
 
 from ._kernels_py import _pair_tables
 from .errors import PreconditionError
-from .fourier import (CoefficientField, GridField2D, coefficients_to_grid,
-                      galerkin_rhs, grid_bracket, integrate_galerkin,
-                      invert_laplacian)
+from .fourier import (CoefficientField, GridField2D, _spectral_gradient,
+                      check_resolution, coefficients_to_grid, galerkin_rhs,
+                      grid_bracket, integrate_galerkin, invert_laplacian)
 from .util import check_schedule, hausdorff_distance, sup_norm
 
 # the 3D pairs' sup-norm bounds on curl(u) - Omega and on div u
@@ -62,11 +62,7 @@ def rossby_L(omega: GridField2D, beta_param: float, phi: GridField2D) -> GridFie
     if not np.isfinite(beta_param):
         raise PreconditionError(f"beta must be finite, got {beta_param}")
     bracket = grid_bracket(omega, phi)
-    n = phi.resolution
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    dx = np.fft.ifft2(1j * k[:, None] * np.fft.fft2(phi.values))
-    if not np.iscomplexobj(phi.values):
-        dx = dx.real
+    dx = _spectral_gradient(phi.values)[0]
     return GridField2D(bracket.values - beta_param * dx)
 
 
@@ -178,8 +174,7 @@ class VectorField3D:
         n = components.shape[1]
         if components.shape[1:] != (n, n, n):
             raise PreconditionError("grid must be cubic")
-        if n < 16 or (n & (n - 1)) != 0:
-            raise PreconditionError("grid resolution must be a power of two >= 16")
+        check_resolution(n)
         self.components = components
 
     @property

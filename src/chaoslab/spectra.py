@@ -232,9 +232,10 @@ def truncated_spectrum(op: ClassOperator) -> SpectrumReport:
 
 
 def count_nonimaginary(report: SpectrumReport, tol: float) -> int:
-    """Eigenvalues with |Re lam| above tol; bounded by 2*zeta(p)."""
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    """Eigenvalues with |Re lam| above tol, a finite number > 0; bounded by
+    2*zeta(p)."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise PreconditionError("tol must be a finite number > 0")
     return int(np.sum(np.abs(report.eigenvalues.real) > tol))
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
 
 
 def _below_blowup_limit(y: np.ndarray) -> bool:
@@ -35,21 +37,27 @@ def check_state(size: int) -> None:
         raise PreconditionError("the state must have at least one component")
 
 
+def blew_up(step: int) -> NoReturn:
+    """Raise the one blow-up error, NumericError with `step`.  Every RK4 loop,
+    the C loops of _kernels.c too, calls it at the first step whose state
+    breaks the blow-up rule; euler-sim, which integrates in chunks, calls it
+    again with the step counted from the start of the run."""
+    raise NumericError(f"state blew up at step {step}", step=step)
+
+
 def rk4(rhs, y0, dt: float, steps: int, sample_every: int):
     """Fixed-step RK4 trajectory of dy/dt = rhs(y) from y0.
 
-    Returns (samples, blowup_step).  samples holds y0 and the state after
-    every sample_every-th step; blowup_step is -1 on success, else the first
-    step after which the state broke the blow-up rule, and samples then ends
-    with the last sample taken before it.  A negative dt integrates backward
-    in time, as the compiled kernels allow.
+    Returns samples: y0 and the state after every sample_every-th step.  At
+    the first step after which the state breaks the blow-up rule it calls
+    blew_up, which raises NumericError with that step.  A negative dt
+    integrates backward in time, as the compiled kernels allow.
     """
     check_schedule(abs(dt), steps, sample_every)
     y = np.array(y0)
     check_state(y.size)
     samples = np.empty((steps // sample_every + 1,) + y.shape, dtype=y.dtype)
     samples[0] = y
-    idx = 1
     # overflow is expected on the way to blow-up detection
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
@@ -59,11 +67,10 @@ def rk4(rhs, y0, dt: float, steps: int, sample_every: int):
             k4 = rhs(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not _below_blowup_limit(y):
-                return samples[:idx], step
+                blew_up(step)
             if step % sample_every == 0:
-                samples[idx] = y
-                idx += 1
-    return samples[:idx], -1
+                samples[step // sample_every] = y
+    return samples
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

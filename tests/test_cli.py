@@ -85,6 +85,8 @@ class TestDispatch:
             ["lax-check", "--case", "3dvector", "--resolution", "-4"],
             ["lax-check", "--case", "3dscalar", "--resolution", "1"],
             ["lax-check", "--case", "3dvector", "--resolution", "2"],
+            # the same rule in the isospec case, which samples no grid
+            ["lax-check", "--case", "isospec", "--box", "2", "--resolution", "-7"],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
@@ -103,21 +105,31 @@ class TestDispatch:
         config = json.loads(read(tmp_path / "d" / "manifest.json"))["config"]
         assert config["from_analytic"] == ["-2.0", "0.3", "1"]
 
-    def test_numeric_failure_exit_code(self, tmp_path):
+    def test_numeric_failure_exit_code(self, tmp_path, capsys):
+        # each case with the blow-up step its message reports, counted from
+        # the start of the run, or None where no RK4 loop blows up
         cases = [
             # kick the dashed-line model hard enough to blow up
-            ["dashed-line", "--epsilon", "1.0", "--kick", "1e4",
-             "--dt", "0.05", "--steps", "200000"],
+            (["dashed-line", "--epsilon", "1.0", "--kick", "1e4",
+              "--dt", "0.05", "--steps", "200000"], 3),
             # a vorticity step far too large for the amplitude
-            ["euler-sim", "--box", "3", "--dt", "10", "--amplitude", "100"],
+            (["euler-sim", "--box", "3", "--dt", "10", "--amplitude", "100"], 2),
+            # kick the lattice far off the saddle
+            (["nls-sim", "--kick", "1e6", "--steps", "100", "--sample-every", "10"], 1),
+            # an isospectrality evolution step far too large
+            (["lax-check", "--case", "isospec", "--box", "2", "--dt", "50",
+              "--T", "5000"], 3),
             # cosh(tau) of the closed-form dashed-line orbit overflows, in
             # dashed-line's residual and in shadow's heteroclinic segment
-            ["dashed-line", "--from-analytic=-2,0.3,1", "--gamma", "1e200"],
-            ["shadow", "--map", "dashed-line", "--gamma", "1e200", "--m", "2"],
+            (["dashed-line", "--from-analytic=-2,0.3,1", "--gamma", "1e200"], None),
+            (["shadow", "--map", "dashed-line", "--gamma", "1e200", "--m", "2"], None),
         ]
-        for i, args in enumerate(cases):
+        for i, (args, step) in enumerate(cases):
             out = tmp_path / str(i)
+            capsys.readouterr()
             assert run_cli(args, out) == 3, args
+            if step is not None:
+                assert f"blew up at step {step}\n" in capsys.readouterr().err, args
             for path in out.glob("*"):
                 assert b"nan" not in read(path), path
 

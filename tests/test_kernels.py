@@ -9,7 +9,7 @@ import pytest
 import chaoslab
 from chaoslab import _kernels_py, kernels
 from chaoslab._kernels_py import _FFT_MIN_BOX
-from chaoslab.errors import PreconditionError
+from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.fourier import CoefficientField, energy_derivative, enstrophy_derivative
 from chaoslab.util import _below_blowup_limit, rk4
 from oracles import galerkin_rhs_ref
@@ -98,19 +98,18 @@ class TestPDNLSKernel:
         from chaoslab import _kernels_py
         q = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
         args = (64.0, 22.445, 1.0, 5.7, 0.07, 1e-4, 3000, 300)
-        ref, rb = _kernels_py.pdnls_rk4(q, *args)
+        ref = _kernels_py.pdnls_rk4(q, *args)
         # a list or a strided q0 is converted, never reinterpreted
         for form in (q, list(q), np.repeat(q, 2)[::2]):
-            got, gb = kernel_backend.pdnls_rk4(form, *args)
-            assert gb == rb == -1
+            got = kernel_backend.pdnls_rk4(form, *args)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) < 1e-11
 
     def test_rk4_blowup_reported(self, kernel_backend):
         q = np.full(8, 1e3, dtype=complex)
-        samples, blow = kernel_backend.pdnls_rk4(
-            q, 64.0, 22.445, 1.0, 5.7, 0.07, 0.5, 1000, 10)
-        assert blow >= 1
+        with pytest.raises(NumericError) as err:
+            kernel_backend.pdnls_rk4(q, 64.0, 22.445, 1.0, 5.7, 0.07, 0.5, 1000, 10)
+        assert err.value.step >= 1
 
     @pytest.mark.parametrize("N", [3, 4, 7, 8])
     def test_neighbour_sum_is_the_roll_formula(self, rng, N):
@@ -206,7 +205,6 @@ class TestDashedKernel:
                 a = kernel_backend.dashed_rk4(0.8, *forms, 1e-3, 1000, 100)
                 b = _kernels_py.dashed_rk4(
                     0.8, *(np.ascontiguousarray(x, np.float64) for x in forms), 1e-3, 1000, 100)
-                assert a[2] == b[2] == -1
                 assert np.max(np.abs(a[0] - b[0])) < 1e-12
                 assert np.max(np.abs(a[1] - b[1])) < 1e-12
 
@@ -231,9 +229,12 @@ class TestDashedKernel:
         om = 5.0 * rng.standard_normal(21)
         sub, sup = rng.standard_normal(21), rng.standard_normal(21)
         pair = rng.standard_normal(20)
-        a = kernel_backend.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
-        b = _kernels_py.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
-        assert a[2] == b[2] != -1
+        steps = []
+        for mod in (kernel_backend, _kernels_py):
+            with pytest.raises(NumericError) as err:
+                mod.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
+            steps.append(err.value.step)
+        assert steps[0] == steps[1]
 
 
 @pytest.mark.parametrize("dt, steps, sample_every", [
@@ -285,15 +286,13 @@ class TestBlowupRule:
         (np.array(1.0 + 0j), (), 1e151j),
     ])
     def test_reports_exact_step(self, y0, index, value):
-        samples, blow = rk4(self.spike_rhs(7, index, value), y0, 6.0, 20, 2)
-        assert blow == 7
-        assert samples.shape[0] == 4  # y0 and steps 2, 4, 6
-        assert np.array_equal(samples[-1], y0)
+        with pytest.raises(NumericError) as err:
+            rk4(self.spike_rhs(7, index, value), y0, 6.0, 20, 2)
+        assert err.value.step == 7
 
     def test_below_the_limit_passes(self):
-        samples, blow = rk4(self.spike_rhs(7, 3, 9.9e149j),
-                            np.zeros(5, dtype=complex), 6.0, 20, 2)
-        assert blow == -1
+        samples = rk4(self.spike_rhs(7, 3, 9.9e149j),
+                      np.zeros(5, dtype=complex), 6.0, 20, 2)
         assert samples[-1][3] == 9.9e149j
 
     @pytest.mark.parametrize("bad", [complex(1.0, 1e151), complex(1.0, np.nan)])

@@ -107,6 +107,15 @@ class TestTruncatedSpectrum:
         assert n == 4
         assert n <= 2 * rep.zeta_bound == 8
 
+    @pytest.mark.parametrize("tol", [0.0, -0.05, float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_count_rejects_tol_outside_finite_positive(self, tol):
+        # a NaN tol fails every comparison and an infinite one counts
+        # nothing; both would read as "no non-imaginary eigenvalue"
+        rep = truncated_spectrum(build_class_operator(BENCH, 2.0, 50))
+        with pytest.raises(PreconditionError):
+            count_nonimaginary(rep, tol)
+
     def test_phase_invariance_of_spectrum(self):
         # Gamma -> Gamma e^{i a} is a diagonal similarity, so the spectra
         # agree as sets
