@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -150,8 +151,8 @@ def _cmd_spectrum(args, run) -> None:
     from .spectra import (build_class_operator, continued_fraction_eigen,
                           truncated_spectrum)
 
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise PreconditionError("tol must be a finite number > 0")
+    if not args.tol > 0:
+        raise PreconditionError("tol must be > 0")
     cls = ClassIndex(khat=args.khat, p=args.p)
     gamma = complex(args.gamma[0], args.gamma[1])
     op = build_class_operator(cls, gamma, args.trunc)
@@ -349,8 +350,8 @@ def _cmd_shadow(args, run) -> None:
     from .shadowing import (find_shadow, hyperbolicity_estimate,
                             linear_map_system, palmer_assembly)
 
-    if not (np.isfinite(args.delta) and args.delta >= 0):
-        raise PreconditionError("delta must be a finite number >= 0")
+    if not args.delta >= 0:
+        raise PreconditionError("delta must be >= 0")
     rng = np.random.default_rng(args.rng_seed)
 
     if args.map == "linear-test":
@@ -408,44 +409,48 @@ def _cmd_shadow(args, run) -> None:
 
 # -- parser ---------------------------------------------------------------------
 
+# A token that starts with '-' and then a digit or '.' is a value, never an
+# option: a negative number (-0.5), an exponent form (-1e-3) or a pair (-3,-2).
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one reader of the command line.  Options are spelled in full."""
     parser = argparse.ArgumentParser(
-        prog="chaoslab",
+        prog="chaoslab", allow_abbrev=False,
         description="Numerics for truncated vorticity spectra, lattice NLS "
                     "chaos diagnostics, Lax/Darboux checks, and shadowing.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add(name, help, func):
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp._negative_number_matcher = _NEGATIVE_VALUE  # private; tests pin it
+        sp.set_defaults(func=func)
         sp.add_argument("--output-dir", default=os.environ.get("CHAOSLAB_OUTDIR", "."),
                         help="output directory (default: CHAOSLAB_OUTDIR or cwd)")
         sp.add_argument("--config", default=None,
                         help="key=value file or manifest JSON supplying defaults")
         sp.add_argument("--rng-seed", type=int, default=0)
+        return sp
 
-    sp = sub.add_parser("spectrum", help="class-operator spectrum and refinement")
-    add_common(sp)
+    sp = add("spectrum", "class-operator spectrum and refinement", _cmd_spectrum)
     sp.add_argument("--khat", type=_int_pair, default=(-3, -2))
     sp.add_argument("--p", type=_int_pair, default=(1, 1))
     sp.add_argument("--gamma", type=_float_pair, default=(2.0, 0.0))
     sp.add_argument("--trunc", type=int, default=50)
     sp.add_argument("--refine", action="store_true")
     sp.add_argument("--tol", type=float, default=0.05)
-    sp.set_defaults(func=_cmd_spectrum)
 
-    sp = sub.add_parser("euler-sim", help="truncated vorticity evolution")
-    add_common(sp)
+    sp = add("euler-sim", "truncated vorticity evolution", _cmd_euler_sim)
     sp.add_argument("--box", type=int, default=8)
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--sample-every", type=int, default=100)
     sp.add_argument("--amplitude", type=float, default=1.0)
     sp.add_argument("--decay", type=float, default=0.15)
-    sp.set_defaults(func=_cmd_euler_sim)
 
-    sp = sub.add_parser("dashed-line", help="dashed-line model trajectories")
-    add_common(sp)
+    sp = add("dashed-line", "dashed-line model trajectories", _cmd_dashed_line)
     sp.add_argument("--gamma", type=float, default=1.0)
     sp.add_argument("--epsilon", type=float, default=0.0)
     sp.add_argument("--trunc", type=int, default=10)
@@ -455,10 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kick", type=float, default=1e-4)
     sp.add_argument("--from-analytic", type=_analytic_start, default=None,
                     metavar="TAU0,THETA0,SIGN")
-    sp.set_defaults(func=_cmd_dashed_line)
 
-    sp = sub.add_parser("nls-sim", help="perturbed lattice NLS simulation")
-    add_common(sp)
+    sp = add("nls-sim", "perturbed lattice NLS simulation", _cmd_nls_sim)
     sp.add_argument("--N", type=int, default=8)
     sp.add_argument("--omega", type=float, default=3.5)
     sp.add_argument("--alpha", type=float, default=1.0)
@@ -469,10 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sample-every", type=int, default=100)
     sp.add_argument("--kick", type=float, default=0.05)
     sp.add_argument("--encode", action="store_true")
-    sp.set_defaults(func=_cmd_nls_sim)
 
-    sp = sub.add_parser("nls-saddle", help="continuum saddle data and eigenvalues")
-    add_common(sp)
+    sp = add("nls-saddle", "continuum saddle data and eigenvalues", _cmd_nls_saddle)
     sp.add_argument("--omega", type=float, default=0.8)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--beta", type=float, default=2.0)
@@ -480,10 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=6)
     sp.add_argument("--n-cut", type=int, default=10)
     sp.add_argument("--variant", choices=("regular", "singular"), default="regular")
-    sp.set_defaults(func=_cmd_nls_saddle)
 
-    sp = sub.add_parser("lax-check", help="Lax pair consistency batteries")
-    add_common(sp)
+    sp = add("lax-check", "Lax pair consistency batteries", _cmd_lax_check)
     sp.add_argument("--case", required=True,
                     choices=("jacobi", "compat2d", "isospec", "rossby",
                              "3dscalar", "3dvector"))
@@ -492,19 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=0.01)
     sp.add_argument("--box", type=int, default=4)
     sp.add_argument("--beta-param", type=float, default=0.5)
-    sp.set_defaults(func=_cmd_lax_check)
 
-    sp = sub.add_parser("darboux", help="gauge/potential transform verification")
-    add_common(sp)
+    sp = add("darboux", "gauge/potential transform verification", _cmd_darboux)
     sp.add_argument("--construction", choices=("shear-power", "custom-file"),
                     default="shear-power")
     sp.add_argument("--c", type=float, default=0.3)
     sp.add_argument("--resolution", type=int, default=64)
     sp.add_argument("--custom-file", default=None)
-    sp.set_defaults(func=_cmd_darboux)
 
-    sp = sub.add_parser("shadow", help="pseudo-orbit assembly and shadow solving")
-    add_common(sp)
+    sp = add("shadow", "pseudo-orbit assembly and shadow solving", _cmd_shadow)
     sp.add_argument("--map", choices=("linear-test", "dashed-line", "nls-poincare"),
                     default="linear-test")
     sp.add_argument("--word", default="010")
@@ -516,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--beta", type=float, default=4.0)
     sp.add_argument("--epsilon", type=float, default=0.01)
-    sp.set_defaults(func=_cmd_shadow)
 
     return parser
 
@@ -534,7 +528,9 @@ def _config_actions(parser, command: str) -> list:
 
 
 def _apply_config_file(parser, argv):
-    """Use --config[=]PATH values as defaults, with explicit flags winning."""
+    """Put the values of a --config PATH (or --config=PATH) file before the
+    explicit flags, each as one --key=value token and a true store_true
+    value as its bare flag; argparse lets the later, explicit flag win."""
     path = None
     for i, token in enumerate(argv):
         if token.startswith("--config="):
@@ -549,44 +545,15 @@ def _apply_config_file(parser, argv):
     if unknown:
         raise PreconditionError(f"unknown config keys: {sorted(unknown)}")
     extra = []
-    present = set()
-    for token in argv[1:]:
-        if token.startswith("--"):
-            present.add(token[2:].split("=", 1)[0].replace("-", "_"))
     for key, value in overrides.items():
-        if key in present:
-            continue
         flag = "--" + key.replace("_", "-")
         if actions[key].nargs == 0:  # store_true
-            truthy = value if isinstance(value, bool) else \
-                str(value).strip().lower() in ("1", "true", "yes", "on")
-            if truthy:
+            if str(value).strip().lower() in ("1", "true", "yes", "on"):
                 extra.append(flag)
-        elif isinstance(value, list):
-            extra.extend([flag, ",".join(str(v) for v in value)])
         elif value is not None:
-            extra.extend([flag, str(value)])
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            extra.append(f"{flag}={text}")
     return [argv[0]] + extra + argv[1:]
-
-
-def _merge_pair_values(argv: list[str]) -> list[str]:
-    """Join '--khat -3,-2' into '--khat=-3,-2' so negatives parse.
-
-    Any '--flag' followed by a token with a comma is joined; a single-value
-    option receives the same value either way.
-    """
-    out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (token.startswith("--") and "=" not in token and token != "--"
-                and i + 1 < len(argv) and "," in argv[i + 1]):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(token)
-            i += 1
-    return out
 
 
 def main(argv=None) -> int:
@@ -596,12 +563,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if not argv[0].startswith("-"):
-            argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(_merge_pair_values(argv))
+        args = parser.parse_args(_apply_config_file(parser, argv))
         config = {}
         for action in _config_actions(parser, args.command):
             value = getattr(args, action.dest)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(np.isfinite(v) for v in values if isinstance(v, float)):
+                raise PreconditionError(f"{action.option_strings[0]} must be finite")
             config[action.dest] = list(value) if isinstance(value, tuple) else value
         run = _Run(args.command, config, args.output_dir)
         args.func(args, run)

@@ -22,9 +22,10 @@ def _below_blowup_limit(y: np.ndarray) -> bool:
 
 
 def check_schedule(dt: float, steps: int, sample_every: int) -> None:
-    """Reject a step schedule outside dt > 0, steps >= 0, sample_every >= 1."""
-    if not dt > 0:
-        raise PreconditionError("dt must be positive")
+    """Reject a step schedule outside finite dt > 0, steps >= 0,
+    sample_every >= 1."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise PreconditionError("dt must be a finite number > 0")
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     if sample_every < 1:

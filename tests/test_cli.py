@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import re
+import shlex
 
 import numpy as np
+import pytest
 
-from chaoslab.cli import build_parser, main
+from chaoslab.cli import _apply_config_file, build_parser, main
 from oracles import BENCH_EIGENVALUE_NORMALIZED
 
 
@@ -26,6 +29,38 @@ class TestDispatch:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega = 0.9\n")
         assert run_cli(["bogus", "--config", str(cfg)], tmp_path) == 2
+        # options are spelled in full: an abbreviation is an unknown flag,
+        # never a silently ignored --config
+        assert run_cli(["nls-sim", "--conf", str(cfg), "--steps", "10"], tmp_path) == 2
+        assert run_cli(["nls-sim", "--om", "3.4", "--steps", "10"], tmp_path) == 2
+
+    def test_negative_value_after_space_or_equals(self, tmp_path):
+        # a token of '-' and a digit is the value of the flag before it, in
+        # either spelling; this pins the parser's negative-number pattern
+        for command in ("nls-sim", "dashed-line"):
+            args = [command, "--steps", "10", "--sample-every", "5"]
+            a, b = tmp_path / f"{command}-a", tmp_path / f"{command}-b"
+            assert run_cli(args + ["--kick", "-1e-3"], a) == 0
+            assert run_cli(args + ["--kick=-1e-3"], b) == 0
+            assert read(a / "trajectory.csv") == read(b / "trajectory.csv")
+
+    def test_readme_commands_parse(self, monkeypatch):
+        # every documented command line resolves its config and parses,
+        # without running; paths in it are relative to the repository root
+        root = os.path.join(os.path.dirname(__file__), "..")
+        monkeypatch.chdir(root)
+        with open("README.md") as fh:
+            commands = re.findall(r"^(?:chaoslab|python -m chaoslab\.cli) (.*)$",
+                                  fh.read(), re.M)
+        assert len(commands) >= 10
+        parser = build_parser()
+        for command in commands:
+            argv = shlex.split(command)
+            try:
+                args = parser.parse_args(_apply_config_file(parser, argv))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
+            assert args.command == argv[0]
 
     def test_precondition_exit_code(self, tmp_path):
         malformed = tmp_path / "malformed.json"
@@ -87,6 +122,16 @@ class TestDispatch:
             ["lax-check", "--case", "3dvector", "--resolution", "2"],
             # the same rule in the isospec case, which samples no grid
             ["lax-check", "--case", "isospec", "--box", "2", "--resolution", "-7"],
+            # a non-finite float option, even one the run does not use
+            ["nls-sim", "--alpha", "nan", "--steps", "10"],
+            ["nls-sim", "--epsilon", "inf", "--steps", "10"],
+            ["euler-sim", "--box", "3", "--steps", "10", "--amplitude", "inf"],
+            ["dashed-line", "--steps", "10", "--epsilon", "nan"],
+            ["shadow", "--map", "linear-test", "--epsilon", "nan"],
+            # a time step that is not finite, in every integrating subcommand
+            ["euler-sim", "--box", "3", "--steps", "10", "--dt", "inf"],
+            ["dashed-line", "--steps", "10", "--dt", "inf"],
+            ["lax-check", "--case", "isospec", "--box", "2", "--dt", "inf"],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
@@ -192,6 +237,12 @@ class TestConfigFiles:
         doc = json.loads(read(out / "manifest.json"))
         assert doc["config"]["omega"] == 0.9
         assert doc["config"]["epsilon"] == 0.02
+        # a negative exponent-form value loads as the value of its key
+        cfg.write_text("kick = -1e-3\nsteps = 10\nsample_every = 5\n")
+        out = tmp_path / "kick"
+        code = main(["dashed-line", "--config", str(cfg), "--output-dir", str(out)])
+        assert code == 0
+        assert json.loads(read(out / "manifest.json"))["config"]["kick"] == -1e-3
 
     def test_explicit_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -240,6 +291,9 @@ class TestConfigFiles:
              ["energy.csv", "final_state.json"]),
             (["dashed-line", "--kick", "0.3", "--steps", "50",
               "--sample-every", "10"], ["trajectory.csv"]),
+            # the manifest records -1e-05, which must come back as a value
+            (["nls-sim", "--kick=-1e-05", "--steps", "20", "--sample-every", "10"],
+             ["trajectory.csv", "saddle.json"]),
             (["dashed-line", "--from-analytic=-2.0,0.3,-1", "--steps", "50",
               "--sample-every", "10"], ["trajectory.csv", "residual.json"]),
             (["shadow", "--map", "dashed-line", "--gamma", "1.5",

@@ -238,7 +238,8 @@ class TestDashedKernel:
 
 
 @pytest.mark.parametrize("dt, steps, sample_every", [
-    (1e-3, 10, 0), (1e-3, 10, -2), (0.0, 10, 1), (float("nan"), 10, 1), (1e-3, -1, 1)])
+    (1e-3, 10, 0), (1e-3, 10, -2), (0.0, 10, 1), (float("nan"), 10, 1), (1e-3, -1, 1),
+    (float("inf"), 1, 1)])
 def test_rk4_rejects_bad_schedule(kernel_backend, dt, steps, sample_every):
     # both backends apply chaoslab.util.check_schedule: a bad schedule is a
     # precondition error, never a crash of the compiled loops
