@@ -27,6 +27,10 @@ from . import __version__, kernels
 from .errors import NumericError, PreconditionError
 from .util import blew_up, check_schedule
 
+# the largest shadow --m: the linear-test segment 1e-9 * 2**j, j <= 2m,
+# overflows float64 from about m = 526
+SHADOW_MAX_M = 500
+
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
@@ -352,6 +356,8 @@ def _cmd_shadow(args, run) -> None:
 
     if not args.delta >= 0:
         raise PreconditionError("delta must be >= 0")
+    if args.m > SHADOW_MAX_M:
+        raise PreconditionError(f"m must be <= {SHADOW_MAX_M}")
     rng = np.random.default_rng(args.rng_seed)
 
     if args.map == "linear-test":

@@ -192,6 +192,8 @@ class HeteroclinicParams:
     kappa_sign: int = 1
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.tau0) and math.isfinite(self.theta0)):
+            raise PreconditionError("tau0 and theta0 must be finite")
         if self.kappa_sign not in (-1, 1):
             raise PreconditionError("kappa_sign must be +1 or -1")
 
@@ -302,11 +304,6 @@ def orbit_residual(het: HeteroclinicParams, gamma: float,
         fd += wgt * x
     fd /= fd_step
     return float(np.max(np.abs(rhs - fd), initial=0.0))
-
-
-def quadratic_invariant(state: DashedLineState) -> float:
-    """omega_p^2 + sum omega_n^2, measured (not asserted) along trajectories."""
-    return float(state.omega_p ** 2 + np.sum(state.omega ** 2))
 
 
 def flow_map(params: DashedLineParams, dt: float, steps: int):

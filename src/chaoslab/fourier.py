@@ -22,7 +22,7 @@ Conventions used package-wide:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,16 +98,6 @@ class ClassIndex:
     def is_degenerate(self) -> bool:
         """True when khat is parallel to p, which zeroes every coupling."""
         return det2(self.p, self.khat) == 0
-
-
-def class_members(cls: ClassIndex, n_min: int, n_max: int) -> list[tuple[int, Vec]]:
-    """Members khat + n*p for n in [n_min, n_max], skipping the origin."""
-    out = []
-    for n in range(n_min, n_max + 1):
-        k = cls.member(n)
-        if k != (0, 0):
-            out.append((n, k))
-    return out
 
 
 def class_intersects_disk(cls: ClassIndex) -> bool:
@@ -315,28 +305,6 @@ def integrate_galerkin(state: CoefficientField, dt: float,
     return out
 
 
-@dataclass
-class RealCosineField:
-    """Real cosine-transform coefficients, one representative per +-k pair."""
-
-    coefficients: dict[Vec, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        normalized: dict[Vec, float] = {}
-        for k, v in self.coefficients.items():
-            _check_nonzero(k, "k")
-            rep = k if k > (-k[0], -k[1]) else (-k[0], -k[1])
-            normalized[rep] = normalized.get(rep, 0.0) + float(v)
-        self.coefficients = normalized
-
-    def to_coefficient_field(self, box: int) -> CoefficientField:
-        """Complex coefficients of sum_k a_k cos(k.X): a_k/2 at both +-k."""
-        out = CoefficientField(box)
-        for k, v in self.coefficients.items():
-            out.set_mode(k, 0.5 * v)
-        return out
-
-
 # -- periodic grids ----------------------------------------------------------
 
 
@@ -453,18 +421,3 @@ def coefficients_to_grid(field_: CoefficientField, n: int) -> GridField2D:
     fhat.ravel()[grid_index(field_.box, n)] = field_._data.ravel() * (n * n)
     vals = np.fft.ifft2(fhat)
     return GridField2D(vals.real)
-
-
-def grid_to_coefficients(grid: GridField2D, box: int) -> CoefficientField:
-    """Project grid samples onto the coefficient box.
-
-    Rejects fields with a significant mean; content outside the box is
-    discarded (sharp truncation).
-    """
-    n = grid.resolution
-    fhat = np.fft.fft2(grid.values) / (n * n)
-    scale = np.max(np.abs(fhat)) or 1.0
-    if abs(fhat[0, 0]) > 1e-10 * scale:
-        raise PreconditionError("grid field has a nonzero mean")
-    coefficients = fhat.ravel()[grid_index(box, n)]
-    return CoefficientField(box, coefficients.reshape(2 * box + 1, -1))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,12 +86,6 @@ def make_even(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.complex128)
     refl = np.roll(q[::-1], 1)
     return 0.5 * (q + refl)
-
-
-def evenness_defect(q: np.ndarray) -> float:
-    q = np.asarray(q)
-    refl = np.roll(q[::-1], 1)
-    return float(np.max(np.abs(q - refl)))
 
 
 @dataclass
@@ -391,7 +385,6 @@ class DiscreteSaddle:
 
     Q: complex
     state: NLSLatticeState
-    jacobian_even: np.ndarray
     eigenvalues: np.ndarray
     jacobian_full: np.ndarray
     eigenvalues_full: np.ndarray
@@ -406,10 +399,8 @@ def discrete_saddle(p: NLSParams) -> DiscreteSaddle:
     q = np.full(p.N, Q, dtype=np.complex128)
     jac_full = pdnls_jacobian_full(q, p)
     E, P = even_sector_basis(p.N)
-    jac_even = P @ jac_full @ E
     return DiscreteSaddle(Q=Q, state=NLSLatticeState(q),
-                          jacobian_even=jac_even,
-                          eigenvalues=np.linalg.eigvals(jac_even),
+                          eigenvalues=np.linalg.eigvals(P @ jac_full @ E),
                           jacobian_full=jac_full,
                           eigenvalues_full=np.linalg.eigvals(jac_full))
 

@@ -144,13 +144,6 @@ def step_defects(points: np.ndarray, system: MapSystem) -> np.ndarray:
     return np.max(np.abs(points[1:] - system.map(points[:-1])), axis=1)
 
 
-def is_pseudo_orbit(points: np.ndarray, system: MapSystem,
-                    delta: float) -> tuple[bool, float]:
-    """(within delta, max defect) for a finite window of states."""
-    defect = float(step_defects(points, system).max())
-    return defect <= delta, defect
-
-
 @dataclass
 class PseudoOrbit:
     points: np.ndarray

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError
 from .fourier import ClassIndex, class_intersects_disk, coef_A, det2, norm_sq, zeta
-from .util import hausdorff_distance
 
 # continued_fraction_eigen's depth per unit of trunc, |F| target and step cap
 CF_DEPTH_PER_TRUNC = 4
@@ -85,10 +84,9 @@ class ClassOperator:
     ``ns`` lists the kept chain positions n in [-trunc, trunc] (a slot is
     removed when khat + n*p hits the origin, splitting the chain).
     ``sub`` and ``sup`` hold the real Gamma-free couplings a_n and b_n of
-    each kept slot (`class_couplings`).  `matrix` builds the dense complex
-    tridiagonal-with-skips realization, with entries exactly a_n*Gamma and
-    b_n*conj(Gamma), and `real_form` the real matrix |Gamma| * A that is
-    similar to it.
+    each kept slot (`class_couplings`).  The complex operator has entries
+    a_n*Gamma below and b_n*conj(Gamma) above a zero diagonal; `real_bands`
+    gives the bands of the real matrix |Gamma| * A that is similar to it.
     """
 
     cls: ClassIndex
@@ -103,30 +101,16 @@ class ClassOperator:
     def dimension(self) -> int:
         return len(self.ns)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense complex matrix, built on each access.  The first slot's
-        a_n and the last slot's b_n reach outside the truncation and are
-        dropped; across the origin both couplings are zero."""
-        return _tridiagonal(self.sub[1:] * self.gamma,
-                            self.sup[:-1] * np.conj(self.gamma))
-
-    def sub_coefficient(self, n: int) -> complex:
-        """c_n, the coupling of w_n to w_{n-1}."""
-        return complex(class_couplings(self.cls, [n])[0][0] * self.gamma)
-
     def real_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sub- and super-diagonal of `real_form`, in float64."""
+        """Sub- and super-diagonal of |Gamma| * A, in float64.  The first
+        slot's a_n and the last slot's b_n reach outside the truncation and
+        are dropped; across the origin both couplings are zero.
+
+        diag(e^{i n theta}) with Gamma = |Gamma| e^{i theta} maps this real
+        form onto the complex operator, so the two have the same spectrum.
+        """
         g = abs(self.gamma)
         return g * self.sub[1:], g * self.sup[:-1]
-
-    def real_form(self) -> np.ndarray:
-        """|Gamma| * A: the Gamma-free couplings scaled by |Gamma|, in float64.
-
-        diag(e^{i n theta}) with Gamma = |Gamma| e^{i theta} maps it onto
-        ``matrix``, so the two have the same spectrum.
-        """
-        return _tridiagonal(*self.real_bands())
 
 
 @dataclass
@@ -199,9 +183,10 @@ def _even_odd_product(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 def truncated_spectrum(op: ClassOperator) -> SpectrumReport:
     """Dense eigensolve of the truncation plus the disk classification.
 
-    The real form R = `ClassOperator.real_form` has a zero diagonal, so its
-    characteristic polynomial is lam^(ne - no) det(lam^2 I - Y X) with the
-    half-size tridiagonal Y X of `_even_odd_product`.  The solve runs on
+    The real form R, with the bands `ClassOperator.real_bands`, has a zero
+    diagonal, so its characteristic polynomial is lam^(ne - no)
+    det(lam^2 I - Y X) with the half-size tridiagonal Y X of
+    `_even_odd_product`.  The solve runs on
     Y X in float64 and returns +-sqrt(mu) for each of its eigenvalues mu
     plus ne - no exact zeros: op.dimension eigenvalues, exactly closed
     under negation and under conjugation (the eigenvalues of a real matrix
@@ -296,22 +281,6 @@ def continued_fraction_eigen(op: ClassOperator, seed: complex) -> complex:
         f"continued-fraction Newton did not reach residual {CF_TOL} in "
         f"{CF_MAX_ITER} steps",
         last_iterate=lam)
-
-
-def spectral_mapping_check(op: ClassOperator, t: float) -> float:
-    """Hausdorff distance between eig(expm(t*L)) and exp(t*eig(L))."""
-    # imported here: scipy.linalg costs a quarter second of start-up and no
-    # other function needs it
-    import scipy.linalg
-
-    if t == 0:
-        raise PreconditionError("t must be nonzero")
-    if op.dimension > 200:
-        raise PreconditionError("dimension above 200 for the matrix exponential")
-    mat = op.matrix
-    lhs = np.linalg.eigvals(scipy.linalg.expm(t * mat))
-    rhs = np.exp(t * np.linalg.eigvals(mat))
-    return hausdorff_distance(lhs, rhs)
 
 
 def quadruple_symmetry_defect(report: SpectrumReport) -> float:

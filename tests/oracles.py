@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas (explicit loops, high-precision arithmetic, closed-form series) and
-never calls the implementation paths it is used to check.
+never calls the implementation paths it is used to check.  It also holds
+the reference code that only tests call: the dense class matrix and the
+spectral mapping check on it (the one user of scipy), the grid-to-box
+projection and the lattice evenness defect.
 """
 
 from __future__ import annotations
@@ -59,6 +62,27 @@ def bracket_operator_matrix_ref(omega) -> np.ndarray:
             if w != 0 and k in index:
                 mat[index[k], index[q]] = -(k[0] * q[1] - k[1] * q[0]) * w
     return mat
+
+
+def grid_to_coefficients(grid, box: int):
+    """Project grid samples onto the coefficient box |k1|,|k2| <= box.
+
+    Reads each box mode straight off the normalized 2D FFT; content outside
+    the box is discarded (sharp truncation) and the origin is not stored.
+    """
+    from chaoslab.fourier import CoefficientField
+
+    n = grid.resolution
+    fhat = np.fft.fft2(grid.values) / (n * n)
+    k = np.arange(-box, box + 1) % n
+    return CoefficientField(box, fhat[np.ix_(k, k)])
+
+
+def evenness_defect(q: np.ndarray) -> float:
+    """Largest gap |q_n - q_{N-n}| of a lattice vector from its reflection."""
+    q = np.asarray(q)
+    refl = np.roll(q[::-1], 1)
+    return float(np.max(np.abs(q - refl)))
 
 
 def pdnls_rhs_ref(q: np.ndarray, N: int, omega: float, alpha: float,
@@ -202,6 +226,37 @@ def class_spectrum_mp(khat, p_vec, gamma_abs: float, trunc: int,
         return np.array([complex(z) for z in eigs])
     finally:
         mp.dps = old
+
+
+def class_matrix(op) -> np.ndarray:
+    """The dense complex matrix of a class truncation, from op.sub, op.sup
+    and op.gamma: a_n*Gamma below and b_n*conj(Gamma) above a zero diagonal.
+    The first slot's a_n and the last slot's b_n reach outside the
+    truncation and are dropped; across the origin both couplings are zero."""
+    dim = op.dimension
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(1, dim):
+        mat[i, i - 1] = op.sub[i] * op.gamma
+        mat[i - 1, i] = op.sup[i - 1] * np.conj(op.gamma)
+    return mat
+
+
+def spectral_mapping_check(op, t: float) -> float:
+    """Hausdorff distance between eig(expm(t*L)) and exp(t*eig(L)) for the
+    dense class matrix L of `class_matrix`."""
+    import scipy.linalg
+
+    from chaoslab.errors import PreconditionError
+    from chaoslab.util import hausdorff_distance
+
+    if t == 0:
+        raise PreconditionError("t must be nonzero")
+    if op.dimension > 200:
+        raise PreconditionError("dimension above 200 for the matrix exponential")
+    mat = class_matrix(op)
+    lhs = np.linalg.eigvals(scipy.linalg.expm(t * mat))
+    rhs = np.exp(t * np.linalg.eigvals(mat))
+    return hausdorff_distance(lhs, rhs)
 
 
 def exact_linear_shadow(diag: np.ndarray, points: np.ndarray) -> np.ndarray:

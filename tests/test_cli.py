@@ -1,14 +1,20 @@
+import argparse
 import json
 import math
 import os
 import re
 import shlex
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from chaoslab.cli import _apply_config_file, build_parser, main
+from chaoslab.cli import SHADOW_MAX_M, _apply_config_file, build_parser, main
 from oracles import BENCH_EIGENVALUE_NORMALIZED
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args, outdir):
@@ -62,7 +68,7 @@ class TestDispatch:
                 pytest.fail(f"README command does not parse: {command}")
             assert args.command == argv[0]
 
-    def test_precondition_exit_code(self, tmp_path):
+    def test_precondition_exit_code(self, tmp_path, capsys):
         malformed = tmp_path / "malformed.json"
         malformed.write_text("{not json\n")
         cases = [
@@ -132,9 +138,24 @@ class TestDispatch:
             ["euler-sim", "--box", "3", "--steps", "10", "--dt", "inf"],
             ["dashed-line", "--steps", "10", "--dt", "inf"],
             ["lax-check", "--case", "isospec", "--box", "2", "--dt", "inf"],
+            # a closed-form start that is not finite
+            ["dashed-line", "--steps", "10", "--from-analytic=nan,0.3,1"],
+            ["dashed-line", "--steps", "10", "--from-analytic=inf,0.3,1"],
+            ["dashed-line", "--steps", "10", "--from-analytic=-2,nan,1"],
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
+        # a shadow segment above the bound is rejected before any orbit is
+        # built, so nothing overflows on the way
+        assert SHADOW_MAX_M == 500
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for name in ("linear-test", "dashed-line", "nls-poincare"):
+                args = ["shadow", "--map", name, "--m", "501"]
+                assert run_cli(args, tmp_path / "out") == 4, args
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     def test_from_analytic_values(self, tmp_path):
         # malformed values are usage errors; a sign other than exactly +-1
@@ -202,6 +223,45 @@ class TestDispatch:
         assert code == 0
         doc = json.loads(read(tmp_path / "report.json"))
         assert doc["residuals"]["jacobi_max"] < 1e-10
+
+
+# Imports every chaoslab module with scipy blocked, then runs one small job
+# of each subcommand; prints the exit codes as JSON.
+NO_SCIPY_SCRIPT = """
+import importlib, json, pkgutil, sys
+sys.modules["scipy"] = None
+import chaoslab
+from chaoslab import cli
+for info in pkgutil.iter_modules(chaoslab.__path__):
+    importlib.import_module("chaoslab." + info.name)
+jobs = {
+    "spectrum": ["--trunc", "10", "--refine"],
+    "euler-sim": ["--box", "2", "--steps", "10", "--sample-every", "5"],
+    "dashed-line": ["--steps", "10", "--sample-every", "5", "--from-analytic=-2,0.3,1"],
+    "nls-sim": ["--steps", "10", "--sample-every", "5", "--encode"],
+    "nls-saddle": [],
+    "lax-check": ["--case", "jacobi", "--resolution", "16"],
+    "darboux": ["--resolution", "16"],
+    "shadow": ["--map", "linear-test", "--m", "2"],
+}
+codes = {name: cli.main([name, *args, "--output-dir", name]) for name, args in jobs.items()}
+print(json.dumps(codes))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_every_module_and_subcommand_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: scipy serves the tests alone
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(codes) == set(subparsers.choices)
+        assert codes == dict.fromkeys(codes, 0), proc.stderr
 
 
 class TestDeterminism:

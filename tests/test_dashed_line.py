@@ -4,11 +4,10 @@ import pytest
 from chaoslab import _kernels_py
 from chaoslab.dashed_line import (_STENCILS, DashedLineParams, DashedLineState,
                                   HeteroclinicParams, analytic_heteroclinic,
-                                  block_couplings, coupling, dash_factor,
+                                  block_couplings, dash_factor,
                                   flow_map, heteroclinic_states, integrate,
                                   kappa_value, model_jacobian, model_rhs,
-                                  orbit_residual, phase_sum_constant,
-                                  quadratic_invariant)
+                                  orbit_residual, phase_sum_constant)
 from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.fourier import coef_A
 from oracles import dashed_rhs_ref
@@ -252,17 +251,6 @@ class TestIntegrate:
             -1e-3, 1000, 1000)
         assert abs(op_s[-1] - start.omega_p) < 1e-9
         assert np.max(np.abs(om_s[-1] - start.omega)) < 1e-9
-
-    def test_quadratic_invariant_drift_measured(self):
-        # drift of omega_p^2 + sum omega_n^2 is reported, not asserted small
-        p = DashedLineParams(gamma=1.0, epsilon=0.0, trunc=10)
-        het = HeteroclinicParams(tau0=-2.0, theta0=0.0)
-        start = analytic_heteroclinic(0.0, het, 1.0)
-        q0 = quadratic_invariant(start)
-        traj = integrate(start, p, 1e-3, 5000, sample_every=5000)
-        q1 = quadratic_invariant(DashedLineState(traj.omega_p[-1], traj.omega[-1]))
-        drift = abs(q1 - q0)
-        assert np.isfinite(drift)
 
     def test_blowup_raises_with_step(self):
         p = DashedLineParams(gamma=1.0, epsilon=1.0, trunc=6)

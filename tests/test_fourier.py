@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from chaoslab.errors import PreconditionError
 from chaoslab.fourier import (ClassIndex, CoefficientField, GridField2D,
-                              RealCosineField, class_intersects_disk,
-                              class_members, coef_A, coefficients_to_grid,
-                              dealias_two_thirds, energy_derivative,
-                              enstrophy_derivative, galerkin_rhs,
-                              grid_bracket, grid_to_coefficients,
-                              integrate_galerkin, invert_laplacian, laplacian,
-                              zeta)
-from oracles import galerkin_rhs_ref
+                              class_intersects_disk, coef_A,
+                              coefficients_to_grid, dealias_two_thirds,
+                              energy_derivative, enstrophy_derivative,
+                              galerkin_rhs, grid_bracket, integrate_galerkin,
+                              invert_laplacian, laplacian, zeta)
+from oracles import galerkin_rhs_ref, grid_to_coefficients
 
 nonzero_vec = st.tuples(st.integers(-10, 10), st.integers(-10, 10)).filter(
     lambda v: v != (0, 0))
@@ -75,20 +73,6 @@ class TestZeta:
 
 
 class TestClasses:
-    def test_member_enumeration(self):
-        cls = ClassIndex(khat=(-3, -2), p=(1, 1))
-        members = [k for _, k in class_members(cls, 0, 3)]
-        assert members == [(-3, -2), (-2, -1), (-1, 0), (0, 1)]
-
-    def test_origin_excluded(self):
-        cls = ClassIndex(khat=(1, 0), p=(1, 0))
-        members = [k for _, k in class_members(cls, -2, 0)]
-        assert members == [(-1, 0), (1, 0)]
-
-    def test_empty_interval(self):
-        cls = ClassIndex(khat=(1, 0), p=(1, 1))
-        assert class_members(cls, 3, 2) == []
-
     def test_disk_intersection(self):
         assert class_intersects_disk(ClassIndex(khat=(-3, -2), p=(1, 1)))
         assert not class_intersects_disk(ClassIndex(khat=(10, 0), p=(1, 1)))
@@ -246,17 +230,3 @@ class TestGridCalculus:
         f = coefficients_to_grid(CoefficientField.random(6, rng), 64)
         once = dealias_two_thirds(f.values)
         assert np.max(np.abs(dealias_two_thirds(once) - once)) < 1e-13
-
-
-class TestRealCosineField:
-    def test_pairs_identified(self):
-        f = RealCosineField({(1, 1): 2.0, (-1, -1): 1.0})
-        assert f.coefficients == {(1, 1): 3.0}
-
-    def test_cosine_expansion_matches_grid(self):
-        f = RealCosineField({(1, 1): 2.0, (2, 0): -1.0})
-        cf = f.to_coefficient_field(3)
-        grid = coefficients_to_grid(cf, 64)
-        x, y = GridField2D.coordinates(64)
-        expected = 2.0 * np.cos(x + y) - 1.0 * np.cos(2 * x)
-        assert np.max(np.abs(grid.values - expected)) < 1e-13

@@ -10,11 +10,11 @@ from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.nls import (NLSLatticeState, NLSParams, center_wing_encode,
                           classify_profile, continuum_eigenvalues,
                           continuum_saddle, discrete_saddle, eigenvalue_table,
-                          evenness_defect, flow_map, half_period_translate,
-                          make_even, mollifier, pdnls_jacobian_full,
-                          pdnls_rhs, second_measurement, silnikov_check,
-                          simulate, solve_uniform_saddle, swap_symbols)
-from oracles import pdnls_rhs_ref
+                          flow_map, half_period_translate, make_even,
+                          mollifier, pdnls_jacobian_full, pdnls_rhs,
+                          second_measurement, silnikov_check, simulate,
+                          solve_uniform_saddle, swap_symbols)
+from oracles import evenness_defect, pdnls_rhs_ref
 
 P7 = dict(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.01)
 

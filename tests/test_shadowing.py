@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.shadowing import (MapSystem, PseudoOrbit, SymbolSequence,
                                 cylinder_distance, find_shadow,
-                                hyperbolicity_estimate, is_pseudo_orbit,
-                                linear_map_system, min_norm_orbit_step,
-                                palmer_assembly, rk4_flow_system,
-                                shadow_distance, shift_map, step_defects)
+                                hyperbolicity_estimate, linear_map_system,
+                                min_norm_orbit_step, palmer_assembly,
+                                rk4_flow_system, shadow_distance, shift_map,
+                                step_defects)
 from oracles import (double_well_homoclinic, double_well_jacobian,
                      double_well_rhs, exact_linear_shadow,
                      min_norm_orbit_step_ref)
@@ -52,8 +52,7 @@ def dashed_map():
 class TestPseudoOrbit:
     def test_true_orbit_defect_zero(self):
         orbit = HYP.orbit(np.array([1e-4, 1.0]), 12)
-        ok, defect = is_pseudo_orbit(orbit, HYP, 1e-12)
-        assert ok and defect < 1e-15
+        assert step_defects(orbit, HYP).max() < 1e-15
 
     def test_single_perturbation_bounded(self, rng):
         orbit = HYP.orbit(np.array([1e-4, 1.0]), 12)
@@ -65,7 +64,7 @@ class TestPseudoOrbit:
 
     def test_single_point_rejected(self):
         with pytest.raises(PreconditionError):
-            is_pseudo_orbit(np.array([[1.0, 2.0]]), HYP, 1.0)
+            step_defects(np.array([[1.0, 2.0]]), HYP).max()
 
     def test_verified_constructor_enforces_delta(self):
         orbit = HYP.orbit(np.array([1e-4, 1.0]), 8)
@@ -191,8 +190,7 @@ class TestFindShadow:
         pts = orbit + rng.uniform(-1e-4, 1e-4, orbit.shape)
         pseudo = PseudoOrbit.verified(pts, HYP)
         result = find_shadow(pseudo, HYP)
-        ok, defect = is_pseudo_orbit(result.orbit, HYP, 1e-10)
-        assert ok and defect < 1e-10
+        assert step_defects(result.orbit, HYP).max() < 1e-10
 
     def test_epsilon_scales_linearly_with_delta(self, rng):
         orbit = HYP.orbit(np.array([1e-6, 1.0]), 20)
@@ -210,8 +208,7 @@ class TestFindShadow:
         orbit = well_map.orbit(x0, 10)
         pts = orbit + rng.uniform(-1e-6, 1e-6, orbit.shape)
         result = find_shadow(PseudoOrbit.verified(pts, well_map), well_map)
-        ok, defect = is_pseudo_orbit(result.orbit, well_map, 1e-11)
-        assert ok
+        assert step_defects(result.orbit, well_map).max() <= 1e-11
 
     def test_missing_jacobian_rejected(self):
         bare = MapSystem(dimension=2, map=lambda x: x)
