@@ -30,6 +30,11 @@ trunc 50 and 400 for a real and a complex Gamma of the benchmark class, and
 the continued-fraction Newton `spectra.continued_fraction_eigen` at the
 class (-3,-1), (2,1) with Gamma = 2 and trunc 400 (depth 1600) of the
 perfbench job spectrum-t400, from a fixed seed near its point eigenvalue.
+The grid layer is timed on its spectral-derivative operators: grid_bracket
+of two random fields at n 16 and 64, verify_darboux on the shear-power data
+(c 0.3) at n 64, and the 3D scalar and vector Lax pairs of the ABC flow at
+n 32, with phi = cos(x) sin(y) + cos(z) and phi = curl u, as `chaoslab
+lax-check --case 3dscalar|3dvector` runs them.
 Every figure is the median of several rounds, after one warm-up call that
 builds the convolution's pair tables or FFT plan and the lattice index
 caches.
@@ -48,10 +53,11 @@ import time
 
 import numpy as np
 
-from chaoslab import (_kernels_py, dashed_line, kernels, laxpairs, nls,
-                      shadowing, spectra)
+from chaoslab import (_kernels_py, darboux, dashed_line, kernels, laxpairs,
+                      nls, shadowing, spectra)
 from chaoslab.errors import NumericError
-from chaoslab.fourier import ClassIndex, CoefficientField
+from chaoslab.fourier import (ClassIndex, CoefficientField,
+                              coefficients_to_grid, grid_bracket)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
@@ -69,6 +75,7 @@ SPECTRUM_GAMMAS = {"real": 2.0, "complex": 1.3 - 0.7j}
 SHADOW_LENGTHS = (21, 84, 200)
 DASHED_TRUNCS = (10, 100)
 DASHED_STEPS = 2000
+GRID_BRACKET_SIZES = (16, 64)
 
 
 def median_seconds(fn, repeat, rounds):
@@ -110,6 +117,31 @@ def operator_matrix_medians_ms(boxes):
         omega = CoefficientField.random(box, rng)
         out[str(box)] = 1e3 * median_seconds(
             lambda: laxpairs.bracket_operator_matrix(omega), repeat=20, rounds=7)
+    return out
+
+
+def grid_layer_ms():
+    """Median milliseconds of the grid operators named in the module
+    docstring."""
+    rng = np.random.default_rng(0)
+    out = {}
+    for n in GRID_BRACKET_SIZES:
+        f, g = (coefficients_to_grid(CoefficientField.random(max(2, n // 8), rng,
+                                                             decay=0.2), n)
+                for _ in range(2))
+        out[f"grid_bracket_n{n}"] = 1e3 * median_seconds(
+            lambda: grid_bracket(f, g), repeat=20, rounds=7)
+    omega, psi, p, f, F = darboux.shear_power_construction(0.3, 64)
+    out["verify_darboux_shear_power_n64"] = 1e3 * median_seconds(
+        lambda: darboux.verify_darboux(omega, psi, F, p, f), repeat=5, rounds=7)
+    u = laxpairs.VectorField3D.abc_flow(32)
+    omega3 = u.curl()
+    x, y, z = laxpairs.VectorField3D.coordinates(32)
+    phi = np.cos(x) * np.sin(y) + np.cos(z)
+    out["lax_3d_scalar_n32"] = 1e3 * median_seconds(
+        lambda: laxpairs.lax_3d_scalar(omega3, u, phi), repeat=3, rounds=7)
+    out["lax_3d_vector_n32"] = 1e3 * median_seconds(
+        lambda: laxpairs.lax_3d_vector(omega3, u, omega3), repeat=3, rounds=7)
     return out
 
 
@@ -242,6 +274,7 @@ def main():
         "dashed_field_one_state_us": dashed_field_us(),
         "truncated_spectrum_ms": spectrum_medians_ms(),
         "continued_fraction_eigen_trunc400_ms": continued_fraction_ms(),
+        "grid_layer_ms": grid_layer_ms(),
     }
     print(json.dumps(report, indent=1))
 

@@ -344,6 +344,9 @@ def _cmd_darboux(args, run) -> None:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise PreconditionError(
                 f"unusable field file {args.custom_file!r}: {exc!r}") from exc
+        if not all(np.isfinite(a).all() for a in arrays.values()):
+            raise PreconditionError(
+                f"field file {args.custom_file!r} holds a non-finite value")
         omega, psi, p, f, F = (GridField2D(arrays[k])
                                for k in ("omega", "psi", "p", "f", "F"))
     report = verify_darboux(omega, psi, F, p, f)

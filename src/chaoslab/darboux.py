@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .fourier import GridField2D, grid_bracket, laplacian, _spectral_gradient
+from .fourier import GridField2D, grid_bracket, laplacian, spectral_gradient
 from .laxpairs import LaxReport
 from .util import sup_norm
 
@@ -54,9 +54,9 @@ def darboux_gauge(p: GridField2D, f: GridField2D, omega: GridField2D) -> GaugeTr
     """
     if p.resolution != f.resolution or p.resolution != omega.resolution:
         raise PreconditionError("resolution mismatch")
-    px, py = _spectral_gradient(p.values)
-    fx, fy = _spectral_gradient(f.values)
-    ox, oy = _spectral_gradient(omega.values)
+    px, py = spectral_gradient(p.values)
+    fx, fy = spectral_gradient(f.values)
+    ox, oy = spectral_gradient(omega.values)
 
     f_ok = np.abs(f.values) > MASK_TOL * (sup_norm(f.values) or 1.0)
     mask_x = f_ok & (np.abs(ox) > MASK_TOL * (sup_norm(ox) or 1.0))
@@ -86,7 +86,7 @@ class PotentialTransform:
 def darboux_potentials(omega: GridField2D, psi: GridField2D,
                        F: GridField2D) -> PotentialTransform:
     """Potential shift with the two constraint residuals attached; valid
-    when both are below PRECONDITION_TOL."""
+    when both are below PRECONDITION_TOL (a NaN one is not)."""
     if omega.resolution != psi.resolution or omega.resolution != F.resolution:
         raise PreconditionError("resolution mismatch")
     lap_F = laplacian(F)
@@ -99,7 +99,7 @@ def darboux_potentials(omega: GridField2D, psi: GridField2D,
         psi_t=GridField2D(psi.values + F.values),
         lap_F=lap_F,
         constraint_norms=norms,
-        valid=max(norms.values()) < PRECONDITION_TOL,
+        valid=all(v < PRECONDITION_TOL for v in norms.values()),
     )
 
 
@@ -119,13 +119,12 @@ def verify_darboux(omega: GridField2D, psi: GridField2D, F: GridField2D,
     for name, field_ in (("omega_p_bracket", p), ("omega_f_bracket", f)):
         r = sup_norm(grid_bracket(omega, field_).values)
         report.residuals[name] = r
-        if r > PRECONDITION_TOL:
+        if not r <= PRECONDITION_TOL:  # a NaN residual fails too
             failures.append(name)
     pot = darboux_potentials(omega, psi, F)
     report.residuals.update(pot.constraint_norms)
-    if not pot.valid:
-        failures.extend(k for k, v in pot.constraint_norms.items()
-                        if v >= PRECONDITION_TOL)
+    failures.extend(k for k, v in pot.constraint_norms.items()
+                    if not v < PRECONDITION_TOL)
     if failures:
         raise PreconditionError(
             "darboux preconditions failed: " + ", ".join(sorted(set(failures))))

@@ -15,8 +15,9 @@ Conventions used package-wide:
   det(p,q) form from pair tables; from it up, it evaluates it as that
   bracket on a grid zero-padded to n >= 3*box+1 points per side, where no
   product of two box modes wraps onto the box, so the truncation is exact.
-* Periodic grids sample ``[0, 2*pi)^2`` uniformly; products computed on the
-  grid are dealiased with the 2/3 rule.
+* Periodic grids sample ``[0, 2*pi)^d`` uniformly, d = 2 or 3 (the 3D Lax
+  pairs); spectral_gradient differentiates both, and products computed on
+  2D grids are dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
@@ -345,21 +346,23 @@ def _wavenumbers(n: int) -> np.ndarray:
     return np.fft.fftfreq(n, d=1.0 / n)
 
 
-def _require_same_resolution(f: GridField2D, g: GridField2D) -> int:
-    if f.resolution != g.resolution:
-        raise PreconditionError("grid resolution mismatch")
-    return f.resolution
-
-
-def _spectral_gradient(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = values.shape[0]
+def _k_squared(n: int) -> np.ndarray:
     k = _wavenumbers(n)
-    fhat = np.fft.fft2(values)
-    dx = np.fft.ifft2(1j * k[:, None] * fhat)
-    dy = np.fft.ifft2(1j * k[None, :] * fhat)
-    if not np.iscomplexobj(values):
-        dx, dy = dx.real, dy.real
-    return dx, dy
+    return k[:, None] ** 2 + k[None, :] ** 2
+
+
+def _inverse(spectrum: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Inverse FFT of spectrum, real when the grid values it came from are."""
+    out = np.fft.ifftn(spectrum)
+    return out if np.iscomplexobj(values) else out.real
+
+
+def spectral_gradient(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Spectral derivatives of periodic grid values along each axis, 2D or
+    3D: one forward FFT, one inverse per axis; real for real values."""
+    fhat = np.fft.fftn(values)
+    ks = np.ix_(*[_wavenumbers(values.shape[0])] * values.ndim)
+    return tuple(_inverse(1j * k * fhat, values) for k in ks)
 
 
 def dealias_two_thirds(values: np.ndarray) -> np.ndarray:
@@ -367,50 +370,38 @@ def dealias_two_thirds(values: np.ndarray) -> np.ndarray:
     n = values.shape[0]
     k = np.abs(_wavenumbers(n))
     keep = (k[:, None] <= n / 3.0) & (k[None, :] <= n / 3.0)
-    fhat = np.fft.fft2(values) * keep
-    out = np.fft.ifft2(fhat)
-    return out if np.iscomplexobj(values) else out.real
+    return _inverse(np.fft.fft2(values) * keep, values)
 
 
 def grid_bracket(f: GridField2D, g: GridField2D) -> GridField2D:
     """{f, g} = f_x g_y - f_y g_x with spectral derivatives, dealiased."""
-    _require_same_resolution(f, g)
-    fx, fy = _spectral_gradient(f.values)
-    gx, gy = _spectral_gradient(g.values)
+    if f.resolution != g.resolution:
+        raise PreconditionError("grid resolution mismatch")
+    fx, fy = spectral_gradient(f.values)
+    gx, gy = spectral_gradient(g.values)
     return GridField2D(dealias_two_thirds(fx * gy - fy * gx))
 
 
 def laplacian(f: GridField2D) -> GridField2D:
-    n = f.resolution
-    k = _wavenumbers(n)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    out = np.fft.ifft2(-k2 * np.fft.fft2(f.values))
-    return GridField2D(out if np.iscomplexobj(f.values) else out.real)
+    fhat = np.fft.fft2(f.values)
+    return GridField2D(_inverse(-_k_squared(f.resolution) * fhat, f.values))
 
 
-def invert_laplacian(f):
-    """Solve lap(psi) = f for zero-mean f; works on grids and coefficients.
+def invert_laplacian(f: GridField2D) -> GridField2D:
+    """Solve lap(psi) = f on the grid for zero-mean f.
 
-    Grid inputs with a mean above 1e-10 of the field scale are rejected; the
-    coefficient form never stores a mean so it needs no check.
+    A mean above 1e-10 of the field scale is rejected.
     """
-    if isinstance(f, CoefficientField):
-        out = CoefficientField(f.box)
-        out._data[:, :] = f._data / -box_norm_sq(f.box)
-        out._data[f.box, f.box] = 0.0
-        return out
     n = f.resolution
     fhat = np.fft.fft2(f.values)
     scale = np.max(np.abs(f.values)) or 1.0
     if abs(fhat[0, 0]) / (n * n) > 1e-10 * scale:
         raise PreconditionError("invert_laplacian requires a zero-mean field")
-    k = _wavenumbers(n)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    k2 = _k_squared(n)
     k2[0, 0] = 1.0
     psi = fhat / (-k2)
     psi[0, 0] = 0.0
-    out = np.fft.ifft2(psi)
-    return GridField2D(out if np.iscomplexobj(f.values) else out.real)
+    return GridField2D(_inverse(psi, f.values))
 
 
 def coefficients_to_grid(field_: CoefficientField, n: int) -> GridField2D:

@@ -7,7 +7,8 @@ The Rossby variant subtracts beta * d phi/dx from L.  3D: the scalar pair
 L phi = (Omega . grad) phi, A phi = (u . grad) phi, and the vector pair with
 the extra (phi . grad) terms.  On the coefficient box, {Omega, phi} is minus
 the bilinear form B(Omega, phi) of the Galerkin field, so its matrix reads
-the convolution's pair tables.  All spectra and residuals are reported on
+the convolution's pair tables.  Every grid derivative, 2D and 3D, comes
+from fourier.spectral_gradient.  All spectra and residuals are reported on
 sharp truncations; isospectrality defects of non-steady flows are reported,
 not asserted, since truncation does not commute with the evolution.
 """
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels_py import _pair_tables
-from .errors import PreconditionError
-from .fourier import (CoefficientField, GridField2D, _spectral_gradient,
-                      check_resolution, coefficients_to_grid, galerkin_rhs,
-                      grid_bracket, integrate_galerkin, invert_laplacian)
+from .errors import NumericError, PreconditionError
+from .fourier import (CoefficientField, GridField2D, check_resolution,
+                      coefficients_to_grid, galerkin_rhs, grid_bracket,
+                      integrate_galerkin, invert_laplacian, spectral_gradient)
 from .util import check_schedule, hausdorff_distance, sup_norm
 
 # the 3D pairs' sup-norm bounds on curl(u) - Omega and on div u
@@ -58,12 +59,16 @@ def lax_A_2d(psi: GridField2D, phi: GridField2D) -> GridField2D:
 
 
 def rossby_L(omega: GridField2D, beta_param: float, phi: GridField2D) -> GridField2D:
-    """L phi = {Omega, phi} - beta * d(phi)/dx."""
+    """L phi = {Omega, phi} - beta * d(phi)/dx; NumericError on overflow."""
     if not np.isfinite(beta_param):
         raise PreconditionError(f"beta must be finite, got {beta_param}")
     bracket = grid_bracket(omega, phi)
-    dx = _spectral_gradient(phi.values)[0]
-    return GridField2D(bracket.values - beta_param * dx)
+    dx = spectral_gradient(phi.values)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = bracket.values - beta_param * dx
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"rossby_L overflows at beta = {beta_param}")
+    return GridField2D(out)
 
 
 def jacobi_defect(f: GridField2D, g: GridField2D, h: GridField2D) -> float:
@@ -140,6 +145,8 @@ def isospectrality_check(omega0: CoefficientField, T: float,
     if not (np.isfinite(T) and T > 0):
         raise PreconditionError(f"T must be a finite number > 0, got {T}")
     check_schedule(dt, 1, 1)  # before T / dt; the step count follows from T
+    if not np.isfinite(T / dt):
+        raise PreconditionError(f"T / dt = {T} / {dt} is not a finite step count")
     steps = max(1, int(round(T / dt)))
     omega_T = integrate_galerkin(omega0, dt, steps)
     e0 = np.linalg.eigvals(bracket_operator_matrix(omega0))
@@ -152,15 +159,6 @@ def isospectrality_check(omega0: CoefficientField, T: float,
 
 
 # -- 3D fields and pairs -------------------------------------------------------
-
-
-def _deriv3(values: np.ndarray, axis: int) -> np.ndarray:
-    n = values.shape[axis]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    shape = [1, 1, 1]
-    shape[axis] = n
-    out = np.fft.ifftn(1j * k.reshape(shape) * np.fft.fftn(values))
-    return out if np.iscomplexobj(values) else out.real
 
 
 class VectorField3D:
@@ -187,20 +185,12 @@ class VectorField3D:
         return np.meshgrid(x, x, x, indexing="ij")
 
     @classmethod
-    def from_functions(cls, n: int, fx, fy, fz) -> "VectorField3D":
-        x, y, z = cls.coordinates(n)
-        return cls(np.stack([fx(x, y, z), fy(x, y, z), fz(x, y, z)]))
-
-    @classmethod
     def abc_flow(cls, n: int) -> "VectorField3D":
         """The ABC velocity field with A = B = C = 1, an eigenfield of curl
         (curl u = u)."""
-        return cls.from_functions(
-            n,
-            lambda x, y, z: np.sin(z) + np.cos(y),
-            lambda x, y, z: np.sin(x) + np.cos(z),
-            lambda x, y, z: np.sin(y) + np.cos(x),
-        )
+        x, y, z = cls.coordinates(n)
+        return cls(np.stack([np.sin(z) + np.cos(y), np.sin(x) + np.cos(z),
+                             np.sin(y) + np.cos(x)]))
 
     @classmethod
     def uniform(cls, n: int, vec) -> "VectorField3D":
@@ -209,54 +199,67 @@ class VectorField3D:
             comp[i] = vec[i]
         return cls(comp)
 
+    def gradients(self) -> list[tuple[np.ndarray, ...]]:
+        """grads[i][j] = d(component i)/dx_j, one forward FFT per component."""
+        return [spectral_gradient(c) for c in self.components]
+
     def divergence(self) -> np.ndarray:
-        return sum(_deriv3(self.components[i], i) for i in range(3))
+        return _divergence(self.gradients())
 
     def curl(self) -> "VectorField3D":
-        cx = _deriv3(self.components[2], 1) - _deriv3(self.components[1], 2)
-        cy = _deriv3(self.components[0], 2) - _deriv3(self.components[2], 0)
-        cz = _deriv3(self.components[1], 0) - _deriv3(self.components[0], 1)
-        return VectorField3D(np.stack([cx, cy, cz]))
+        return VectorField3D(_curl(self.gradients()))
 
     def divergence_defect(self) -> float:
         return sup_norm(self.divergence())
 
 
-def directional_derivative(w: VectorField3D, phi: np.ndarray) -> np.ndarray:
-    """(w . grad) phi for scalar phi."""
-    return sum(w.components[i] * _deriv3(phi, i) for i in range(3))
+def _divergence(grads) -> np.ndarray:
+    return sum(grads[i][i] for i in range(3))
 
 
-def _check_pair(omega: VectorField3D, u: VectorField3D) -> None:
+def _curl(grads) -> np.ndarray:
+    return np.stack([grads[2][1] - grads[1][2],
+                     grads[0][2] - grads[2][0],
+                     grads[1][0] - grads[0][1]])
+
+
+def directional_derivative(w: VectorField3D, grad) -> np.ndarray:
+    """(w . grad) phi for scalar phi, from grad = spectral_gradient(phi)."""
+    return sum(w.components[i] * grad[i] for i in range(3))
+
+
+def _check_pair(omega: VectorField3D, u: VectorField3D) -> list:
+    """Check the preconditions of the 3D pairs; return u.gradients(), which
+    the check takes."""
     if omega.resolution != u.resolution:
         raise PreconditionError("resolution mismatch between vorticity and velocity")
-    div = u.divergence_defect()
+    grads = u.gradients()
+    div = sup_norm(_divergence(grads))
     if div > DIV_TOL:
         raise PreconditionError(f"velocity divergence defect {div:.2e} above {DIV_TOL}")
-    defect = max(sup_norm(u.curl().components[i] - omega.components[i])
-                 for i in range(3))
+    defect = sup_norm(_curl(grads) - omega.components)
     if defect > CURL_TOL:
         raise PreconditionError(f"curl(u) mismatch {defect:.2e} above {CURL_TOL}")
+    return grads
 
 
 def lax_3d_scalar(omega: VectorField3D, u: VectorField3D, phi: np.ndarray):
     """Scalar pair (L phi, A phi) = ((Omega.grad) phi, (u.grad) phi); u must
     be divergence-free to DIV_TOL with curl(u) = Omega to CURL_TOL."""
     _check_pair(omega, u)
-    return directional_derivative(omega, phi), directional_derivative(u, phi)
+    grad = spectral_gradient(phi)
+    return directional_derivative(omega, grad), directional_derivative(u, grad)
 
 
 def lax_3d_vector(omega: VectorField3D, u: VectorField3D, phi: VectorField3D):
     """Vector pair L phi = (Omega.grad) phi - (phi.grad) Omega and the same
     combination with u for A, under the preconditions of lax_3d_scalar."""
-    _check_pair(omega, u)
+    u_grads = _check_pair(omega, u)
+    phi_grads = phi.gradients()
 
-    def lie(w: VectorField3D, v: VectorField3D) -> VectorField3D:
-        out = np.stack([
-            directional_derivative(w, v.components[i])
-            - directional_derivative(v, w.components[i])
-            for i in range(3)
-        ])
-        return VectorField3D(out)
+    def lie(w: VectorField3D, w_grads) -> VectorField3D:
+        return VectorField3D(np.stack([
+            directional_derivative(w, phi_grads[i])
+            - directional_derivative(phi, w_grads[i]) for i in range(3)]))
 
-    return lie(omega, phi), lie(u, phi)
+    return lie(omega, omega.gradients()), lie(u, u_grads)

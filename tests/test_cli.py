@@ -71,6 +71,14 @@ class TestDispatch:
     def test_precondition_exit_code(self, tmp_path, capsys):
         malformed = tmp_path / "malformed.json"
         malformed.write_text("{not json\n")
+        # the 16x16 shear-power fields with a NaN in p, which no residual
+        # comparison may pass over
+        from chaoslab.darboux import shear_power_construction
+        fields = dict(zip(("omega", "psi", "p", "f", "F"),
+                          (g.values.tolist() for g in shear_power_construction(0.3, 16))))
+        fields["p"][3][5] = float("nan")
+        nan_fields = tmp_path / "nan_fields.json"
+        nan_fields.write_text(json.dumps(fields))
         cases = [
             # omega outside the lattice window
             ["nls-sim", "--N", "7", "--omega", "1.0", "--steps", "10"],
@@ -89,6 +97,8 @@ class TestDispatch:
              "--custom-file", str(tmp_path / "missing.json")],
             ["darboux", "--construction", "custom-file",
              "--custom-file", str(malformed)],
+            ["darboux", "--construction", "custom-file",
+             "--custom-file", str(nan_fields)],
             # a Gamma or |Gamma| that is not finite
             ["spectrum", "--gamma", "1.5e308,1.5e308", "--trunc", "3"],
             ["spectrum", "--gamma", "nan,0", "--trunc", "3"],
@@ -110,6 +120,8 @@ class TestDispatch:
             ["lax-check", "--case", "isospec", "--box", "2", "--T", "nan"],
             ["lax-check", "--case", "isospec", "--box", "2", "--T", "inf"],
             ["lax-check", "--case", "isospec", "--box", "2", "--T", "-1"],
+            # a step count T / dt that overflows to infinity
+            ["lax-check", "--case", "isospec", "--T", "1e300", "--dt", "1e-300"],
             # parameters that would give null residuals or no decay at all
             ["darboux", "--c", "nan"],
             ["lax-check", "--case", "rossby", "--beta-param", "nan"],
@@ -189,15 +201,23 @@ class TestDispatch:
             # dashed-line's residual and in shadow's heteroclinic segment
             (["dashed-line", "--from-analytic=-2,0.3,1", "--gamma", "1e200"], None),
             (["shadow", "--map", "dashed-line", "--gamma", "1e200", "--m", "2"], None),
+            # a finite beta that overflows the Rossby operator
+            (["lax-check", "--case", "rossby", "--resolution", "16",
+              "--beta-param", "1e308"], None),
         ]
-        for i, (args, step) in enumerate(cases):
-            out = tmp_path / str(i)
-            capsys.readouterr()
-            assert run_cli(args, out) == 3, args
-            if step is not None:
-                assert f"blew up at step {step}\n" in capsys.readouterr().err, args
-            for path in out.glob("*"):
-                assert b"nan" not in read(path), path
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i, (args, step) in enumerate(cases):
+                out = tmp_path / str(i)
+                capsys.readouterr()
+                assert run_cli(args, out) == 3, args
+                err = capsys.readouterr().err
+                if step is not None:
+                    assert f"blew up at step {step}\n" in err, args
+                assert "RuntimeWarning" not in err, args
+                for path in out.glob("*"):
+                    assert b"nan" not in read(path), path
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_euler_blowup_step_counts_from_start(self, tmp_path, capsys):
         # one step per sampling chunk: the blow-up in the second step is

@@ -193,6 +193,17 @@ class TestGridCalculus:
         rhs = 2.0 * grid_bracket(f, h).values + 0.5 * grid_bracket(g, h).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_bracket_applies_two_thirds_rule(self, n):
+        # {cos(4x+y), cos(3x+2y)} = 2.5 cos(x-y) - 2.5 cos(7x+3y); the second
+        # mode has |k1| = 7, above n/3 at n=16, where the bracket drops it
+        f = GridField2D.from_function(n, lambda x, y: np.cos(4 * x + y))
+        g = GridField2D.from_function(n, lambda x, y: np.cos(3 * x + 2 * y))
+        kept = 2.5 if 7 <= n / 3 else 0.0
+        expected = GridField2D.from_function(
+            n, lambda x, y: 2.5 * np.cos(x - y) - kept * np.cos(7 * x + 3 * y))
+        assert np.max(np.abs(grid_bracket(f, g).values - expected.values)) < 1e-12
+
     def test_bracket_resolution_mismatch(self):
         f = GridField2D(np.zeros((32, 32)))
         g = GridField2D(np.zeros((64, 64)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chaoslab.darboux import shear_power_construction, verify_darboux
 from chaoslab.errors import PreconditionError
 from chaoslab.fourier import (CoefficientField, GridField2D,
                               coefficients_to_grid, grid_bracket)
@@ -226,9 +227,9 @@ class TestLax3D:
         omega = u.curl()
         phi = VectorField3D.uniform(16, (1.0, 0.0, 0.0))
         L, _ = lax_3d_vector(omega, u, phi)
-        from chaoslab.laxpairs import _deriv3
+        from chaoslab.fourier import spectral_gradient
         for i in range(3):
-            expected = -_deriv3(omega.components[i], 0)
+            expected = -spectral_gradient(omega.components[i])[0]
             assert np.max(np.abs(L.components[i] - expected)) < 1e-12
 
     @pytest.mark.parametrize("n", [8, 24])
@@ -250,3 +251,42 @@ class TestLax3D:
                                       np.zeros((n, n, n))]))
         with pytest.raises(PreconditionError):
             lax_3d_scalar(bad.curl(), bad, np.cos(x))
+
+
+FFT_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
+                  "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+class TestFFTCounts:
+    """numpy.fft calls per grid operator: every derivative comes from one
+    forward transform per field and one inverse per axis."""
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+        for name in FFT_TRANSFORMS:
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def count(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+        return count
+
+    def test_3d_pairs(self, fft_calls):
+        u = VectorField3D.abc_flow(16)
+        omega = u.curl()
+        x, y, z = VectorField3D.coordinates(16)
+        phi = np.cos(x) * np.sin(y) + np.cos(z)
+        assert fft_calls(lax_3d_vector, omega, u, omega) <= 60
+        assert fft_calls(lax_3d_scalar, omega, u, phi) <= 20
+
+    def test_2d_operators(self, fft_calls, rng):
+        f, g, h = (unit_random_grid(rng, box=2, n=16) for _ in range(3))
+        assert fft_calls(grid_bracket, f, g) == 8
+        assert fft_calls(jacobi_defect, f, g, h) == 48
+        omega, psi, p, f, F = shear_power_construction(0.3, 64)
+        assert fft_calls(verify_darboux, omega, psi, F, p, f) == 67
