@@ -45,16 +45,15 @@ static PyObject *vector(PyObject *obj, PyObject *dtype, void *data, Py_ssize_t *
     return items(PyObject_CallFunctionObjArgs(np_contiguous, obj, dtype, NULL), 1, data, n);
 }
 
-/* A new numpy.empty((rows, n), dtype), or (n,) if rows < 0. */
+/* A new numpy.empty((rows, n), dtype). */
 static PyObject *empty(Py_ssize_t rows, Py_ssize_t n, PyObject *dtype, void *data)
 {
-    return rows < 0 ? items(PyObject_CallFunction(np_empty, "nO", n, dtype), 1, data, &n)
-        : items(PyObject_CallFunction(np_empty, "(nn)O", rows, n, dtype), 2, data, &rows);
+    return items(PyObject_CallFunction(np_empty, "(nn)O", rows, n, dtype), 2, data, &rows);
 }
 
 static int schedule_ok(double dt, long steps, long every)
 {
-    PyObject *r = PyObject_CallFunction(check_schedule, "dll", dt < 0 ? -dt : dt, steps, every);
+    PyObject *r = PyObject_CallFunction(check_schedule, "dll", dt, steps, every);
     Py_XDECREF(r);
     return r != NULL;
 }
@@ -154,8 +153,8 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
 
 static PyObject *dashed_rk4(PyObject *self, PyObject *args)
 {
-    PyObject *obj[4], *a[4], *work, *ops = NULL, *oms = NULL, *result = NULL;
-    double op, dt, *d[4], *y, *so, *sw;
+    PyObject *obj[4], *a[4], *work, *samples = NULL, *result = NULL;
+    double op, dt, *d[4], *y, *s;
     long steps, every, step, blow = 0;
     Py_ssize_t L, n, i;
     if (!PyArg_ParseTuple(args, "dOOOOdll", &op, &obj[0], &obj[1], &obj[2], &obj[3],
@@ -163,13 +162,12 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
         || !schedule_ok(dt, steps, every) || !dashed_inputs(obj, a, d, &L))
         return NULL;
     if ((work = empty(6, n = L + 1, f64, &y)) != NULL /* y = (op, om), then the stages */
-        && (ops = empty(-1, steps / every + 1, f64, &so)) != NULL
-        && (oms = empty(steps / every + 1, L, f64, &sw)) != NULL) {
+        && (samples = empty(steps / every + 1, n, f64, &s)) != NULL) {
         double *k1 = y + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *t = k4 + n;
         double half = 0.5 * dt, sixth = dt / 6.0, *const *c = d + 1;
-        so[0] = y[0] = op;
+        y[0] = op;
         memcpy(y + 1, d[0], L * sizeof(double));
-        memcpy(sw, d[0], L * sizeof(double));
+        memcpy(s, y, n * sizeof(double));
         for (step = 1; step <= steps && !blow; step++) {
             k1[0] = dashed(c, y[0], y + 1, k1 + 1, L);
             for (i = 0; i < n; i++) t[i] = y[i] + half * k1[i];
@@ -183,17 +181,14 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
                 if (!below_limit(y[i]))
                     blow = step;
             }
-            if (step % every == 0) {
-                so[step / every] = y[0];
-                memcpy(sw + L * (step / every), y + 1, L * sizeof(double));
-            }
+            if (step % every == 0)
+                memcpy(s + n * (step / every), y, n * sizeof(double));
         }
-        result = blow ? PyObject_CallFunction(blew_up, "l", blow) : PyTuple_Pack(2, ops, oms);
+        result = blow ? PyObject_CallFunction(blew_up, "l", blow) : Py_NewRef(samples);
     }
     for (int k = 0; k < 4; k++) Py_DECREF(a[k]);
     Py_XDECREF(work);
-    Py_XDECREF(ops);
-    Py_XDECREF(oms);
+    Py_XDECREF(samples);
     return result;
 }
 

@@ -222,13 +222,12 @@ def dashed_field(x, c):
 def dashed_rk4(op0, om0, sub, sup, pair, dt, steps, sample_every):
     """RK4 trajectory of the dashed-line model; mirrors pdnls_rk4.
 
-    The driver integrates the stacked vector (omega_p, omega) through
-    dashed_field, with the coupling matrix built once; returns the sampled
-    (omega_p, omega).
+    The driver integrates the stacked vector (op0, om0) through
+    dashed_field, with the coupling matrix built once, and returns the
+    sampled stacked vectors, shape (samples, L+1).
     """
     om0 = np.asarray(om0, dtype=np.float64)
     check_state(om0.size)
     c = dashed_coupling_matrix(sub, sup, pair)
     y0 = np.concatenate(([float(op0)], om0))
-    samples = rk4(lambda y: dashed_field(y, c), y0, dt, steps, sample_every)
-    return samples[:, 0], samples[:, 1:]
+    return rk4(lambda y: dashed_field(y, c), y0, dt, steps, sample_every)

@@ -186,7 +186,11 @@ def _cmd_euler_sim(args, run) -> None:
         raise PreconditionError("box >= 1 and steps >= 1 required")
     rng = np.random.default_rng(args.rng_seed)
     state = CoefficientField.random(args.box, rng, decay=args.decay)
-    state = state.scaled(args.amplitude / np.sqrt(state.enstrophy()))
+    enstrophy = state.enstrophy()
+    if enstrophy == 0.0:
+        raise PreconditionError(
+            f"the initial field's enstrophy is 0: its modes underflow at decay {args.decay}")
+    state = state.scaled(args.amplitude / np.sqrt(enstrophy))
     rows = [(0.0, state.energy(), state.enstrophy())]
 
     sample_every = args.sample_every
@@ -207,27 +211,27 @@ def _cmd_euler_sim(args, run) -> None:
 
 
 def _cmd_dashed_line(args, run) -> None:
-    from .dashed_line import (DashedLineParams, DashedLineState,
-                              HeteroclinicParams, analytic_heteroclinic,
-                              integrate, orbit_residual)
+    from .dashed_line import (DashedLineParams, HeteroclinicParams,
+                              heteroclinic_states, integrate, orbit_residual)
 
     params = DashedLineParams(gamma=args.gamma, epsilon=args.epsilon,
                               trunc=args.trunc)
     if args.from_analytic is not None:
         tau0, theta0, sign = map(float, args.from_analytic)
         het = HeteroclinicParams(tau0=tau0, theta0=theta0, kappa_sign=sign)
-        state0 = analytic_heteroclinic(0.0, het, args.gamma, trunc=args.trunc)
+        x0 = heteroclinic_states(0.0, het, args.gamma, trunc=args.trunc)
         residual = orbit_residual(het, args.gamma, np.linspace(-5.0, 5.0, 100))
         write_json(run.path("residual.json"),
                    {"config": run.config, "max_orbit_residual": residual})
     else:
-        state0 = DashedLineState.fixed_point(params)
-        state0.omega[params.index(1)] += args.kick
-    traj = integrate(state0, params, args.dt, args.steps, args.sample_every)
+        # the stationary line omega_p = Gamma, omega = 0, kicked at n = 1
+        x0 = np.zeros(params.size + 1)
+        x0[0] = args.gamma
+        x0[1 + params.index(1)] += args.kick
+    traj = integrate(x0, params, args.dt, args.steps, args.sample_every)
     header = ["t", "omega_p"] + [f"omega_{n}" for n in range(-args.trunc, args.trunc + 1)]
-    rows = [(traj.times[i], traj.omega_p[i], *traj.omega[i])
-            for i in range(traj.times.size)]
-    write_csv(run.path("trajectory.csv"), header, rows)
+    write_csv(run.path("trajectory.csv"), header,
+              [(t, *x) for t, x in zip(traj.times, traj.states)])
 
 
 def _cmd_nls_sim(args, run) -> None:

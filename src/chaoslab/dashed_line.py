@@ -14,6 +14,10 @@ with omega_1 = r cos(theta), omega_4 = r sin(theta), omega_2 = rho cos(vartheta)
 omega_3 = rho sin(vartheta), plus driven auxiliaries omega_0 and omega_5.
 The coupling constants A1 = A(p, khat+p) and A2 = A(p, khat+2p) are always
 recomputed from coef_A, never hard-coded.
+
+A state is the stacked vector x = (omega_p, omega_{-trunc}..omega_{trunc}),
+in every function here, in the RK4 kernels and in the rows of the
+dashed-line trajectory.csv.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 from . import _kernels_py, kernels
 from .errors import NumericError, PreconditionError
 from .fourier import coef_A
-from .util import check_schedule
 
 BASE_POINT = (-3, -2)
 DIRECTION = (1, 1)
@@ -95,49 +98,27 @@ class DashedLineParams:
         return n + self.trunc
 
 
-@dataclass
-class DashedLineState:
-    omega_p: float
-    omega: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        if self.omega.ndim != 1 or self.omega.size % 2 == 0:
-            raise PreconditionError("omega must be a 1D array of odd length")
-        if not (np.isfinite(self.omega_p) and np.all(np.isfinite(self.omega))):
-            raise PreconditionError("state must be finite")
-
-    @classmethod
-    def zero(cls, trunc: int) -> "DashedLineState":
-        return cls(0.0, np.zeros(2 * trunc + 1))
-
-    @classmethod
-    def fixed_point(cls, params: DashedLineParams) -> "DashedLineState":
-        """The stationary line omega_p = Gamma, omega_n = 0."""
-        return cls(params.gamma, np.zeros(params.size))
-
-    def get(self, params: DashedLineParams, n: int) -> float:
-        return float(self.omega[params.index(n)])
-
-
-def model_rhs(state: DashedLineState, params: DashedLineParams) -> DashedLineState:
-    """Vector field of the model, Dirichlet beyond the truncation."""
-    if state.omega.size != params.size:
+def _stacked(x, params: DashedLineParams) -> np.ndarray:
+    """x as float64 states whose last axis holds params.size + 1 items."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != (params.size + 1,):
         raise PreconditionError("state size does not match params truncation")
+    return x
+
+
+def model_rhs(x, params: DashedLineParams) -> np.ndarray:
+    """Vector field of the model, Dirichlet beyond the truncation, at stacked
+    states x = (omega_p, omega_{-Nt}..omega_{Nt}): one (L+1,) or a batch
+    (B, L+1)."""
     c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
-    dx = _kernels_py.dashed_field(np.concatenate(([state.omega_p], state.omega)), c)
-    return DashedLineState(dx[0], dx[1:])
+    return _kernels_py.dashed_field(_stacked(x, params), c)
 
 
-def model_jacobian(state: DashedLineState, params: DashedLineParams) -> np.ndarray:
-    """Analytic Jacobian, ordered (omega_p, omega_{-Nt}..omega_{Nt})."""
-    return _jacobian(state.omega_p, state.omega, params)
-
-
-def _jacobian(op, om: np.ndarray, params: DashedLineParams) -> np.ndarray:
-    """Jacobian at (op, om).  The chain runs along the last axis of om;
-    leading axes are a batch, with op of om's batch shape (a scalar for one
-    state), and give a stack of Jacobians."""
+def model_jacobian(x, params: DashedLineParams) -> np.ndarray:
+    """Analytic Jacobian at stacked states x, ordered as x.  One state (L+1,)
+    gives one matrix; a batch (B, L+1) gives a stack (B, L+1, L+1)."""
+    x = _stacked(x, params)
+    op, om = x[..., 0], x[..., 1:]
     L = params.size
     batch = om.shape[:-1]
     jac = np.zeros(batch + (L + 1, L + 1))
@@ -166,20 +147,20 @@ def _jacobian(op, om: np.ndarray, params: DashedLineParams) -> np.ndarray:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    omega_p: np.ndarray
-    omega: np.ndarray  # shape (n_samples, size)
+    states: np.ndarray  # stacked (omega_p, omega), shape (n_samples, size + 1)
 
 
-def integrate(state0: DashedLineState, params: DashedLineParams, dt: float,
-              steps: int, sample_every: int = 1) -> Trajectory:
-    """Fixed-step RK4; raises NumericError with the step index on blow-up."""
-    check_schedule(dt, steps, sample_every)
-    if state0.omega.size != params.size:
-        raise PreconditionError("state size does not match params truncation")
-    op_s, om_s = kernels.dashed_rk4(state0.omega_p, state0.omega, params.sub,
-                                    params.sup, params.pair, dt, steps, sample_every)
-    times = dt * sample_every * np.arange(op_s.size)
-    return Trajectory(times=times, omega_p=op_s, omega=om_s)
+def integrate(x0, params: DashedLineParams, dt: float, steps: int,
+              sample_every: int = 1) -> Trajectory:
+    """Fixed-step RK4 from the stacked state x0; raises NumericError with the
+    step index on blow-up."""
+    x0 = _stacked(x0, params)
+    if x0.ndim != 1 or not np.all(np.isfinite(x0)):
+        raise PreconditionError("x0 must be one finite state")
+    states = kernels.dashed_rk4(x0[0], x0[1:], params.sub, params.sup,
+                                params.pair, dt, steps, sample_every)
+    times = dt * sample_every * np.arange(states.shape[0])
+    return Trajectory(times=times, states=states)
 
 
 # -- closed-form connecting orbits -------------------------------------------
@@ -263,14 +244,6 @@ def heteroclinic_states(ts, het: HeteroclinicParams, gamma: float,
     return x
 
 
-def analytic_heteroclinic(t: float, het: HeteroclinicParams, gamma: float,
-                          trunc: int = 10) -> DashedLineState:
-    """Closed-form connecting orbit at time t embedded in a truncated state;
-    see heteroclinic_states."""
-    x = heteroclinic_states(t, het, gamma, trunc)
-    return DashedLineState(float(x[0]), x[1:])
-
-
 _STENCILS = {
     3: ([-1, 1], [-0.5, 0.5]),
     5: ([-2, -1, 1, 2], [1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12]),
@@ -294,9 +267,7 @@ def orbit_residual(het: HeteroclinicParams, gamma: float,
     offsets, weights = _STENCILS[stencil]
     params = DashedLineParams(gamma=gamma, epsilon=0.0, trunc=RESIDUAL_TRUNC)
     t = np.ravel(np.asarray(t_samples, dtype=float))
-    c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
-    rhs = _kernels_py.dashed_field(
-        heteroclinic_states(t, het, gamma, RESIDUAL_TRUNC), c)
+    rhs = model_rhs(heteroclinic_states(t, het, gamma, RESIDUAL_TRUNC), params)
     shifted = heteroclinic_states(
         t + np.multiply(offsets, fd_step)[:, None], het, gamma, RESIDUAL_TRUNC)
     fd = 0.0
@@ -315,14 +286,12 @@ def flow_map(params: DashedLineParams, dt: float, steps: int):
     """
     from .shadowing import rk4_flow_system
 
-    # on arrays, as _kernels_py.dashed_rk4: an overflowing RK4 stage
-    # reaches the blow-up rule of util.rk4 instead of DashedLineState's check
     c = _kernels_py.dashed_coupling_matrix(params.sub, params.sup, params.pair)
 
     def rhs_vec(x):
         return _kernels_py.dashed_field(x, c)
 
     def jac_vec(x):
-        return _jacobian(x[..., 0], x[..., 1:], params)
+        return model_jacobian(x, params)
 
     return rk4_flow_system(rhs_vec, jac_vec, params.size + 1, dt, steps)

@@ -23,6 +23,7 @@ Conventions used package-wide:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from . import kernels
 from ._kernels_py import box_norm_sq, grid_index
 from .errors import PreconditionError
-from .util import check_schedule, rk4
+from .util import rk4
 
 Vec = tuple[int, int]
 
@@ -65,21 +66,17 @@ def coef_A(p: Vec, q: Vec) -> float:
 
 def zeta(p: Vec) -> int:
     """Number of nonzero lattice points strictly inside the disk of radius
-    |p| that are not parallel to p."""
+    |p| that are not parallel to p.
+
+    Counted by rows in O(|p|): row q1 holds 2*isqrt(|p|^2 - 1 - q1^2) + 1
+    points of the disk; the origin and the 2*(gcd(p) - 1) nonzero multiples
+    of p / gcd(p) inside it are then taken off.
+    """
     _check_nonzero(p, "p")
     n2 = norm_sq(p)
-    r = int(np.floor(np.sqrt(n2)))
-    count = 0
-    for q1 in range(-r, r + 1):
-        for q2 in range(-r, r + 1):
-            if q1 == 0 and q2 == 0:
-                continue
-            if q1 * q1 + q2 * q2 >= n2:
-                continue
-            if det2(p, (q1, q2)) == 0:
-                continue
-            count += 1
-    return count
+    r = math.isqrt(n2 - 1)
+    inside = sum(2 * math.isqrt(n2 - 1 - q1 * q1) + 1 for q1 in range(-r, r + 1))
+    return inside - 1 - 2 * (math.gcd(p[0], p[1]) - 1)
 
 
 @dataclass(frozen=True)
@@ -169,9 +166,6 @@ class CoefficientField:
                 if self._data[i, j] != 0:
                     out.append(((i - self.box, j - self.box), complex(self._data[i, j])))
         return out
-
-    def copy(self) -> "CoefficientField":
-        return CoefficientField(self.box, self._data)
 
     def embedded(self, box: int) -> "CoefficientField":
         """The same field stored in a (possibly larger) box."""
@@ -297,10 +291,8 @@ def integrate_galerkin(state: CoefficientField, dt: float,
     blow-up.
     """
     box = state.box
-    sample_every = max(steps, 1)
-    check_schedule(dt, steps, sample_every)
     samples = rk4(lambda w: kernels.galerkin_rhs(w, box), state._data, dt,
-                  steps, sample_every)
+                  steps, max(steps, 1))
     out = CoefficientField(box)
     out._data[:, :] = samples[-1]
     return out

@@ -1,8 +1,9 @@
 """Lax pair operators on periodic grids and their consistency batteries.
 
-2D: L phi = {Omega, phi}, A phi = {Psi, phi} with Psi the stream function;
-the compatibility of the pair with the vorticity evolution reduces to the
-Jacobi identity of the bracket plus the transport of the evolution residual.
+2D: L phi = {Omega, phi} and A phi = {Psi, phi}, with Psi the stream
+function, are both fourier.grid_bracket; the compatibility of the pair with
+the vorticity evolution reduces to the Jacobi identity of the bracket plus
+the transport of the evolution residual.
 The Rossby variant subtracts beta * d phi/dx from L.  3D: the scalar pair
 L phi = (Omega . grad) phi, A phi = (u . grad) phi, and the vector pair with
 the extra (phi . grad) terms.  On the coefficient box, {Omega, phi} is minus
@@ -29,6 +30,8 @@ from .util import check_schedule, hausdorff_distance, sup_norm
 # the 3D pairs' sup-norm bounds on curl(u) - Omega and on div u
 CURL_TOL = 1e-8
 DIV_TOL = 1e-10
+# the most RK4 steps T / dt that isospectrality_check takes
+ISOSPEC_MAX_STEPS = 10**5
 
 
 @dataclass
@@ -46,16 +49,6 @@ class LaxReport:
             out["spectra"] = {k: [[z.real, z.imag] for z in v]
                               for k, v in self.spectra.items()}
         return out
-
-
-def lax_L_2d(omega: GridField2D, phi: GridField2D) -> GridField2D:
-    """L phi = {Omega, phi}."""
-    return grid_bracket(omega, phi)
-
-
-def lax_A_2d(psi: GridField2D, phi: GridField2D) -> GridField2D:
-    """A phi = {Psi, phi}."""
-    return grid_bracket(psi, phi)
 
 
 def rossby_L(omega: GridField2D, beta_param: float, phi: GridField2D) -> GridField2D:
@@ -145,9 +138,12 @@ def isospectrality_check(omega0: CoefficientField, T: float,
     if not (np.isfinite(T) and T > 0):
         raise PreconditionError(f"T must be a finite number > 0, got {T}")
     check_schedule(dt, 1, 1)  # before T / dt; the step count follows from T
-    if not np.isfinite(T / dt):
-        raise PreconditionError(f"T / dt = {T} / {dt} is not a finite step count")
-    steps = max(1, int(round(T / dt)))
+    if T < dt:
+        raise PreconditionError(f"T = {T} is shorter than one step dt = {dt}")
+    if T / dt > ISOSPEC_MAX_STEPS:  # an overflowing inf too
+        raise PreconditionError(
+            f"T / dt = {T} / {dt} is above {ISOSPEC_MAX_STEPS} steps")
+    steps = round(T / dt)
     omega_T = integrate_galerkin(omega0, dt, steps)
     e0 = np.linalg.eigvals(bracket_operator_matrix(omega0))
     e1 = np.linalg.eigvals(bracket_operator_matrix(omega_T))

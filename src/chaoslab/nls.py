@@ -22,7 +22,6 @@ import numpy as np
 from . import _kernels_py, kernels
 from ._kernels_py import neighbour_index
 from .errors import NumericError, PreconditionError
-from .util import check_schedule
 
 # solve_uniform_saddle: the Newton step target and step cap.
 SADDLE_TOL = 1e-13
@@ -421,7 +420,6 @@ def simulate(state0: NLSLatticeState, p: NLSParams, dt: float, steps: int,
     The explicit step bound dt <= 0.1 h^2 guards the stiff lattice Laplacian;
     blow-up raises NumericError with the failing step index.
     """
-    check_schedule(dt, steps, sample_every)
     if enforce_dt_bound and dt > p.max_stable_dt() * (1 + 1e-12):
         raise PreconditionError(
             f"dt={dt} above the stability bound 0.1*h^2={p.max_stable_dt():.3e}")

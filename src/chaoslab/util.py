@@ -51,10 +51,10 @@ def rk4(rhs, y0, dt: float, steps: int, sample_every: int):
 
     Returns samples: y0 and the state after every sample_every-th step.  At
     the first step after which the state breaks the blow-up rule it calls
-    blew_up, which raises NumericError with that step.  A negative dt
-    integrates backward in time, as the compiled kernels allow.
+    blew_up, which raises NumericError with that step.  Time runs forward
+    only: check_schedule rejects a dt that is not > 0, as in the C loops.
     """
-    check_schedule(abs(dt), steps, sample_every)
+    check_schedule(dt, steps, sample_every)
     y = np.array(y0)
     check_state(y.size)
     samples = np.empty((steps // sample_every + 1,) + y.shape, dtype=y.dtype)

@@ -21,6 +21,24 @@ def coef_a_ref(p, q) -> float:
     return 0.5 * (1.0 / nq2 - 1.0 / np2) * det
 
 
+def zeta_ref(p) -> int:
+    """Nonzero lattice points strictly inside the disk of radius |p| and not
+    parallel to p, by a double loop over the enclosing square."""
+    n2 = p[0] * p[0] + p[1] * p[1]
+    r = int(np.floor(np.sqrt(n2)))
+    count = 0
+    for q1 in range(-r, r + 1):
+        for q2 in range(-r, r + 1):
+            if q1 == 0 and q2 == 0:
+                continue
+            if q1 * q1 + q2 * q2 >= n2:
+                continue
+            if p[0] * q2 - p[1] * q1 == 0:
+                continue
+            count += 1
+    return count
+
+
 def galerkin_rhs_ref(w: np.ndarray, box: int) -> np.ndarray:
     """Quadratic convolution by explicit loops over ordered pairs."""
     side = 2 * box + 1

@@ -150,6 +150,8 @@ class TestDispatch:
             ["euler-sim", "--box", "3", "--steps", "10", "--dt", "inf"],
             ["dashed-line", "--steps", "10", "--dt", "inf"],
             ["lax-check", "--case", "isospec", "--box", "2", "--dt", "inf"],
+            # a negative time step: every integrator runs forward in time
+            ["dashed-line", "--steps", "10", "--dt=-0.001"],
             # a closed-form start that is not finite
             ["dashed-line", "--steps", "10", "--from-analytic=nan,0.3,1"],
             ["dashed-line", "--steps", "10", "--from-analytic=inf,0.3,1"],
@@ -157,14 +159,23 @@ class TestDispatch:
         ]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
-        # a shadow segment above the bound is rejected before any orbit is
-        # built, so nothing overflows on the way
+        # inputs rejected before any work, so nothing overflows or warns on
+        # the way: a shadow segment above the bound, before any orbit is
+        # built; an isospectrality horizon shorter than one step or of more
+        # than ISOSPEC_MAX_STEPS steps, before any step; a random initial
+        # field whose modes all underflow, before it is scaled
         assert SHADOW_MAX_M == 500
+        quiet = [["shadow", "--map", name, "--m", "501"]
+                 for name in ("linear-test", "dashed-line", "nls-poincare")] + [
+            ["lax-check", "--case", "isospec", "--T", "0.05", "--dt", "1"],
+            ["lax-check", "--case", "isospec", "--dt=1e-12"],
+            ["lax-check", "--case", "isospec", "--T=1e300"],
+            ["euler-sim", "--decay=1e12"],
+        ]
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for name in ("linear-test", "dashed-line", "nls-poincare"):
-                args = ["shadow", "--map", name, "--m", "501"]
+            for args in quiet:
                 assert run_cli(args, tmp_path / "out") == 4, args
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from chaoslab import _kernels_py
-from chaoslab.dashed_line import (_STENCILS, DashedLineParams, DashedLineState,
-                                  HeteroclinicParams, analytic_heteroclinic,
-                                  block_couplings, dash_factor,
-                                  flow_map, heteroclinic_states, integrate,
-                                  kappa_value, model_jacobian, model_rhs,
-                                  orbit_residual, phase_sum_constant)
+from chaoslab.dashed_line import (_STENCILS, DashedLineParams,
+                                  HeteroclinicParams, block_couplings,
+                                  dash_factor, flow_map, heteroclinic_states,
+                                  integrate, kappa_value, model_jacobian,
+                                  model_rhs, orbit_residual, phase_sum_constant)
 from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.fourier import coef_A
 from oracles import dashed_rhs_ref
+
+
+def fixed_point(p):
+    """The stationary line omega_p = Gamma, omega = 0, as a stacked state."""
+    return np.concatenate(([p.gamma], np.zeros(p.size)))
 
 
 class TestCouplings:
@@ -46,61 +50,54 @@ class TestModelRHS:
         for gamma in (0.5, 2.0, -1.3):
             for eps in (0.0, 0.4, 1.0):
                 p = DashedLineParams(gamma=gamma, epsilon=eps, trunc=8)
-                d = model_rhs(DashedLineState.fixed_point(p), p)
-                assert d.omega_p == 0.0
-                assert np.max(np.abs(d.omega)) == 0.0
+                d = model_rhs(fixed_point(p), p)
+                assert d[0] == 0.0
+                assert np.max(np.abs(d[1:])) == 0.0
 
     def test_zero_state(self):
         p = DashedLineParams(gamma=1.0, epsilon=0.5, trunc=6)
-        d = model_rhs(DashedLineState.zero(6), p)
-        assert d.omega_p == 0.0 and np.max(np.abs(d.omega)) == 0.0
+        d = model_rhs(np.zeros(p.size + 1), p)
+        assert d[0] == 0.0 and np.max(np.abs(d[1:])) == 0.0
 
     def test_matches_loop_oracle(self, rng):
         p = DashedLineParams(gamma=1.0, epsilon=1.0, trunc=10)
-        st = DashedLineState(rng.standard_normal(), rng.standard_normal(21))
-        got = model_rhs(st, p)
-        dop, dom = dashed_rhs_ref(st.omega_p, st.omega, None, 1.0, 10)
-        assert abs(got.omega_p - dop) < 1e-14
-        assert np.max(np.abs(got.omega - dom)) < 1e-14
+        x = np.concatenate(([rng.standard_normal()], rng.standard_normal(21)))
+        got = model_rhs(x, p)
+        dop, dom = dashed_rhs_ref(x[0], x[1:], None, 1.0, 10)
+        assert abs(got[0] - dop) < 1e-14
+        assert np.max(np.abs(got[1:] - dom)) < 1e-14
 
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.8])
     def test_matches_loop_oracle_dashed(self, rng, eps):
         # trunc 1 is the shortest chain, where both pair couplings are dashed
         for trunc in (7, 1):
             p = DashedLineParams(gamma=1.0, epsilon=eps, trunc=trunc)
-            st = DashedLineState(0.7, 0.4 * rng.standard_normal(p.size))
-            got = model_rhs(st, p)
-            dop, dom = dashed_rhs_ref(st.omega_p, st.omega, None, eps, trunc)
-            assert abs(got.omega_p - dop) < 1e-14
-            assert np.max(np.abs(got.omega - dom)) < 1e-14
+            x = np.concatenate(([0.7], 0.4 * rng.standard_normal(p.size)))
+            got = model_rhs(x, p)
+            dop, dom = dashed_rhs_ref(x[0], x[1:], None, eps, trunc)
+            assert abs(got[0] - dop) < 1e-14
+            assert np.max(np.abs(got[1:] - dom)) < 1e-14
 
     def test_jacobian_of_a_stack_is_bitwise_per_row(self, rng):
-        from chaoslab.dashed_line import _jacobian
         p = DashedLineParams(gamma=1.0, epsilon=0.6, trunc=3)
-        op, om = rng.standard_normal(4), rng.standard_normal((4, p.size))
-        jacs = _jacobian(op, om, p)
+        x = np.column_stack((rng.standard_normal(4), rng.standard_normal((4, p.size))))
+        jacs = model_jacobian(x, p)
         assert jacs.shape == (4, p.size + 1, p.size + 1)
         for j in range(4):
-            assert np.array_equal(
-                jacs[j], model_jacobian(DashedLineState(op[j], om[j]), p))
+            assert np.array_equal(jacs[j], model_jacobian(x[j], p))
 
     def test_jacobian_matches_fd(self, rng):
         # trunc 1 is the shortest chain, L = 3 sites with both Dirichlet ends
         for trunc in (6, 1):
             p = DashedLineParams(gamma=1.0, epsilon=0.6, trunc=trunc)
             x = np.concatenate(([0.9], 0.3 * rng.standard_normal(p.size)))
-            jac = model_jacobian(DashedLineState(x[0], x[1:]), p)
-
-            def rhs_vec(v):
-                d = model_rhs(DashedLineState(v[0], v[1:]), p)
-                return np.concatenate(([d.omega_p], d.omega))
-
+            jac = model_jacobian(x, p)
             fd = np.empty_like(jac)
             h = 1e-6
             for j in range(x.size):
                 e = np.zeros(x.size)
                 e[j] = h
-                fd[:, j] = (rhs_vec(x + e) - rhs_vec(x - e)) / (2 * h)
+                fd[:, j] = (model_rhs(x + e, p) - model_rhs(x - e, p)) / (2 * h)
             assert np.max(np.abs(jac - fd)) < 1e-9
 
 
@@ -108,18 +105,18 @@ class TestAnalyticOrbit:
     def test_limits_reach_fixed_points(self):
         het = HeteroclinicParams(tau0=0.0, theta0=0.2)
         gamma = 1.0
-        far = analytic_heteroclinic(300.0, het, gamma)
-        assert far.omega_p == pytest.approx(gamma, abs=1e-12)
-        assert np.max(np.abs(far.omega)) < 1e-12
-        near = analytic_heteroclinic(-300.0, het, gamma)
-        assert near.omega_p == pytest.approx(-gamma, abs=1e-12)
+        far = heteroclinic_states(300.0, het, gamma)
+        assert far[0] == pytest.approx(gamma, abs=1e-12)
+        assert np.max(np.abs(far[1:])) < 1e-12
+        near = heteroclinic_states(-300.0, het, gamma)
+        assert near[0] == pytest.approx(-gamma, abs=1e-12)
 
     def test_block_amplitudes_at_tau_zero(self):
         het = HeteroclinicParams(tau0=0.0, theta0=0.77)
-        s = analytic_heteroclinic(0.0, het, 1.0, trunc=10)
-        i = lambda n: 10 + n
-        r2 = s.omega[i(1)] ** 2 + s.omega[i(4)] ** 2
-        rho2 = s.omega[i(2)] ** 2 + s.omega[i(3)] ** 2
+        x = heteroclinic_states(0.0, het, 1.0, trunc=10)
+        i = lambda n: 11 + n  # stacked index of omega_n
+        r2 = x[i(1)] ** 2 + x[i(4)] ** 2
+        rho2 = x[i(2)] ** 2 + x[i(3)] ** 2
         assert np.sqrt(r2) == pytest.approx(np.sqrt(5 / 8), abs=1e-14)
         assert np.sqrt(rho2 / r2) == pytest.approx(np.sqrt(3 / 5), abs=1e-14)
 
@@ -127,10 +124,10 @@ class TestAnalyticOrbit:
         a1, a2 = block_couplings()
         het = HeteroclinicParams(tau0=0.4, theta0=-0.9, kappa_sign=-1)
         for t in np.linspace(-4, 4, 17):
-            s = analytic_heteroclinic(t, het, 1.3, trunc=8)
-            i = lambda n: 8 + n
-            r2 = s.omega[i(1)] ** 2 + s.omega[i(4)] ** 2
-            rho2 = s.omega[i(2)] ** 2 + s.omega[i(3)] ** 2
+            x = heteroclinic_states(t, het, 1.3, trunc=8)
+            i = lambda n: 9 + n  # stacked index of omega_n
+            r2 = x[i(1)] ** 2 + x[i(4)] ** 2
+            rho2 = x[i(2)] ** 2 + x[i(3)] ** 2
             assert rho2 == pytest.approx((-a1 / a2) * r2, abs=1e-14)
 
     def test_time_reflection_swaps_endpoints(self):
@@ -138,13 +135,13 @@ class TestAnalyticOrbit:
         fwd = HeteroclinicParams(tau0=0.6, theta0=0.1)
         bwd = HeteroclinicParams(tau0=-0.6, theta0=0.1)
         for t in (0.5, 2.0):
-            sf = analytic_heteroclinic(t, fwd, gamma)
-            sb = analytic_heteroclinic(-t, bwd, gamma)
-            assert sf.omega_p == pytest.approx(-sb.omega_p, abs=1e-14)
+            xf = heteroclinic_states(t, fwd, gamma)
+            xb = heteroclinic_states(-t, bwd, gamma)
+            assert xf[0] == pytest.approx(-xb[0], abs=1e-14)
 
     def test_trunc_too_small_rejected(self):
         with pytest.raises(PreconditionError):
-            analytic_heteroclinic(0.0, HeteroclinicParams(0.0, 0.0), 1.0, trunc=4)
+            heteroclinic_states(0.0, HeteroclinicParams(0.0, 0.0), 1.0, trunc=4)
 
     def test_overflow_is_a_numeric_failure(self):
         # cosh(tau) overflows at |kappa * gamma * t| near 710; a non-finite
@@ -179,16 +176,11 @@ class TestOrbitResidual:
         c = _kernels_py.dashed_coupling_matrix(p.sub, p.sup, p.pair)
         worst = 0.0
         for t in ts:
-            s = analytic_heteroclinic(t, het, gamma)
-            dx = _kernels_py.dashed_field(np.concatenate(([s.omega_p], s.omega)), c)
-            dop, dom = dx[0], dx[1:]
-            fd_p, fd_om = 0.0, np.zeros(p.size)
+            dx = _kernels_py.dashed_field(heteroclinic_states(t, het, gamma), c)
+            fd = np.zeros(p.size + 1)
             for off, wgt in zip(offsets, weights):
-                s = analytic_heteroclinic(t + off * fd_step, het, gamma)
-                fd_p += wgt * s.omega_p
-                fd_om += wgt * s.omega
-            worst = max(worst, abs(dop - fd_p / fd_step),
-                        np.max(np.abs(dom - fd_om / fd_step)))
+                fd += wgt * heteroclinic_states(t + off * fd_step, het, gamma)
+            worst = max(worst, np.max(np.abs(dx - fd / fd_step)))
         res = orbit_residual(het, gamma, ts, fd_step=fd_step)
         assert abs(res - worst) <= 1e-12 * worst
 
@@ -215,10 +207,9 @@ class TestOrbitResidual:
 class TestIntegrate:
     def test_fixed_point_stays(self):
         p = DashedLineParams(gamma=1.0, epsilon=0.7, trunc=10)
-        traj = integrate(DashedLineState.fixed_point(p), p, 1e-3, 10000,
-                         sample_every=1000)
-        assert abs(traj.omega_p[-1] - 1.0) < 1e-12
-        assert np.max(np.abs(traj.omega[-1])) < 1e-12
+        traj = integrate(fixed_point(p), p, 1e-3, 10000, sample_every=1000)
+        assert abs(traj.states[-1, 0] - 1.0) < 1e-12
+        assert np.max(np.abs(traj.states[-1, 1:])) < 1e-12
 
     def test_tracks_analytic_orbit_before_growth(self):
         # start on the connecting orbit at tau = -6 and compare while tau <= 0
@@ -229,40 +220,44 @@ class TestIntegrate:
         t_end = 6.0 / (kap * gamma)
         dt = 1e-3
         steps = int(t_end / dt)
-        traj = integrate(analytic_heteroclinic(0.0, het, gamma), p, dt, steps,
+        traj = integrate(heteroclinic_states(0.0, het, gamma), p, dt, steps,
                          sample_every=200)
         worst = 0.0
-        for i, t in enumerate(traj.times):
-            ref = analytic_heteroclinic(t, het, gamma)
-            worst = max(worst, abs(traj.omega_p[i] - ref.omega_p),
-                        np.max(np.abs(traj.omega[i] - ref.omega)))
+        for t, x in zip(traj.times, traj.states):
+            worst = max(worst, np.max(np.abs(x - heteroclinic_states(t, het, gamma))))
         assert worst < 1e-3
 
     def test_time_reversibility(self):
-        # forward 10^3 RK4 steps then backward (negative dt at the kernel
-        # level) returns the start to the local-error accumulation O(dt^4)
-        from chaoslab import kernels
+        # the field is reversible, f(R x) = -R f(x) with R flipping the sign
+        # of omega_p, so an RK4 step of dt from R x is exactly R of a step of
+        # -dt from x: forward 10^3 steps, then 10^3 more from R of the end,
+        # return R of the start to the local-error accumulation O(dt^4)
         p = DashedLineParams(gamma=1.0, epsilon=0.3, trunc=8)
         het = HeteroclinicParams(tau0=0.0, theta0=0.1)
-        start = analytic_heteroclinic(0.0, het, 1.0, trunc=8)
+        start = heteroclinic_states(0.0, het, 1.0, trunc=8)
+        R = np.concatenate(([-1.0], np.ones(p.size)))
         fwd = integrate(start, p, 1e-3, 1000, sample_every=1000)
-        op_s, om_s = kernels.dashed_rk4(
-            fwd.omega_p[-1], fwd.omega[-1], p.sub, p.sup, p.pair,
-            -1e-3, 1000, 1000)
-        assert abs(op_s[-1] - start.omega_p) < 1e-9
-        assert np.max(np.abs(om_s[-1] - start.omega)) < 1e-9
+        back = integrate(R * fwd.states[-1], p, 1e-3, 1000, sample_every=1000)
+        assert np.max(np.abs(R * back.states[-1] - start)) < 1e-9
 
     def test_blowup_raises_with_step(self):
         p = DashedLineParams(gamma=1.0, epsilon=1.0, trunc=6)
-        st = DashedLineState(50.0, 50.0 * np.ones(13))
         with pytest.raises(NumericError) as err:
-            integrate(st, p, 0.5, 10000)
+            integrate(50.0 * np.ones(p.size + 1), p, 0.5, 10000)
         assert getattr(err.value, "step", None) is not None
 
     def test_bad_dt_rejected(self):
         p = DashedLineParams(gamma=1.0, epsilon=0.0, trunc=5)
         with pytest.raises(PreconditionError):
-            integrate(DashedLineState.zero(5), p, -0.1, 10)
+            integrate(np.zeros(p.size + 1), p, -0.1, 10)
+
+    def test_bad_start_rejected(self):
+        # one finite state of size + 1 items, as the kernels step it
+        p = DashedLineParams(gamma=1.0, epsilon=0.0, trunc=5)
+        for x0 in (np.zeros(p.size), np.zeros((2, p.size + 1)),
+                   np.full(p.size + 1, np.nan), np.full(p.size + 1, np.inf)):
+            with pytest.raises(PreconditionError):
+                integrate(x0, p, 1e-3, 10)
 
 
 class TestFlowMap:

@@ -12,7 +12,7 @@ from chaoslab.fourier import (ClassIndex, CoefficientField, GridField2D,
                               energy_derivative, enstrophy_derivative,
                               galerkin_rhs, grid_bracket, integrate_galerkin,
                               invert_laplacian, laplacian, zeta)
-from oracles import galerkin_rhs_ref, grid_to_coefficients
+from oracles import galerkin_rhs_ref, grid_to_coefficients, zeta_ref
 
 nonzero_vec = st.tuples(st.integers(-10, 10), st.integers(-10, 10)).filter(
     lambda v: v != (0, 0))
@@ -70,6 +70,12 @@ class TestZeta:
     def test_invariant_under_negation(self):
         for p in [(1, 1), (2, 1), (3, 2), (1, 0)]:
             assert zeta(p) == zeta((-p[0], -p[1]))
+
+    def test_row_count_matches_double_loop(self):
+        for p1 in range(-12, 13):
+            for p2 in range(-12, 13):
+                if (p1, p2) != (0, 0):
+                    assert zeta((p1, p2)) == zeta_ref((p1, p2)), (p1, p2)
 
 
 class TestClasses:

@@ -205,8 +205,8 @@ class TestDashedKernel:
                 a = kernel_backend.dashed_rk4(0.8, *forms, 1e-3, 1000, 100)
                 b = _kernels_py.dashed_rk4(
                     0.8, *(np.ascontiguousarray(x, np.float64) for x in forms), 1e-3, 1000, 100)
-                assert np.max(np.abs(a[0] - b[0])) < 1e-12
-                assert np.max(np.abs(a[1] - b[1])) < 1e-12
+                assert a.shape == b.shape == (11, L + 1)
+                assert np.max(np.abs(a - b)) < 1e-12
 
     def test_mismatched_couplings_raise(self, kernel_backend):
         # sub, sup and pair must fit om, as the numpy coupling matrix needs
@@ -239,7 +239,7 @@ class TestDashedKernel:
 
 @pytest.mark.parametrize("dt, steps, sample_every", [
     (1e-3, 10, 0), (1e-3, 10, -2), (0.0, 10, 1), (float("nan"), 10, 1), (1e-3, -1, 1),
-    (float("inf"), 1, 1)])
+    (float("inf"), 1, 1), (-1e-3, 10, 1)])
 def test_rk4_rejects_bad_schedule(kernel_backend, dt, steps, sample_every):
     # both backends apply chaoslab.util.check_schedule: a bad schedule is a
     # precondition error, never a crash of the compiled loops

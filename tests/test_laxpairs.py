@@ -8,7 +8,7 @@ from chaoslab.fourier import (CoefficientField, GridField2D,
 from chaoslab.laxpairs import (VectorField3D, bracket_operator_matrix,
                                compatibility_residual_2d, isospectrality_check,
                                jacobi_defect, lax_3d_scalar, lax_3d_vector,
-                               lax_A_2d, lax_L_2d, rossby_L)
+                               rossby_L)
 from oracles import bracket_operator_matrix_ref
 
 
@@ -20,14 +20,14 @@ def unit_random_grid(rng, box=8, n=64):
 class TestLax2D:
     def test_self_bracket_vanishes(self, rng):
         omega = unit_random_grid(rng)
-        assert np.max(np.abs(lax_L_2d(omega, omega).values)) == 0.0
+        assert np.max(np.abs(grid_bracket(omega, omega).values)) == 0.0
 
     def test_oblique_pair_hand_value(self):
         # f_x g_y - f_y g_x with f = cos(x+y), g = cos(x-y):
         # (-s+)(+s-) - (-s+)(-s-) = -2 s+ s-
         omega = GridField2D.from_function(64, lambda x, y: np.cos(x + y))
         phi = GridField2D.from_function(64, lambda x, y: np.cos(x - y))
-        got = lax_L_2d(omega, phi)
+        got = grid_bracket(omega, phi)
         expected = GridField2D.from_function(
             64, lambda x, y: -2.0 * np.sin(x + y) * np.sin(x - y))
         assert np.max(np.abs(got.values - expected.values)) < 1e-13
@@ -35,8 +35,7 @@ class TestLax2D:
     def test_constant_eigenfunction(self, rng):
         omega = unit_random_grid(rng)
         const = GridField2D(np.full((64, 64), 2.2))
-        assert np.max(np.abs(lax_L_2d(omega, const).values)) < 1e-13
-        assert np.max(np.abs(lax_A_2d(omega, const).values)) < 1e-13
+        assert np.max(np.abs(grid_bracket(omega, const).values)) < 1e-13
 
     def test_jacobi_battery(self, rng):
         worst = 0.0
@@ -164,7 +163,7 @@ class TestRossby:
     def test_beta_zero_reduces_to_plain_bracket(self, rng):
         omega, phi = unit_random_grid(rng), unit_random_grid(rng)
         a = rossby_L(omega, 0.0, phi)
-        b = lax_L_2d(omega, phi)
+        b = grid_bracket(omega, phi)
         assert np.max(np.abs(a.values - b.values)) == 0.0
 
     def test_zero_vorticity_pure_drift(self):

@@ -384,8 +384,7 @@ class TestHyperbolicity:
         # per-unit-time QR rates at the stationary line recover the real
         # parts of the model linearization; the map time must be long
         # enough that the spectral gap drives QR alignment below 1e-6
-        from chaoslab.dashed_line import (DashedLineParams, DashedLineState,
-                                          flow_map, model_jacobian)
+        from chaoslab.dashed_line import DashedLineParams, flow_map, model_jacobian
         params = DashedLineParams(gamma=1.0, epsilon=1.0, trunc=4)
         dt, steps = 0.1, 50
         T = dt * steps
@@ -394,7 +393,7 @@ class TestHyperbolicity:
         system = MapSystem(dimension=params.size + 1, map=fmap, jacobian=fjac)
         fp = np.concatenate(([1.0], np.zeros(params.size)))
         rep = hyperbolicity_estimate(np.tile(fp, (60, 1)), system)
-        lin = model_jacobian(DashedLineState(1.0, np.zeros(params.size)), params)
+        lin = model_jacobian(fp, params)
         real_parts = np.linalg.eigvals(lin).real
         # the leading rate has multiplicity two; the individual QR diagonals
         # split around it but their mean (the top-2 volume rate) converges
