@@ -244,7 +244,7 @@ def main():
     params = nls.NLSParams(N=8, omega=3.5, alpha=1.0, beta=4.0, epsilon=0.01)
     flow = nls.flow_map(params, 0.5 * params.max_stable_dt(), 20)
     x = np.concatenate([q.real, q.imag])
-    saddle = nls.discrete_saddle(params).state.q
+    saddle = nls.discrete_saddle(params).q
     saddle = np.concatenate([saddle.real, saddle.imag])
     orbit = saddle + 1e-3 * rng.standard_normal((20, 16))
 

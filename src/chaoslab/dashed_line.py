@@ -16,8 +16,8 @@ The coupling constants A1 = A(p, khat+p) and A2 = A(p, khat+2p) are always
 recomputed from coef_A, never hard-coded.
 
 A state is the stacked vector x = (omega_p, omega_{-trunc}..omega_{trunc}),
-in every function here, in the RK4 kernels and in the rows of the
-dashed-line trajectory.csv.
+in every function here, in the RK4 kernels, in integrate's Trajectory and
+in the rows of the dashed-line trajectory.csv.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from . import _kernels_py, kernels
 from .errors import NumericError, PreconditionError
 from .fourier import coef_A
+from .util import Trajectory
 
 BASE_POINT = (-3, -2)
 DIRECTION = (1, 1)
@@ -144,23 +145,16 @@ def model_jacobian(x, params: DashedLineParams) -> np.ndarray:
     return jac
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # stacked (omega_p, omega), shape (n_samples, size + 1)
-
-
 def integrate(x0, params: DashedLineParams, dt: float, steps: int,
               sample_every: int = 1) -> Trajectory:
-    """Fixed-step RK4 from the stacked state x0; raises NumericError with the
-    step index on blow-up."""
+    """Fixed-step RK4 from the stacked state x0, sampled as stacked states;
+    raises NumericError with the step index on blow-up."""
     x0 = _stacked(x0, params)
     if x0.ndim != 1 or not np.all(np.isfinite(x0)):
         raise PreconditionError("x0 must be one finite state")
     states = kernels.dashed_rk4(x0[0], x0[1:], params.sub, params.sup,
                                 params.pair, dt, steps, sample_every)
-    times = dt * sample_every * np.arange(states.shape[0])
-    return Trajectory(times=times, states=states)
+    return Trajectory.sampled(states, dt, sample_every)
 
 
 # -- closed-form connecting orbits -------------------------------------------

@@ -158,8 +158,8 @@ def isospectrality_check(omega0: CoefficientField, T: float,
 
 
 class VectorField3D:
-    """Three periodic scalar components on an n^3 grid, period 2*pi; n is a
-    power of two >= 16, as for GridField2D."""
+    """Three read-only periodic scalar components on an n^3 grid, period
+    2*pi; n is a power of two >= 16, as for GridField2D."""
 
     def __init__(self, components: np.ndarray):
         components = np.asarray(components, dtype=np.float64)
@@ -169,7 +169,9 @@ class VectorField3D:
         if components.shape[1:] != (n, n, n):
             raise PreconditionError("grid must be cubic")
         check_resolution(n)
-        self.components = components
+        self.components = components.view()
+        self.components.flags.writeable = False
+        self._grads = None
 
     @property
     def resolution(self) -> int:
@@ -196,8 +198,11 @@ class VectorField3D:
         return cls(comp)
 
     def gradients(self) -> list[tuple[np.ndarray, ...]]:
-        """grads[i][j] = d(component i)/dx_j, one forward FFT per component."""
-        return [spectral_gradient(c) for c in self.components]
+        """grads[i][j] = d(component i)/dx_j, one forward FFT per component
+        on the first call only, so every user shares one transform."""
+        if self._grads is None:
+            self._grads = [spectral_gradient(c) for c in self.components]
+        return self._grads
 
     def divergence(self) -> np.ndarray:
         return _divergence(self.gradients())

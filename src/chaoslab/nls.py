@@ -5,10 +5,12 @@ The lattice state q_n (n = 0..N-1, h = 1/N) evolves by
     i dq_n/dt = h^-2 (q_{n+1} - 2 q_n + q_{n-1}) + |q_n|^2 (q_{n+1} + q_{n-1})
                 - 2 w^2 q_n + i eps [ -alpha q_n + h^-2 (...) + beta ]
 
-with periodic and even (q_{N-n} = q_n) symmetry.  The continuum-regime
-closed forms for the uniform saddle and its linearization eigenvalues take
-plain scalar parameters since the lattice window N tan(pi/N) < w never
-overlaps the continuum window w in (1/2, 1).
+with periodic and even (q_{N-n} = q_n) symmetry.  A lattice state is the
+complex vector q of shape (N,); simulate makes its start even once, and the
+flow keeps it even.  The continuum-regime closed forms for the uniform
+saddle and its linearization eigenvalues take plain scalar parameters since
+the lattice window N tan(pi/N) < w never overlaps the continuum window w in
+(1/2, 1).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from . import _kernels_py, kernels
 from ._kernels_py import neighbour_index
 from .errors import NumericError, PreconditionError
+from .util import BLOWUP_LIMIT, Trajectory
 
 # solve_uniform_saddle: the Newton step target and step cap.
 SADDLE_TOL = 1e-13
@@ -34,29 +37,36 @@ UNSTABLE_TOL = 1e-4
 FLAT_TOL = 1e-12
 # center_wing_encode: unambiguous samples a new basin must persist for.
 MIN_RUN = 5
+# NLSParams: the largest N.  discrete_saddle's dense 2N x 2N Jacobian took
+# 0.87-0.97 s and 148 MB of peak RSS at N = 1024, against 3.5-4.5 s and
+# 543 MB at N = 2048 (2 vCPUs, numpy on OpenBLAS).
+MAX_N = 1024
 
 
 @dataclass
 class NLSParams:
-    """Lattice parameters; the spectral window is validated by default."""
+    """Lattice parameters, checked before any work: 3 <= N <= MAX_N, and
+    omega in the lattice window and below BLOWUP_LIMIT, which the saddle of
+    amplitude about omega would break (the N = 3 window has no upper end)."""
 
     N: int
     omega: float
     alpha: float
     beta: float
     epsilon: float
-    require_window: bool = True
 
     def __post_init__(self) -> None:
-        if self.N < 3:
-            raise PreconditionError("N must be >= 3")
+        if not 3 <= self.N <= MAX_N:
+            raise PreconditionError(f"N must be in [3, {MAX_N}]")
         if self.alpha <= 0 or self.beta <= 0:
             raise PreconditionError("alpha and beta must be positive")
         if self.epsilon < 0:
             raise PreconditionError("epsilon must be >= 0")
-        if self.require_window and not self.in_window():
+        if not self.in_window():
             raise PreconditionError(
                 f"omega={self.omega} outside the lattice window {self.window()}")
+        if not self.omega < BLOWUP_LIMIT:
+            raise PreconditionError(f"omega={self.omega} not below {BLOWUP_LIMIT:g}")
 
     def window(self) -> tuple[float, float]:
         lo = self.N * math.tan(math.pi / self.N)
@@ -79,6 +89,12 @@ class NLSParams:
     def max_stable_dt(self) -> float:
         return 0.1 * self.h * self.h
 
+    def check_dt(self, dt: float) -> None:
+        """Reject dt above 0.1 h^2, the stiff lattice Laplacian's bound."""
+        if dt > self.max_stable_dt() * (1 + 1e-12):
+            raise PreconditionError(
+                f"dt={dt} above the stability bound 0.1*h^2={self.max_stable_dt():.3e}")
+
 
 def make_even(q: np.ndarray) -> np.ndarray:
     """Symmetrize under n -> N - n."""
@@ -87,28 +103,9 @@ def make_even(q: np.ndarray) -> np.ndarray:
     return 0.5 * (q + refl)
 
 
-@dataclass
-class NLSLatticeState:
-    """Even periodic lattice vector; evenness is enforced on construction."""
-
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.q = make_even(self.q)
-
-    @classmethod
-    def uniform(cls, N: int, value: complex) -> "NLSLatticeState":
-        return cls(np.full(N, value, dtype=np.complex128))
-
-    @property
-    def N(self) -> int:
-        return self.q.size
-
-
-def pdnls_rhs(state, params: NLSParams) -> np.ndarray:
-    """dq/dt for a state (NLSLatticeState or raw array)."""
-    q = state.q if isinstance(state, NLSLatticeState) else np.asarray(state)
-    return kernels.pdnls_rhs(q, params.N ** 2, 2.0 * params.omega ** 2,
+def pdnls_rhs(q, params: NLSParams) -> np.ndarray:
+    """dq/dt at the lattice vector q."""
+    return kernels.pdnls_rhs(np.asarray(q), params.N ** 2, 2.0 * params.omega ** 2,
                              params.alpha, params.beta, params.epsilon)
 
 
@@ -247,34 +244,41 @@ def solve_uniform_saddle(p: NLSParams) -> complex:
     and pins the theta in (0, pi/2) branch, the limit of the perturbed phase
     condition.  Newton stops once a step is below SADDLE_TOL * max(1, R),
     within SADDLE_MAX_ITER steps, and the Cartesian residual is verified to
-    1e4 * SADDLE_TOL before returning.
+    1e4 * SADDLE_TOL before returning; a non-finite iterate raises
+    NumericError.
     """
     c = p.alpha * p.omega / p.beta
     if c >= 1.0:
         raise PreconditionError("saddle needs alpha*omega < beta")
     r, th = p.omega, math.acos(c)
-    for _ in range(SADDLE_MAX_ITER):
-        h = np.array([p.beta * math.cos(th) - p.alpha * r,
-                      2.0 * (p.omega ** 2 - r * r) * r
-                      - p.epsilon * p.beta * math.sin(th)])
-        jac = np.array([
-            [-p.alpha, -p.beta * math.sin(th)],
-            [2.0 * p.omega ** 2 - 6.0 * r * r, -p.epsilon * p.beta * math.cos(th)],
-        ])
-        try:
-            dx = np.linalg.solve(jac, -h)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("saddle Newton hit a singular Jacobian",
-                               last_iterate=r * cmath.exp(1j * th)) from exc
-        r, th = r + dx[0], th + dx[1]
-        if np.max(np.abs(dx)) < SADDLE_TOL * max(1.0, r):
-            Q = r * cmath.exp(1j * th)
-            if not (0.0 < th < 0.5 * math.pi):
-                raise NumericError("saddle Newton left the (0, pi/2) phase branch",
-                                   last_iterate=Q)
-            if abs(_saddle_residual(Q, p)) > 1e4 * SADDLE_TOL * max(1.0, abs(Q)):
-                raise NumericError("saddle residual check failed", last_iterate=Q)
-            return Q
+    # overflow (a huge beta or epsilon) stops at the first non-finite iterate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SADDLE_MAX_ITER):
+            h = np.array([p.beta * math.cos(th) - p.alpha * r,
+                          2.0 * (p.omega ** 2 - r * r) * r
+                          - p.epsilon * p.beta * math.sin(th)])
+            jac = np.array([
+                [-p.alpha, -p.beta * math.sin(th)],
+                [2.0 * p.omega ** 2 - 6.0 * r * r, -p.epsilon * p.beta * math.cos(th)],
+            ])
+            try:
+                dx = np.linalg.solve(jac, -h)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError("saddle Newton hit a singular Jacobian",
+                                   last_iterate=r * cmath.exp(1j * th)) from exc
+            if not np.all(np.isfinite(dx + (r, th))):  # the next iterate
+                raise NumericError("saddle Newton reached a non-finite iterate",
+                                   last_iterate=r * cmath.exp(1j * th))
+            r, th = r + dx[0], th + dx[1]
+            if np.max(np.abs(dx)) < SADDLE_TOL * max(1.0, r):
+                Q = r * cmath.exp(1j * th)
+                if not (0.0 < th < 0.5 * math.pi):
+                    raise NumericError("saddle Newton left the (0, pi/2) phase branch",
+                                       last_iterate=Q)
+                # a NaN residual fails too
+                if not abs(_saddle_residual(Q, p)) <= 1e4 * SADDLE_TOL * max(1.0, abs(Q)):
+                    raise NumericError("saddle residual check failed", last_iterate=Q)
+                return Q
     raise NumericError("saddle Newton did not converge",
                        last_iterate=r * cmath.exp(1j * th))
 
@@ -356,79 +360,53 @@ def even_sector_basis(N: int) -> tuple[np.ndarray, np.ndarray]:
     translation symmetry of the full lattice doubles interior modes, so
     saddle-type counts are taken in this sector.
     """
-    M = N // 2
-    dim_red, dim_full = M + 1, N
-    E1 = np.zeros((dim_full, dim_red))
-    for n in range(N):
-        src = n if n <= M else N - n
-        E1[n, src] = 1.0
-    P1 = np.zeros((dim_red, dim_full))
-    for m in range(dim_red):
-        P1[m, m] = 1.0
-    Z = np.zeros_like(E1)
-    E = np.block([[E1, Z], [Z, E1]])
-    Zp = np.zeros_like(P1)
-    P = np.block([[P1, Zp], [Zp, P1]])
-    return E, P
+    M, n = N // 2, np.arange(N)
+    # site n of the lattice is site min(n, N - n) of the even sector
+    E1 = (np.minimum(n, N - n)[:, None] == np.arange(M + 1)).astype(float)
+    return np.kron(np.eye(2), E1), np.kron(np.eye(2), np.eye(M + 1, N))
 
 
 @dataclass
 class DiscreteSaddle:
-    """Uniform saddle with both linearization views.
+    """Uniform saddle q = (Q, ..., Q) with its linearization spectrum.
 
     ``eigenvalues`` (and ``unstable_count``) refer to the even sector, the
-    phase space of the symmetric system; the full-lattice Jacobian carries
-    one extra unstable direction per interior unstable mode (its odd-parity
-    translate) and is kept for completeness.
+    phase space of the symmetric system; the full lattice carries one extra
+    unstable direction per interior unstable mode, its odd-parity translate.
     """
 
     Q: complex
-    state: NLSLatticeState
+    q: np.ndarray
     eigenvalues: np.ndarray
-    jacobian_full: np.ndarray
-    eigenvalues_full: np.ndarray
 
     def unstable_count(self) -> int:
         return int(np.sum(self.eigenvalues.real > UNSTABLE_TOL))
 
 
 def discrete_saddle(p: NLSParams) -> DiscreteSaddle:
-    """Uniform saddle of the lattice with its linearization spectra."""
+    """Uniform saddle of the lattice with its even-sector spectrum."""
     Q = solve_uniform_saddle(p)
     q = np.full(p.N, Q, dtype=np.complex128)
-    jac_full = pdnls_jacobian_full(q, p)
     E, P = even_sector_basis(p.N)
-    return DiscreteSaddle(Q=Q, state=NLSLatticeState(q),
-                          eigenvalues=np.linalg.eigvals(P @ jac_full @ E),
-                          jacobian_full=jac_full,
-                          eigenvalues_full=np.linalg.eigvals(jac_full))
+    return DiscreteSaddle(Q=Q, q=q, eigenvalues=np.linalg.eigvals(
+        P @ pdnls_jacobian_full(q, p) @ E))
 
 
 # -- simulation ----------------------------------------------------------------
 
 
-@dataclass
-class NLSTrajectory:
-    times: np.ndarray
-    samples: np.ndarray  # (n_samples, N) complex
-
-
-def simulate(state0: NLSLatticeState, p: NLSParams, dt: float, steps: int,
-             sample_every: int = 1, enforce_dt_bound: bool = True) -> NLSTrajectory:
-    """Fixed-step RK4 lattice trajectory.
-
-    The explicit step bound dt <= 0.1 h^2 guards the stiff lattice Laplacian;
-    blow-up raises NumericError with the failing step index.
-    """
-    if enforce_dt_bound and dt > p.max_stable_dt() * (1 + 1e-12):
-        raise PreconditionError(
-            f"dt={dt} above the stability bound 0.1*h^2={p.max_stable_dt():.3e}")
-    if state0.N != p.N:
-        raise PreconditionError("state size does not match params")
-    samples = kernels.pdnls_rk4(state0.q, p.N ** 2, 2.0 * p.omega ** 2,
-                                p.alpha, p.beta, p.epsilon, dt, steps, sample_every)
-    times = dt * sample_every * np.arange(samples.shape[0])
-    return NLSTrajectory(times=times, samples=samples)
+def simulate(q0, p: NLSParams, dt: float, steps: int,
+             sample_every: int = 1) -> Trajectory:
+    """Fixed-step RK4 lattice trajectory from make_even(q0), q0 of shape
+    (N,), dt within NLSParams.check_dt; blow-up raises NumericError with the
+    failing step index."""
+    p.check_dt(dt)
+    q0 = np.asarray(q0)
+    if q0.shape != (p.N,):
+        raise PreconditionError(f"q0 must have shape ({p.N},), got {q0.shape}")
+    states = kernels.pdnls_rk4(make_even(q0), p.N ** 2, 2.0 * p.omega ** 2,
+                               p.alpha, p.beta, p.epsilon, dt, steps, sample_every)
+    return Trajectory.sampled(states, dt, sample_every)
 
 
 def flow_map(p: NLSParams, dt: float, steps: int):

@@ -201,11 +201,13 @@ def truncated_spectrum(op: ClassOperator) -> SpectrumReport:
     zero-diagonal tridiagonals the eigenvalues nearest 0 can lose several
     digits.
     """
-    prod = _even_odd_product(*op.real_bands())
+    # eigvals rejects the inf or nan that a huge |Gamma| leaves here
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = _even_odd_product(*op.real_bands())
     try:
         mu = np.linalg.eigvals(prod).astype(np.complex128, copy=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericError("eigensolver failed to converge", matrix=prod) from exc
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolve failed: {exc}", matrix=prod) from exc
     root = np.sqrt(mu)
     eigs = np.concatenate((root, -root, np.zeros(op.dimension - 2 * root.size)))
     case = (SpectrumCase.MIXED_POINT_SPECTRUM if class_intersects_disk(op.cls)

@@ -1,24 +1,28 @@
-"""Small shared numeric helpers, including the one fixed-step RK4 driver."""
+"""Small shared numeric helpers: the one fixed-step RK4 and the one Trajectory."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 
 from .errors import NumericError, PreconditionError
 
+# the blow-up rule's bound on every real and imaginary part of a state
+BLOWUP_LIMIT = 1e150
+
 
 def _below_blowup_limit(y: np.ndarray) -> bool:
-    """The blow-up rule, which the C loops of _kernels.c apply too: every
-    real and imaginary part below 1e150 (max propagates nan, which fails it).
+    """The blow-up rule, also in the C loops of _kernels.c: every real and
+    imaginary part below BLOWUP_LIMIT (max propagates nan, which fails it).
 
     A complex state is tested in one reduction over its flat real view,
     which interleaves the real and imaginary parts; ravel copies only a
     strided state and turns a 0-d one into shape (1,)."""
     if np.iscomplexobj(y):
         y = np.ravel(y, order="K").view(y.real.dtype)
-    return np.abs(y).max() < 1e150
+    return np.abs(y).max() < BLOWUP_LIMIT
 
 
 def check_schedule(dt: float, steps: int, sample_every: int) -> None:
@@ -72,6 +76,18 @@ def rk4(rhs, y0, dt: float, steps: int, sample_every: int):
             if step % sample_every == 0:
                 samples[step // sample_every] = y
     return samples
+
+
+@dataclass
+class Trajectory:
+    """states[k] of a fixed-step run at times[k] = dt * sample_every * k."""
+
+    times: np.ndarray
+    states: np.ndarray
+
+    @classmethod
+    def sampled(cls, states: np.ndarray, dt: float, sample_every: int) -> Trajectory:
+        return cls(dt * sample_every * np.arange(states.shape[0]), states)
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -241,7 +241,7 @@ class TestDiscreteSaddle:
 def chaotic_demo():
     """(config, params, kicked start) of configs/chaotic_demo.cfg."""
     from chaoslab.cli import _load_config_file
-    from chaoslab.nls import NLSLatticeState, NLSParams, discrete_saddle
+    from chaoslab.nls import NLSParams, discrete_saddle
     cfg_path = os.path.join(os.path.dirname(__file__), "..", "configs",
                             "chaotic_demo.cfg")
     cfg = _load_config_file(cfg_path)
@@ -251,7 +251,7 @@ def chaotic_demo():
     sad = discrete_saddle(p)
     n = np.arange(p.N)
     kick = float(cfg["kick"])
-    q0 = NLSLatticeState(sad.state.q * (1 + kick * np.cos(2 * np.pi * n / p.N)))
+    q0 = sad.q * (1 + kick * np.cos(2 * np.pi * n / p.N))
     return cfg, p, q0
 
 
@@ -260,8 +260,9 @@ class TestCenterWingSymbolics:
         # the criterion below runs the C loop; on a 50,000-step prefix of the
         # demo it gives the numpy loop's samples bit for bit
         from chaoslab import _kernels_py
+        from chaoslab.nls import make_even
         cfg, p, q0 = chaotic_demo()
-        args = (q0.q, p.N ** 2, 2.0 * p.omega ** 2, p.alpha, p.beta,
+        args = (make_even(q0), p.N ** 2, 2.0 * p.omega ** 2, p.alpha, p.beta,
                 p.epsilon, float(cfg["dt"]), 50_000, int(cfg["sample_every"]))
         ref = _kernels_py.pdnls_rk4(*args)
         got = compiled_kernels.pdnls_rk4(*args)
@@ -277,10 +278,10 @@ class TestCenterWingSymbolics:
         cfg, p, q0 = chaotic_demo()
         traj = simulate(q0, p, float(cfg["dt"]), int(cfg["steps"]),
                         sample_every=int(cfg["sample_every"]))
-        enc = center_wing_encode(traj.samples)
+        enc = center_wing_encode(traj.states)
         alternations = sum(1 for a, b in zip(enc.symbols, enc.symbols[1:])
                            if a != b)
-        enc_t = center_wing_encode(half_period_translate(traj.samples))
+        enc_t = center_wing_encode(half_period_translate(traj.states))
         equivariant = (enc_t.per_sample == swap_symbols(enc.per_sample)
                        and enc_t.symbols == swap_symbols(enc.symbols))
         ok = ("C" in enc.symbols and "W" in enc.symbols

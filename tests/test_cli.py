@@ -163,7 +163,9 @@ class TestDispatch:
         # the way: a shadow segment above the bound, before any orbit is
         # built; an isospectrality horizon shorter than one step or of more
         # than ISOSPEC_MAX_STEPS steps, before any step; a random initial
-        # field whose modes all underflow, before it is scaled
+        # field whose modes all underflow, before it is scaled; a lattice
+        # above nls.MAX_N sites, or an omega (the saddle amplitude) at or
+        # above the blow-up limit, before any array is allocated
         assert SHADOW_MAX_M == 500
         quiet = [["shadow", "--map", name, "--m", "501"]
                  for name in ("linear-test", "dashed-line", "nls-poincare")] + [
@@ -171,6 +173,13 @@ class TestDispatch:
             ["lax-check", "--case", "isospec", "--dt=1e-12"],
             ["lax-check", "--case", "isospec", "--T=1e300"],
             ["euler-sim", "--decay=1e12"],
+            ["nls-sim", "--N", "1000000", "--dt", "1e-14", "--steps", "1"],
+            ["shadow", "--map", "nls-poincare", "--N", "1000000", "--m", "1",
+             "--word", "1"],
+            ["nls-sim", "--N", "3", "--omega", "1e200", "--beta", "1e300",
+             "--steps", "1"],
+            ["shadow", "--map", "nls-poincare", "--N", "3", "--omega", "1e200",
+             "--beta", "1e300"],
         ]
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -179,6 +188,35 @@ class TestDispatch:
                 assert run_cli(args, tmp_path / "out") == 4, args
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err
+
+    def test_nls_dt_bound_checked_before_the_saddle(self, tmp_path, monkeypatch):
+        # the default dt is above the N = 1000 bound 1e-7; the saddle's
+        # eigensolve is never reached
+        import chaoslab.nls
+
+        def unreachable(params):
+            raise AssertionError("discrete_saddle ran before the dt check")
+
+        monkeypatch.setattr(chaoslab.nls, "discrete_saddle", unreachable)
+        assert run_cli(["nls-sim", "--N", "1000", "--omega", "3.3", "--beta", "5",
+                        "--steps", "1"], tmp_path) == 4
+
+    def test_overflow_exits_without_warnings(self, tmp_path):
+        # code that finds an overflow by a finite check afterwards computes
+        # under np.errstate, so no RuntimeWarning comes before the exit
+        cases = [
+            (["spectrum", "--gamma=1e300,0"], 3),
+            (["euler-sim", "--box", "3", "--steps", "10", "--amplitude=1e300"], 3),
+            (["nls-sim", "--steps", "10", "--beta=1e300"], 3),
+            (["nls-sim", "--steps", "10", "--epsilon=1e300"], 3),
+            (["shadow", "--map", "nls-poincare", "--beta=1e300"], 3),
+            (["shadow", "--map", "nls-poincare", "--epsilon=1e300"], 3),
+            (["darboux", "--c=1e300", "--resolution", "16"], 4),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, (args, code) in enumerate(cases):
+                assert run_cli(args, tmp_path / str(i)) == code, args
 
     def test_from_analytic_values(self, tmp_path):
         # malformed values are usage errors; a sign other than exactly +-1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chaoslab.cli import main
 from chaoslab.darboux import shear_power_construction, verify_darboux
 from chaoslab.errors import PreconditionError
 from chaoslab.fourier import (CoefficientField, GridField2D,
@@ -275,13 +276,15 @@ class TestFFTCounts:
             return len(calls)
         return count
 
-    def test_3d_pairs(self, fft_calls):
-        u = VectorField3D.abc_flow(16)
-        omega = u.curl()
-        x, y, z = VectorField3D.coordinates(16)
-        phi = np.cos(x) * np.sin(y) + np.cos(z)
-        assert fft_calls(lax_3d_vector, omega, u, omega) <= 60
-        assert fft_calls(lax_3d_scalar, omega, u, phi) <= 20
+    def test_3d_pairs(self, fft_calls, tmp_path):
+        # a whole lax-check run transforms each field forward once: u and
+        # Omega at 12 calls each for the vector pair (a forward and three
+        # inverse transforms per component), u and phi (4) for the scalar one
+        for case, calls in (("3dvector", 24), ("3dscalar", 16)):
+            argv = ["lax-check", "--case", case, "--resolution", "16",
+                    "--output-dir", str(tmp_path / case)]
+            assert fft_calls(main, argv) == calls, case
+            assert (tmp_path / case / "report.json").exists()
 
     def test_2d_operators(self, fft_calls, rng):
         f, g, h = (unit_random_grid(rng, box=2, n=16) for _ in range(3))

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaoslab import kernels
+from chaoslab.dashed_line import DashedLineParams, integrate
 from chaoslab.errors import NumericError, PreconditionError
-from chaoslab.nls import (NLSLatticeState, NLSParams, center_wing_encode,
+from chaoslab.nls import (NLSParams, center_wing_encode,
                           classify_profile, continuum_eigenvalues,
                           continuum_saddle, discrete_saddle, eigenvalue_table,
                           flow_map, half_period_translate, make_even,
                           mollifier, pdnls_jacobian_full, pdnls_rhs,
                           second_measurement, silnikov_check, simulate,
                           solve_uniform_saddle, swap_symbols)
+from chaoslab.util import Trajectory
 from oracles import evenness_defect, pdnls_rhs_ref
 
 P7 = dict(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.01)
@@ -43,8 +46,6 @@ class TestParams:
     def test_window_enforced(self):
         with pytest.raises(PreconditionError):
             NLSParams(N=7, omega=1.0, alpha=1.0, beta=2.0, epsilon=0.0)
-        NLSParams(N=7, omega=1.0, alpha=1.0, beta=2.0, epsilon=0.0,
-                  require_window=False)
 
     def test_n3_window_unbounded_above(self):
         NLSParams(N=3, omega=100.0, alpha=1.0, beta=200.0, epsilon=0.0)
@@ -58,7 +59,7 @@ class TestRHS:
     def test_uniform_state_translation_invariant(self):
         p = NLSParams(**P7)
         c = 0.7 - 0.2j
-        d = pdnls_rhs(NLSLatticeState.uniform(7, c), NLSParams(
+        d = pdnls_rhs(np.full(7, c, dtype=np.complex128), NLSParams(
             N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.0))
         expected = -1j * (2 * abs(c) ** 2 * c - 2 * p.omega ** 2 * c)
         assert np.max(np.abs(d - expected)) < 1e-14
@@ -66,40 +67,38 @@ class TestRHS:
     def test_uniform_omega_is_fixed_circle(self):
         p = NLSParams(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.0)
         for phase in (0.0, 0.9, 2.2):
-            q = NLSLatticeState.uniform(7, p.omega * cmath.exp(1j * phase))
+            q = np.full(7, p.omega * cmath.exp(1j * phase), dtype=np.complex128)
             assert np.max(np.abs(pdnls_rhs(q, p))) < 1e-13
 
     def test_matches_loop_oracle(self, rng):
-        p = NLSParams(N=7, omega=0.8, alpha=1.0, beta=2.0, epsilon=0.01,
-                      require_window=False)
+        # omega = 0.8 lies outside the lattice window, so the raw kernel
         q = make_even(0.5 * (rng.standard_normal(7) + 1j * rng.standard_normal(7)))
-        got = pdnls_rhs(NLSLatticeState(q), p)
+        got = kernels.pdnls_rhs(q, 7 ** 2, 2.0 * 0.8 ** 2, 1.0, 2.0, 0.01)
         ref = pdnls_rhs_ref(make_even(q), 7, 0.8, 1.0, 2.0, 0.01)
         assert np.max(np.abs(got - ref)) < 1e-14
 
     def test_matches_loop_oracle_window_scale(self, rng):
         p = NLSParams(**P7)
         q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        got = pdnls_rhs(NLSLatticeState(q), p)
+        got = pdnls_rhs(q, p)
         ref = pdnls_rhs_ref(make_even(q), 7, 4.0, 1.0, 5.0, 0.01)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-15
 
     def test_preserves_evenness(self, rng):
         # unit-scale states; the defect is a pure rounding-order artifact
-        p = NLSParams(N=7, omega=0.8, alpha=1.0, beta=2.0, epsilon=0.01,
-                      require_window=False)
         worst = 0.0
         for _ in range(100):
-            q = NLSLatticeState(0.5 * (rng.standard_normal(7)
-                                       + 1j * rng.standard_normal(7)))
-            worst = max(worst, evenness_defect(pdnls_rhs(q, p)))
+            q = make_even(0.5 * (rng.standard_normal(7)
+                                 + 1j * rng.standard_normal(7)))
+            d = kernels.pdnls_rhs(q, 7 ** 2, 2.0 * 0.8 ** 2, 1.0, 2.0, 0.01)
+            worst = max(worst, evenness_defect(d))
         assert worst < 1e-14
 
     def test_preserves_evenness_relative_any_scale(self, rng):
         p = NLSParams(**P7)
         worst = 0.0
         for _ in range(50):
-            q = NLSLatticeState(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+            q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7))
             d = pdnls_rhs(q, p)
             worst = max(worst, evenness_defect(d) / np.max(np.abs(d)))
         assert worst < 1e-14
@@ -111,22 +110,21 @@ class TestRHS:
         rng = np.random.default_rng(99)
         q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7))
         rot = cmath.exp(1j * phase)
-        lhs = pdnls_rhs(NLSLatticeState(q * rot), p)
-        rhs = rot * pdnls_rhs(NLSLatticeState(q), p)
+        lhs = pdnls_rhs(q * rot, p)
+        rhs = rot * pdnls_rhs(q, p)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_phase_equivariance_bulk_trials(self, rng):
         # unit-scale states; the lattice Laplacian's h^-2 factor amplifies
         # rounding, so the absolute bound presumes O(1) dynamics
-        p = NLSParams(N=7, omega=0.8, alpha=1.0, beta=2.0, epsilon=0.0,
-                      require_window=False)
+        args = (7 ** 2, 2.0 * 0.8 ** 2, 1.0, 2.0, 0.0)
         worst = 0.0
         for _ in range(1000):
             q = make_even(0.4 * (rng.standard_normal(7)
                                  + 1j * rng.standard_normal(7)))
             rot = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            lhs = pdnls_rhs(NLSLatticeState(q * rot), p)
-            rhs = rot * pdnls_rhs(NLSLatticeState(q), p)
+            lhs = kernels.pdnls_rhs(q * rot, *args)
+            rhs = rot * kernels.pdnls_rhs(q, *args)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst < 1e-13
 
@@ -225,10 +223,11 @@ class TestDiscreteSaddle:
         # so the full-lattice count is three
         p = NLSParams(**P7)
         sad = discrete_saddle(p)
-        assert int(np.sum(sad.eigenvalues_full.real > 1e-4)) == 3
+        full = np.linalg.eigvals(pdnls_jacobian_full(sad.q, p))
+        assert int(np.sum(full.real > 1e-4)) == 3
         # even-sector eigenvalues are a subset of the full-lattice ones
         for z in sad.eigenvalues:
-            assert np.min(np.abs(sad.eigenvalues_full - z)) < 1e-8
+            assert np.min(np.abs(full - z)) < 1e-8
 
     def test_jacobian_matches_finite_differences(self, rng):
         p = NLSParams(**P7)
@@ -255,7 +254,7 @@ class TestDiscreteSaddle:
     def test_saddle_is_stationary(self):
         p = NLSParams(**P7)
         sad = discrete_saddle(p)
-        assert np.max(np.abs(pdnls_rhs(sad.state, p))) < 1e-12
+        assert np.max(np.abs(pdnls_rhs(sad.q, p))) < 1e-12
 
     def test_eigenvalue_paths_continuous_in_eps(self):
         # nearest-neighbor matching between consecutive spectra; increments
@@ -275,35 +274,62 @@ class TestSimulate:
     def test_saddle_stays_put(self):
         p = NLSParams(**P7)
         sad = discrete_saddle(p)
-        traj = simulate(sad.state, p, 1e-3, 1000, sample_every=1000)
-        assert np.max(np.abs(traj.samples[-1] - sad.state.q)) < 1e-10
+        traj = simulate(sad.q, p, 1e-3, 1000, sample_every=1000)
+        assert np.max(np.abs(traj.states[-1] - sad.q)) < 1e-10
 
     def test_unperturbed_uniform_profile_stays_uniform(self):
         p = NLSParams(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.0)
-        q0 = NLSLatticeState.uniform(7, 0.8 * p.omega)
+        q0 = np.full(7, 0.8 * p.omega, dtype=np.complex128)
         traj = simulate(q0, p, 1e-3, 2000, sample_every=200)
-        spread = np.max(np.abs(traj.samples - traj.samples[:, :1]))
+        spread = np.max(np.abs(traj.states - traj.states[:, :1]))
         assert spread < 1e-12
 
     def test_dt_bound_enforced(self):
         p = NLSParams(**P7)
         with pytest.raises(PreconditionError):
-            simulate(NLSLatticeState.uniform(7, 0.1), p, 1.0, 10)
+            simulate(np.full(7, 0.1, dtype=np.complex128), p, 1.0, 10)
 
     def test_blowup_raises_with_step(self):
         p = NLSParams(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.0)
-        q0 = NLSLatticeState.uniform(7, 1e6)
+        q0 = np.full(7, 1e6, dtype=np.complex128)
         with pytest.raises(NumericError) as err:
-            simulate(q0, p, 1e-3, 1000, enforce_dt_bound=False)
+            simulate(q0, p, 1e-3, 1000)
         assert getattr(err.value, "step", 0) >= 1
+
+    def test_start_is_made_even_once(self, rng):
+        # a non-even start runs as its even part, bit for bit
+        p = NLSParams(**P7)
+        q0 = discrete_saddle(p).q * (1 + 0.05 * rng.standard_normal(7))
+        assert evenness_defect(q0) > 0
+        got = simulate(q0, p, 1e-3, 200, sample_every=50)
+        ref = simulate(make_even(q0), p, 1e-3, 200, sample_every=50)
+        assert np.array_equal(got.states, ref.states)
+        assert evenness_defect(got.states[0]) == 0
+
+    @pytest.mark.parametrize("shape", [(6,), (8,), (1, 7), ()])
+    def test_start_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(PreconditionError):
+            simulate(np.ones(shape, dtype=np.complex128), NLSParams(**P7), 1e-3, 10)
 
     def test_norm_diagnostic_finite(self):
         p = NLSParams(**P7)
         sad = discrete_saddle(p)
-        q0 = NLSLatticeState(sad.state.q * 1.02)
-        traj = simulate(q0, p, 1e-3, 2000, sample_every=500)
-        norms = np.sum(np.abs(traj.samples) ** 2, axis=1)
+        traj = simulate(sad.q * 1.02, p, 1e-3, 2000, sample_every=500)
+        norms = np.sum(np.abs(traj.states) ** 2, axis=1)
         assert np.all(np.isfinite(norms))
+
+
+@pytest.mark.parametrize("steps, every", [(0, 1), (10, 3), (12, 4)])
+def test_both_integrators_return_one_trajectory(steps, every):
+    p = NLSParams(**P7)
+    dp = DashedLineParams(gamma=1.0, epsilon=0.0, trunc=3)
+    x0 = np.concatenate(([1.0], np.zeros(dp.size)))
+    n = steps // every + 1
+    for traj, dt in ((simulate(discrete_saddle(p).q, p, 1e-3, steps, every), 1e-3),
+                     (integrate(x0, dp, 1e-2, steps, every), 1e-2)):
+        assert type(traj) is Trajectory
+        assert traj.states.shape[0] == n
+        assert np.array_equal(traj.times, dt * every * np.arange(n))
 
 
 class TestCenterWing:
@@ -332,10 +358,10 @@ class TestCenterWing:
     def test_translation_equivariance_exact(self, rng):
         p = NLSParams(N=8, omega=3.35, alpha=1.0, beta=5.7, epsilon=0.07)
         sad = discrete_saddle(p)
-        q0 = NLSLatticeState(sad.state.q * (1 + 0.05 * np.cos(2 * np.pi * np.arange(8) / 8)))
+        q0 = sad.q * (1 + 0.05 * np.cos(2 * np.pi * np.arange(8) / 8))
         traj = simulate(q0, p, 1.2e-3, 20000, sample_every=50)
-        enc = center_wing_encode(traj.samples)
-        enc_t = center_wing_encode(half_period_translate(traj.samples))
+        enc = center_wing_encode(traj.states)
+        enc_t = center_wing_encode(half_period_translate(traj.states))
         assert enc_t.per_sample == swap_symbols(enc.per_sample)
         assert enc_t.symbols == swap_symbols(enc.symbols)
 

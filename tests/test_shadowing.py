@@ -35,7 +35,7 @@ def lattice_map():
     from chaoslab.nls import NLSParams, discrete_saddle, flow_map
     params = NLSParams(N=8, omega=3.5, alpha=1.0, beta=4.0, epsilon=0.01)
     system = flow_map(params, dt=0.5 * params.max_stable_dt(), steps=20)
-    q = discrete_saddle(params).state.q
+    q = discrete_saddle(params).q
     return system, np.concatenate([q.real, q.imag])
 
 
