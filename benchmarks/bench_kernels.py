@@ -57,7 +57,8 @@ from chaoslab import (_kernels_py, darboux, dashed_line, kernels, laxpairs,
                       nls, shadowing, spectra)
 from chaoslab.errors import NumericError
 from chaoslab.fourier import (ClassIndex, CoefficientField,
-                              coefficients_to_grid, grid_bracket)
+                              coefficients_to_grid, grid_bracket,
+                              grid_coordinates)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
@@ -136,7 +137,7 @@ def grid_layer_ms():
         lambda: darboux.verify_darboux(omega, psi, F, p, f), repeat=5, rounds=7)
     u = laxpairs.VectorField3D.abc_flow(32)
     omega3 = u.curl()
-    x, y, z = laxpairs.VectorField3D.coordinates(32)
+    x, y, z = grid_coordinates(32, 3)
     phi = np.cos(x) * np.sin(y) + np.cos(z)
     out["lax_3d_scalar_n32"] = 1e3 * median_seconds(
         lambda: laxpairs.lax_3d_scalar(omega3, u, phi), repeat=3, rounds=7)

@@ -274,7 +274,7 @@ def _cmd_nls_saddle(args, run) -> None:
 
 def _cmd_lax_check(args, run) -> None:
     from .fourier import (CoefficientField, check_resolution,
-                          coefficients_to_grid, grid_bracket)
+                          coefficients_to_grid, grid_bracket, grid_coordinates)
     from .laxpairs import (LaxReport, VectorField3D, compatibility_residual_2d,
                            isospectrality_check, jacobi_defect, lax_3d_scalar,
                            lax_3d_vector, rossby_L)
@@ -307,15 +307,14 @@ def _cmd_lax_check(args, run) -> None:
         lhs = rossby_L(omega, args.beta_param, phi)
         zero_beta = rossby_L(omega, 0.0, phi)
         bracket = grid_bracket(omega, phi)
-        report.residuals["beta0_reduction"] = float(
-            np.max(np.abs(zero_beta.values - bracket.values)))
-        report.residuals["rossby_norm"] = float(np.max(np.abs(lhs.values)))
+        report.residuals["beta0_reduction"] = float(np.max(np.abs(zero_beta - bracket)))
+        report.residuals["rossby_norm"] = float(np.max(np.abs(lhs)))
     elif args.case in ("3dscalar", "3dvector"):
         m = min(args.resolution, 32)
         u = VectorField3D.abc_flow(m)
         omega3 = u.curl()
         if args.case == "3dscalar":
-            x, y, z = VectorField3D.coordinates(m)
+            x, y, z = grid_coordinates(m, 3)
             phi = np.cos(x) * np.sin(y) + np.cos(z)
             L, A = lax_3d_scalar(omega3, u, phi)
             report.residuals["beltrami_L_minus_A"] = float(np.max(np.abs(L - A)))
@@ -331,7 +330,6 @@ def _cmd_lax_check(args, run) -> None:
 
 def _cmd_darboux(args, run) -> None:
     from .darboux import shear_power_construction, verify_darboux
-    from .fourier import GridField2D
 
     if args.construction == "shear-power":
         omega, psi, p, f, F = shear_power_construction(args.c, args.resolution)
@@ -342,16 +340,14 @@ def _cmd_darboux(args, run) -> None:
         try:
             with open(args.custom_file) as fh:
                 spec = json.load(fh)
-            arrays = {k: np.asarray(spec[k], dtype=float)
-                      for k in ("omega", "psi", "p", "f", "F")}
+            omega, psi, p, f, F = (np.asarray(spec[k], dtype=float)
+                                   for k in ("omega", "psi", "p", "f", "F"))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise PreconditionError(
                 f"unusable field file {args.custom_file!r}: {exc!r}") from exc
-        if not all(np.isfinite(a).all() for a in arrays.values()):
+        if not all(np.isfinite(a).all() for a in (omega, psi, p, f, F)):
             raise PreconditionError(
                 f"field file {args.custom_file!r} holds a non-finite value")
-        omega, psi, p, f, F = (GridField2D(arrays[k])
-                               for k in ("omega", "psi", "p", "f", "F"))
     report = verify_darboux(omega, psi, F, p, f)
     write_json(run.path("report.json"), report.to_json_dict())
 

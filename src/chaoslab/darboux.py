@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .fourier import GridField2D, grid_bracket, laplacian, spectral_gradient
+from .fourier import (check_grids, check_resolution, grid_bracket,
+                      grid_coordinates, laplacian, spectral_gradient)
 from .laxpairs import LaxReport
 from .util import sup_norm
 
@@ -45,66 +46,64 @@ class GaugeTransform:
         return sup_norm(self.values_x[both] - self.values_y[both])
 
 
-def darboux_gauge(p: GridField2D, f: GridField2D, omega: GridField2D) -> GaugeTransform:
+def darboux_gauge(p: np.ndarray, f: np.ndarray, omega: np.ndarray) -> GaugeTransform:
     """Gauge transform with validity masks on the zero sets of f and Omega_x.
 
     The numerator is formed as p_x*f - f_x*p so that f is p gives an exactly
     zero transform.  Raises when more than a MAX_MASKED share of the grid
     is masked in the x-form.
     """
-    if p.resolution != f.resolution or p.resolution != omega.resolution:
-        raise PreconditionError("resolution mismatch")
-    px, py = spectral_gradient(p.values)
-    fx, fy = spectral_gradient(f.values)
-    ox, oy = spectral_gradient(omega.values)
+    check_grids(p, f, omega)
+    px, py = spectral_gradient(p)
+    fx, fy = spectral_gradient(f)
+    ox, oy = spectral_gradient(omega)
 
-    f_ok = np.abs(f.values) > MASK_TOL * (sup_norm(f.values) or 1.0)
+    f_ok = np.abs(f) > MASK_TOL * (sup_norm(f) or 1.0)
     mask_x = f_ok & (np.abs(ox) > MASK_TOL * (sup_norm(ox) or 1.0))
     mask_y = f_ok & (np.abs(oy) > MASK_TOL * (sup_norm(oy) or 1.0))
     if mask_x.mean() < 1.0 - MAX_MASKED:
         raise PreconditionError(
             f"gauge transform masked on more than {MAX_MASKED:.0%} of the grid")
 
-    num_x = px * f.values - fx * p.values
-    num_y = py * f.values - fy * p.values
-    vx = np.full(p.values.shape, np.nan, dtype=num_x.dtype)
-    vy = np.full(p.values.shape, np.nan, dtype=num_y.dtype)
-    np.divide(num_x, f.values * ox, out=vx, where=mask_x)
-    np.divide(num_y, f.values * oy, out=vy, where=mask_y)
+    num_x = px * f - fx * p
+    num_y = py * f - fy * p
+    vx = np.full(p.shape, np.nan, dtype=num_x.dtype)
+    vy = np.full(p.shape, np.nan, dtype=num_y.dtype)
+    np.divide(num_x, f * ox, out=vx, where=mask_x)
+    np.divide(num_y, f * oy, out=vy, where=mask_y)
     return GaugeTransform(values_x=vx, mask_x=mask_x, values_y=vy, mask_y=mask_y)
 
 
 @dataclass
 class PotentialTransform:
-    omega_t: GridField2D
-    psi_t: GridField2D
-    lap_F: GridField2D
+    omega_t: np.ndarray
+    psi_t: np.ndarray
+    lap_F: np.ndarray
     constraint_norms: dict[str, float]
     valid: bool
 
 
-def darboux_potentials(omega: GridField2D, psi: GridField2D,
-                       F: GridField2D) -> PotentialTransform:
+def darboux_potentials(omega: np.ndarray, psi: np.ndarray,
+                       F: np.ndarray) -> PotentialTransform:
     """Potential shift with the two constraint residuals attached; valid
     when both are below PRECONDITION_TOL (a NaN one is not)."""
-    if omega.resolution != psi.resolution or omega.resolution != F.resolution:
-        raise PreconditionError("resolution mismatch")
+    check_grids(omega, psi, F)
     lap_F = laplacian(F)
     norms = {
-        "omega_lapF_bracket": sup_norm(grid_bracket(omega, lap_F).values),
-        "lapF_F_bracket": sup_norm(grid_bracket(lap_F, F).values),
+        "omega_lapF_bracket": sup_norm(grid_bracket(omega, lap_F)),
+        "lapF_F_bracket": sup_norm(grid_bracket(lap_F, F)),
     }
     return PotentialTransform(
-        omega_t=GridField2D(omega.values + lap_F.values),
-        psi_t=GridField2D(psi.values + F.values),
+        omega_t=omega + lap_F,
+        psi_t=psi + F,
         lap_F=lap_F,
         constraint_norms=norms,
         valid=all(v < PRECONDITION_TOL for v in norms.values()),
     )
 
 
-def verify_darboux(omega: GridField2D, psi: GridField2D, F: GridField2D,
-                   p: GridField2D, f: GridField2D) -> LaxReport:
+def verify_darboux(omega: np.ndarray, psi: np.ndarray, F: np.ndarray,
+                   p: np.ndarray, f: np.ndarray) -> LaxReport:
     """End-to-end check that the transformed eigenfunction still solves the
     transformed system (steady configurations).
 
@@ -114,12 +113,13 @@ def verify_darboux(omega: GridField2D, psi: GridField2D, F: GridField2D,
     gauge mask) together with the steady transport residuals {Psi, p} and
     {Psi_t, ptilde}.
     """
+    check_grids(omega, psi, F, p, f)
     report = LaxReport()
     failures = []
     # huge fields overflow the brackets; the NaN or inf residual fails below
     with np.errstate(over="ignore", invalid="ignore"):
         for name, field_ in (("omega_p_bracket", p), ("omega_f_bracket", f)):
-            r = sup_norm(grid_bracket(omega, field_).values)
+            r = sup_norm(grid_bracket(omega, field_))
             report.residuals[name] = r
             if not r <= PRECONDITION_TOL:  # a NaN residual fails too
                 failures.append(name)
@@ -133,16 +133,16 @@ def verify_darboux(omega: GridField2D, psi: GridField2D, F: GridField2D,
 
     gauge = darboux_gauge(p, f, omega)
     ptilde = np.where(gauge.mask_x, gauge.values_x, 0.0)
-    kernel_res = grid_bracket(pot.omega_t, GridField2D(ptilde)).values
+    kernel_res = grid_bracket(pot.omega_t, ptilde)
     # residuals are meaningful only away from the mask boundary, where the
     # masked zeros introduce artificial gradients
     interior = _erode(gauge.mask_x, 2)
     report.residuals["transformed_kernel"] = (
         sup_norm(kernel_res[interior]) if interior.any() else float("nan"))
     report.residuals["gauge_xy_agreement"] = gauge.agreement_defect()
-    report.residuals["steady_transport_p"] = sup_norm(grid_bracket(psi, p).values)
+    report.residuals["steady_transport_p"] = sup_norm(grid_bracket(psi, p))
     report.residuals["steady_transport_ptilde"] = (
-        sup_norm(grid_bracket(pot.psi_t, GridField2D(ptilde)).values[interior])
+        sup_norm(grid_bracket(pot.psi_t, ptilde)[interior])
         if interior.any() else float("nan"))
     return report
 
@@ -167,9 +167,8 @@ def shear_power_construction(c: float, n: int = 64):
     """
     if not np.isfinite(c):
         raise PreconditionError(f"c must be finite, got {c}")
-    omega = GridField2D.from_function(n, lambda x, y: 2.0 + np.cos(x + y))
-    psi = GridField2D.from_function(n, lambda x, y: -0.5 * np.cos(x + y))
-    p = GridField2D(omega.values ** 2)
-    f = GridField2D(omega.values.copy())
-    F = GridField2D.from_function(n, lambda x, y: c * np.cos(x + y))
-    return omega, psi, p, f, F
+    check_resolution(n)
+    x, y = grid_coordinates(n)
+    shear = np.cos(x + y)
+    omega = 2.0 + shear
+    return omega, -0.5 * shear, omega ** 2, omega.copy(), c * shear

@@ -16,8 +16,10 @@ Conventions used package-wide:
   bracket on a grid zero-padded to n >= 3*box+1 points per side, where no
   product of two box modes wraps onto the box, so the truncation is exact.
 * Periodic grids sample ``[0, 2*pi)^d`` uniformly, d = 2 or 3 (the 3D Lax
-  pairs); spectral_gradient differentiates both, and products computed on
-  2D grids are dealiased with the 2/3 rule.
+  pairs), at the points of grid_coordinates; spectral_gradient
+  differentiates both.  A 2D grid is a square float64 or complex numpy
+  array whose side passes check_resolution (check_grids checks that), and
+  products computed on it are dealiased with the 2/3 rule.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ from .errors import PreconditionError
 from .util import rk4
 
 Vec = tuple[int, int]
+
+# CoefficientField: the largest box half-width.  A whole euler-sim
+# --steps 1 run took 0.36-0.40 s and 49 MB of peak RSS at box 64,
+# 0.70-0.73 s and 99 MB at 128, and 2.4-3.2 s and 242 MB at 256 (two runs
+# each, 2 vCPUs, numpy on OpenBLAS).
+MAX_BOX = 256
+# check_resolution: the largest grid side.  A whole lax-check --case jacobi
+# run took 0.61-0.66 s and 47 MB of peak RSS at 256, 1.8-2.1 s and 80 MB at
+# 512, and 9.2-9.3 s and 206 MB at 1024 (same machine and runs).
+MAX_RESOLUTION = 1024
 
 
 def _check_nonzero(v: Vec, name: str) -> None:
@@ -122,8 +134,8 @@ class CoefficientField:
     """
 
     def __init__(self, box: int, data: np.ndarray | None = None):
-        if box < 1:
-            raise PreconditionError("box half-width must be >= 1")
+        if not 1 <= box <= MAX_BOX:
+            raise PreconditionError(f"box half-width must be in [1, {MAX_BOX}]")
         self.box = box
         side = 2 * box + 1
         if data is None:
@@ -302,36 +314,28 @@ def integrate_galerkin(state: CoefficientField, dt: float,
 
 
 def check_resolution(n: int) -> None:
-    """Reject a grid resolution that is not a power of two >= 16."""
-    if n < 16 or (n & (n - 1)) != 0:
-        raise PreconditionError("grid resolution must be a power of two >= 16")
+    """Reject a grid resolution that is not a power of two in [16,
+    MAX_RESOLUTION]."""
+    if not 16 <= n <= MAX_RESOLUTION or (n & (n - 1)) != 0:
+        raise PreconditionError(
+            f"grid resolution must be a power of two >= 16 and <= {MAX_RESOLUTION}")
 
 
-class GridField2D:
-    """Uniform periodic-grid samples of a scalar field, period 2*pi."""
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+def check_grids(*grids: np.ndarray) -> None:
+    """Reject 2D grids that are not square, whose side fails
+    check_resolution, or whose shapes differ."""
+    for g in grids:
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise PreconditionError("grid values must be a square 2D array")
-        check_resolution(values.shape[0])
-        if not np.iscomplexobj(values):
-            values = values.astype(np.float64)
-        self.values = values
+        check_resolution(g.shape[0])
+    if len({g.shape for g in grids}) > 1:
+        raise PreconditionError("grid resolution mismatch")
 
-    @property
-    def resolution(self) -> int:
-        return self.values.shape[0]
 
-    @staticmethod
-    def coordinates(n: int) -> tuple[np.ndarray, np.ndarray]:
-        x = 2.0 * np.pi * np.arange(n) / n
-        return np.meshgrid(x, x, indexing="ij")
-
-    @classmethod
-    def from_function(cls, n: int, fn) -> "GridField2D":
-        x, y = cls.coordinates(n)
-        return cls(fn(x, y))
+def grid_coordinates(n: int, ndim: int = 2) -> tuple[np.ndarray, ...]:
+    """The coordinate arrays of the uniform n^ndim grid on [0, 2*pi)^ndim."""
+    x = 2.0 * np.pi * np.arange(n) / n
+    return np.meshgrid(*[x] * ndim, indexing="ij")
 
 
 def _wavenumbers(n: int) -> np.ndarray:
@@ -365,42 +369,42 @@ def dealias_two_thirds(values: np.ndarray) -> np.ndarray:
     return _inverse(np.fft.fft2(values) * keep, values)
 
 
-def grid_bracket(f: GridField2D, g: GridField2D) -> GridField2D:
+def grid_bracket(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """{f, g} = f_x g_y - f_y g_x with spectral derivatives, dealiased."""
-    if f.resolution != g.resolution:
-        raise PreconditionError("grid resolution mismatch")
-    fx, fy = spectral_gradient(f.values)
-    gx, gy = spectral_gradient(g.values)
-    return GridField2D(dealias_two_thirds(fx * gy - fy * gx))
+    check_grids(f, g)
+    fx, fy = spectral_gradient(f)
+    gx, gy = spectral_gradient(g)
+    return dealias_two_thirds(fx * gy - fy * gx)
 
 
-def laplacian(f: GridField2D) -> GridField2D:
-    fhat = np.fft.fft2(f.values)
-    return GridField2D(_inverse(-_k_squared(f.resolution) * fhat, f.values))
+def laplacian(f: np.ndarray) -> np.ndarray:
+    check_grids(f)
+    return _inverse(-_k_squared(f.shape[0]) * np.fft.fft2(f), f)
 
 
-def invert_laplacian(f: GridField2D) -> GridField2D:
+def invert_laplacian(f: np.ndarray) -> np.ndarray:
     """Solve lap(psi) = f on the grid for zero-mean f.
 
     A mean above 1e-10 of the field scale is rejected.
     """
-    n = f.resolution
-    fhat = np.fft.fft2(f.values)
-    scale = np.max(np.abs(f.values)) or 1.0
+    check_grids(f)
+    n = f.shape[0]
+    fhat = np.fft.fft2(f)
+    scale = np.max(np.abs(f)) or 1.0
     if abs(fhat[0, 0]) / (n * n) > 1e-10 * scale:
         raise PreconditionError("invert_laplacian requires a zero-mean field")
     k2 = _k_squared(n)
     k2[0, 0] = 1.0
     psi = fhat / (-k2)
     psi[0, 0] = 0.0
-    return GridField2D(_inverse(psi, f.values))
+    return _inverse(psi, f)
 
 
-def coefficients_to_grid(field_: CoefficientField, n: int) -> GridField2D:
+def coefficients_to_grid(field_: CoefficientField, n: int) -> np.ndarray:
     """Sample sum_k w_k exp(i k.X) on an n x n grid (real by the pairing)."""
+    check_resolution(n)
     if n < 2 * field_.box + 2:
         raise PreconditionError("grid too coarse for the coefficient box")
     fhat = np.zeros((n, n), dtype=np.complex128)
     fhat.ravel()[grid_index(field_.box, n)] = field_._data.ravel() * (n * n)
-    vals = np.fft.ifft2(fhat)
-    return GridField2D(vals.real)
+    return np.fft.ifft2(fhat).real

@@ -22,9 +22,10 @@ import numpy as np
 
 from ._kernels_py import _pair_tables
 from .errors import NumericError, PreconditionError
-from .fourier import (CoefficientField, GridField2D, check_resolution,
+from .fourier import (CoefficientField, check_grids, check_resolution,
                       coefficients_to_grid, galerkin_rhs, grid_bracket,
-                      integrate_galerkin, invert_laplacian, spectral_gradient)
+                      grid_coordinates, integrate_galerkin, invert_laplacian,
+                      spectral_gradient)
 from .util import check_schedule, hausdorff_distance, sup_norm
 
 # the 3D pairs' sup-norm bounds on curl(u) - Omega and on div u
@@ -51,29 +52,30 @@ class LaxReport:
         return out
 
 
-def rossby_L(omega: GridField2D, beta_param: float, phi: GridField2D) -> GridField2D:
+def rossby_L(omega: np.ndarray, beta_param: float, phi: np.ndarray) -> np.ndarray:
     """L phi = {Omega, phi} - beta * d(phi)/dx; NumericError on overflow."""
     if not np.isfinite(beta_param):
         raise PreconditionError(f"beta must be finite, got {beta_param}")
-    bracket = grid_bracket(omega, phi)
-    dx = spectral_gradient(phi.values)[0]
+    bracket = grid_bracket(omega, phi)  # checks both grids
+    dx = spectral_gradient(phi)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = bracket.values - beta_param * dx
+        out = bracket - beta_param * dx
     if not np.all(np.isfinite(out)):
         raise NumericError(f"rossby_L overflows at beta = {beta_param}")
-    return GridField2D(out)
+    return out
 
 
-def jacobi_defect(f: GridField2D, g: GridField2D, h: GridField2D) -> float:
+def jacobi_defect(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
     """Sup norm of {f,{g,h}} + {g,{h,f}} + {h,{f,g}}."""
-    total = (grid_bracket(f, grid_bracket(g, h)).values
-             + grid_bracket(g, grid_bracket(h, f)).values
-             + grid_bracket(h, grid_bracket(f, g)).values)
+    check_grids(f, g, h)
+    total = (grid_bracket(f, grid_bracket(g, h))
+             + grid_bracket(g, grid_bracket(h, f))
+             + grid_bracket(h, grid_bracket(f, g)))
     return sup_norm(total)
 
 
 def compatibility_residual_2d(omega: CoefficientField,
-                              phi_samples: list[GridField2D],
+                              phi_samples: list[np.ndarray],
                               resolution: int = 64,
                               time_derivative=None) -> LaxReport:
     """Jacobi and transport residuals of the 2D pair.
@@ -84,20 +86,19 @@ def compatibility_residual_2d(omega: CoefficientField,
     the transport residual {dOmega/dt + {Psi, Omega}, phi} vanishes exactly
     for the true evolution.  A non-Euler rule makes it visibly nonzero.
     """
+    check_grids(*phi_samples)
     if time_derivative is None:
         time_derivative = lambda w: galerkin_rhs(w.embedded(2 * w.box))
     omega_grid = coefficients_to_grid(omega, resolution)
     psi_grid = invert_laplacian(omega_grid)
     dometa = time_derivative(omega)
     dom_grid = coefficients_to_grid(dometa, resolution)
-    transport_src = GridField2D(
-        dom_grid.values + grid_bracket(psi_grid, omega_grid).values)
+    transport_src = dom_grid + grid_bracket(psi_grid, omega_grid)
 
     report = LaxReport()
     for i, phi in enumerate(phi_samples):
         report.residuals[f"jacobi_{i}"] = jacobi_defect(omega_grid, psi_grid, phi)
-        report.residuals[f"transport_{i}"] = sup_norm(
-            grid_bracket(transport_src, phi).values)
+        report.residuals[f"transport_{i}"] = sup_norm(grid_bracket(transport_src, phi))
     report.residuals["jacobi_max"] = max(
         report.residuals[f"jacobi_{i}"] for i in range(len(phi_samples)))
     report.residuals["transport_max"] = max(
@@ -159,7 +160,7 @@ def isospectrality_check(omega0: CoefficientField, T: float,
 
 class VectorField3D:
     """Three read-only periodic scalar components on an n^3 grid, period
-    2*pi; n is a power of two >= 16, as for GridField2D."""
+    2*pi; n passes fourier.check_resolution, as a 2D grid's side does."""
 
     def __init__(self, components: np.ndarray):
         components = np.asarray(components, dtype=np.float64)
@@ -177,16 +178,11 @@ class VectorField3D:
     def resolution(self) -> int:
         return self.components.shape[1]
 
-    @staticmethod
-    def coordinates(n: int):
-        x = 2.0 * np.pi * np.arange(n) / n
-        return np.meshgrid(x, x, x, indexing="ij")
-
     @classmethod
     def abc_flow(cls, n: int) -> "VectorField3D":
         """The ABC velocity field with A = B = C = 1, an eigenfield of curl
         (curl u = u)."""
-        x, y, z = cls.coordinates(n)
+        x, y, z = grid_coordinates(n, 3)
         return cls(np.stack([np.sin(z) + np.cos(y), np.sin(x) + np.cos(z),
                              np.sin(y) + np.cos(x)]))
 

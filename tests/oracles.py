@@ -90,8 +90,8 @@ def grid_to_coefficients(grid, box: int):
     """
     from chaoslab.fourier import CoefficientField
 
-    n = grid.resolution
-    fhat = np.fft.fft2(grid.values) / (n * n)
+    n = grid.shape[0]
+    fhat = np.fft.fft2(grid) / (n * n)
     k = np.arange(-box, box + 1) % n
     return CoefficientField(box, fhat[np.ix_(k, k)])
 

@@ -13,7 +13,8 @@ import pytest
 
 from chaoslab.fourier import (ClassIndex, CoefficientField,
                               coefficients_to_grid, energy_derivative,
-                              enstrophy_derivative, integrate_galerkin, zeta)
+                              enstrophy_derivative, grid_coordinates,
+                              integrate_galerkin, zeta)
 from chaoslab.spectra import (build_class_operator, continued_fraction_eigen,
                               count_nonimaginary, quadruple_symmetry_defect,
                               truncated_spectrum)
@@ -321,7 +322,7 @@ class TestLaxVerification:
         iso = isospectrality_check(steady, T=1.0, dt=0.01)
 
         u = VectorField3D.abc_flow(32)
-        x, y, z = VectorField3D.coordinates(32)
+        x, y, z = grid_coordinates(32, 3)
         L, A = lax_3d_scalar(u.curl(), u, np.cos(x) * np.sin(y) + np.cos(z))
         beltrami = float(np.max(np.abs(L - A)))
 

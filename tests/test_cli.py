@@ -71,14 +71,19 @@ class TestDispatch:
     def test_precondition_exit_code(self, tmp_path, capsys):
         malformed = tmp_path / "malformed.json"
         malformed.write_text("{not json\n")
-        # the 16x16 shear-power fields with a NaN in p, which no residual
-        # comparison may pass over
         from chaoslab.darboux import shear_power_construction
-        fields = dict(zip(("omega", "psi", "p", "f", "F"),
-                          (g.values.tolist() for g in shear_power_construction(0.3, 16))))
-        fields["p"][3][5] = float("nan")
-        nan_fields = tmp_path / "nan_fields.json"
-        nan_fields.write_text(json.dumps(fields))
+        names = ("omega", "psi", "p", "f", "F")
+        shear16 = dict(zip(names, shear_power_construction(0.3, 16)))
+
+        def field_file(name, **fields):
+            # the 16x16 shear-power fields, with the given ones replaced
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                {k: v.tolist() for k, v in {**shear16, **fields}.items()}))
+            return str(path)
+
+        nan_p = shear16["p"].copy()
+        nan_p[3, 5] = np.nan
         cases = [
             # omega outside the lattice window
             ["nls-sim", "--N", "7", "--omega", "1.0", "--steps", "10"],
@@ -97,8 +102,6 @@ class TestDispatch:
              "--custom-file", str(tmp_path / "missing.json")],
             ["darboux", "--construction", "custom-file",
              "--custom-file", str(malformed)],
-            ["darboux", "--construction", "custom-file",
-             "--custom-file", str(nan_fields)],
             # a Gamma or |Gamma| that is not finite
             ["spectrum", "--gamma", "1.5e308,1.5e308", "--trunc", "3"],
             ["spectrum", "--gamma", "nan,0", "--trunc", "3"],
@@ -157,6 +160,16 @@ class TestDispatch:
             ["dashed-line", "--steps", "10", "--from-analytic=inf,0.3,1"],
             ["dashed-line", "--steps", "10", "--from-analytic=-2,nan,1"],
         ]
+        cases += [
+            ["darboux", "--construction", "custom-file", "--custom-file", path]
+            for path in (
+                # a NaN in p, which no residual comparison may pass over
+                field_file("nan_p", p=nan_p),
+                # grids whose side is not a power of two, that are not 2D,
+                # or that differ in shape
+                field_file("side12", **dict.fromkeys(names, np.zeros((12, 12)))),
+                field_file("flat", **dict.fromkeys(names, np.zeros(16))),
+                field_file("mixed", F=shear_power_construction(0.3, 32)[4]))]
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
         # inputs rejected before any work, so nothing overflows or warns on
@@ -164,8 +177,9 @@ class TestDispatch:
         # built; an isospectrality horizon shorter than one step or of more
         # than ISOSPEC_MAX_STEPS steps, before any step; a random initial
         # field whose modes all underflow, before it is scaled; a lattice
-        # above nls.MAX_N sites, or an omega (the saddle amplitude) at or
-        # above the blow-up limit, before any array is allocated
+        # above nls.MAX_N sites, an omega (the saddle amplitude) at or
+        # above the blow-up limit, a grid side above fourier.MAX_RESOLUTION
+        # or a box above fourier.MAX_BOX, before any array is allocated
         assert SHADOW_MAX_M == 500
         quiet = [["shadow", "--map", name, "--m", "501"]
                  for name in ("linear-test", "dashed-line", "nls-poincare")] + [
@@ -180,6 +194,12 @@ class TestDispatch:
              "--steps", "1"],
             ["shadow", "--map", "nls-poincare", "--N", "3", "--omega", "1e200",
              "--beta", "1e300"],
+            *[["lax-check", "--case", case, "--resolution", str(2**40)]
+              for case in ("jacobi", "compat2d", "rossby")],
+            ["darboux", "--resolution", str(2**40)],
+            ["euler-sim", "--box", str(2**40), "--steps", "1"],
+            ["lax-check", "--case", "compat2d", "--box", str(2**40)],
+            ["lax-check", "--case", "isospec", "--box", str(2**40)],
         ]
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
@@ -292,6 +312,57 @@ class TestDispatch:
         assert code == 0
         doc = json.loads(read(tmp_path / "report.json"))
         assert doc["residuals"]["jacobi_max"] < 1e-10
+
+
+# the size and float values of the option sweep; 2**40 fails to allocate at
+# once wherever a cap is missing, so no run can ask for unbounded work
+SWEEP_SIZES = [-1, 0, 1, 2, 3, 5, 8, 12, 16, 17, 2**40]
+SWEEP_FLOATS = ["0", "-1", "-0.0", "1e-300", "1e300", "1e-12", "1e12"]
+NON_FINITE_TOKEN = re.compile(r"\b(?:nan|inf|infinity|null)\b", re.I)
+
+
+def sweep_commands() -> list[list[str]]:
+    """Every lax-check case with each grid and box size, the float options of
+    the 2D cases and of darboux, and the darboux and euler-sim sizes."""
+    cases = ("jacobi", "compat2d", "isospec", "rossby", "3dscalar", "3dvector")
+    commands = [["lax-check", "--case", case, f"--{option}={size}"]
+                for case in cases for option in ("resolution", "box")
+                for size in SWEEP_SIZES]
+    commands += [["lax-check", "--case", "isospec", f"--{option}={value}"]
+                 for option in ("T", "dt") for value in SWEEP_FLOATS]
+    commands += [["lax-check", "--case", "rossby", f"--beta-param={value}"]
+                 for value in SWEEP_FLOATS]
+    commands += [["darboux", f"--c={value}"] for value in SWEEP_FLOATS]
+    commands += [["darboux", f"--resolution={size}"] for size in SWEEP_SIZES]
+    commands += [["euler-sim", "--steps", "10", "--sample-every", "5", f"--box={size}"]
+                 for size in SWEEP_SIZES]
+    return commands
+
+
+class TestOptionSweep:
+    def test_grid_box_and_float_options_exit_cleanly(self, tmp_path, capsys):
+        # each run exits 0, 3 or 4 with no warning and no traceback, and an
+        # exit-0 run writes no nan, inf or null into its data outputs
+        faults = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i, args in enumerate(sweep_commands()):
+                out = tmp_path / str(i)
+                seen = len(caught)
+                try:
+                    code = run_cli(args, out)
+                except Exception as exc:  # a traceback outside the CLI
+                    code = repr(exc)
+                err = capsys.readouterr().err
+                if code not in (0, 3, 4):
+                    faults.append((args, code))
+                if len(caught) > seen or "Traceback" in err or "Warning" in err:
+                    faults.append((args, "warning or traceback"))
+                if code == 0:
+                    faults += [(args, path.name) for path in out.iterdir()
+                               if path.name != "manifest.json"
+                               and NON_FINITE_TOKEN.search(path.read_text())]
+        assert not faults
 
 
 # Imports every chaoslab module with scipy blocked, then runs one small job
@@ -478,9 +549,8 @@ class TestOutputs:
         omega, psi, p, f, F = shear_power_construction(0.25, 32)
         spec_file = tmp_path / "fields.json"
         spec_file.write_text(json.dumps({
-            "omega": omega.values.tolist(), "psi": psi.values.tolist(),
-            "p": p.values.tolist(), "f": f.values.tolist(),
-            "F": F.values.tolist()}))
+            "omega": omega.tolist(), "psi": psi.tolist(), "p": p.tolist(),
+            "f": f.tolist(), "F": F.tolist()}))
         code = run_cli(["darboux", "--construction", "custom-file",
                         "--custom-file", str(spec_file)], tmp_path)
         assert code == 0

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab.errors import PreconditionError
-from chaoslab.fourier import (ClassIndex, CoefficientField, GridField2D,
+from chaoslab.fourier import (MAX_RESOLUTION, ClassIndex, CoefficientField,
+                              check_grids, check_resolution,
                               class_intersects_disk, coef_A,
                               coefficients_to_grid, dealias_two_thirds,
                               energy_derivative, enstrophy_derivative,
-                              galerkin_rhs, grid_bracket, integrate_galerkin,
-                              invert_laplacian, laplacian, zeta)
+                              galerkin_rhs, grid_bracket, grid_coordinates,
+                              integrate_galerkin, invert_laplacian, laplacian,
+                              zeta)
 from oracles import galerkin_rhs_ref, grid_to_coefficients, zeta_ref
 
 nonzero_vec = st.tuples(st.integers(-10, 10), st.integers(-10, 10)).filter(
@@ -169,24 +171,30 @@ class TestGalerkinRHS:
 
 class TestGridCalculus:
     def test_resolution_validation(self):
+        # a side that is not a power of two >= 16, a grid that is not
+        # square, or not 2D, is rejected by every function that takes one
+        for shape in [(12, 12), (20, 20), (16, 32), (32,), (16, 16, 16)]:
+            bad = np.zeros(shape)
+            for call in (check_grids, laplacian, invert_laplacian,
+                         lambda g: grid_bracket(g, g)):
+                with pytest.raises(PreconditionError):
+                    call(bad)
+        check_resolution(MAX_RESOLUTION)
         with pytest.raises(PreconditionError):
-            GridField2D(np.zeros((12, 12)))
-        with pytest.raises(PreconditionError):
-            GridField2D(np.zeros((20, 20)))
+            check_resolution(2 * MAX_RESOLUTION)
 
     def test_bracket_cos_cos(self):
-        f = GridField2D.from_function(64, lambda x, y: np.cos(x))
-        g = GridField2D.from_function(64, lambda x, y: np.cos(y))
-        expected = GridField2D.from_function(64, lambda x, y: np.sin(x) * np.sin(y))
-        assert np.max(np.abs(grid_bracket(f, g).values - expected.values)) < 1e-13
+        x, y = grid_coordinates(64)
+        expected = np.sin(x) * np.sin(y)
+        assert np.max(np.abs(grid_bracket(np.cos(x), np.cos(y)) - expected)) < 1e-13
 
     def test_bracket_antisymmetry_and_constants(self, rng):
         f = coefficients_to_grid(CoefficientField.random(6, rng), 64)
         g = coefficients_to_grid(CoefficientField.random(6, rng), 64)
-        assert np.max(np.abs(grid_bracket(f, f).values)) == 0.0
-        c = GridField2D(np.full((64, 64), 3.7))
-        assert np.max(np.abs(grid_bracket(f, c).values)) < 1e-12
-        asym = grid_bracket(f, g).values + grid_bracket(g, f).values
+        assert np.max(np.abs(grid_bracket(f, f))) == 0.0
+        c = np.full((64, 64), 3.7)
+        assert np.max(np.abs(grid_bracket(f, c))) < 1e-12
+        asym = grid_bracket(f, g) + grid_bracket(g, f)
         assert np.max(np.abs(asym)) < 1e-12
 
     def test_bracket_bilinearity(self, rng):
@@ -195,47 +203,45 @@ class TestGridCalculus:
             return coefficients_to_grid(c.scaled(1 / np.sqrt(c.enstrophy())), 64)
 
         f, g, h = unit_field(), unit_field(), unit_field()
-        lhs = grid_bracket(GridField2D(2.0 * f.values + 0.5 * g.values), h).values
-        rhs = 2.0 * grid_bracket(f, h).values + 0.5 * grid_bracket(g, h).values
+        lhs = grid_bracket(2.0 * f + 0.5 * g, h)
+        rhs = 2.0 * grid_bracket(f, h) + 0.5 * grid_bracket(g, h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_bracket_applies_two_thirds_rule(self, n):
         # {cos(4x+y), cos(3x+2y)} = 2.5 cos(x-y) - 2.5 cos(7x+3y); the second
         # mode has |k1| = 7, above n/3 at n=16, where the bracket drops it
-        f = GridField2D.from_function(n, lambda x, y: np.cos(4 * x + y))
-        g = GridField2D.from_function(n, lambda x, y: np.cos(3 * x + 2 * y))
+        x, y = grid_coordinates(n)
+        f, g = np.cos(4 * x + y), np.cos(3 * x + 2 * y)
         kept = 2.5 if 7 <= n / 3 else 0.0
-        expected = GridField2D.from_function(
-            n, lambda x, y: 2.5 * np.cos(x - y) - kept * np.cos(7 * x + 3 * y))
-        assert np.max(np.abs(grid_bracket(f, g).values - expected.values)) < 1e-12
+        expected = 2.5 * np.cos(x - y) - kept * np.cos(7 * x + 3 * y)
+        assert np.max(np.abs(grid_bracket(f, g) - expected)) < 1e-12
 
     def test_bracket_resolution_mismatch(self):
-        f = GridField2D(np.zeros((32, 32)))
-        g = GridField2D(np.zeros((64, 64)))
+        f = np.zeros((32, 32))
+        g = np.zeros((64, 64))
         with pytest.raises(PreconditionError):
             grid_bracket(f, g)
+        with pytest.raises(PreconditionError):
+            check_grids(f, f, g)
 
     def test_invert_laplacian_oblique_mode(self):
-        f = GridField2D.from_function(64, lambda x, y: np.cos(x + y))
-        psi = invert_laplacian(f)
-        expected = GridField2D.from_function(64, lambda x, y: -0.5 * np.cos(x + y))
-        assert np.max(np.abs(psi.values - expected.values)) < 1e-14
+        x, y = grid_coordinates(64)
+        psi = invert_laplacian(np.cos(x + y))
+        assert np.max(np.abs(psi + 0.5 * np.cos(x + y))) < 1e-14
 
     def test_invert_laplacian_roundtrip(self, rng):
         f = coefficients_to_grid(CoefficientField.random(8, rng), 64)
         back = laplacian(invert_laplacian(f))
-        rel = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
+        rel = np.max(np.abs(back - f)) / np.max(np.abs(f))
         assert rel < 1e-12
 
     def test_invert_laplacian_rejects_mean(self):
-        f = GridField2D(np.full((32, 32), 1.0))
         with pytest.raises(PreconditionError):
-            invert_laplacian(f)
+            invert_laplacian(np.full((32, 32), 1.0))
 
     def test_zero_field(self):
-        f = GridField2D(np.zeros((32, 32)))
-        assert np.max(np.abs(invert_laplacian(f).values)) == 0.0
+        assert np.max(np.abs(invert_laplacian(np.zeros((32, 32))))) == 0.0
 
     def test_coefficient_grid_roundtrip(self, rng):
         f = CoefficientField.random(5, rng)
@@ -245,5 +251,5 @@ class TestGridCalculus:
 
     def test_dealias_idempotent(self, rng):
         f = coefficients_to_grid(CoefficientField.random(6, rng), 64)
-        once = dealias_two_thirds(f.values)
+        once = dealias_two_thirds(f)
         assert np.max(np.abs(dealias_two_thirds(once) - once)) < 1e-13

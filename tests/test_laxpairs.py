@@ -4,8 +4,8 @@ import pytest
 from chaoslab.cli import main
 from chaoslab.darboux import shear_power_construction, verify_darboux
 from chaoslab.errors import PreconditionError
-from chaoslab.fourier import (CoefficientField, GridField2D,
-                              coefficients_to_grid, grid_bracket)
+from chaoslab.fourier import (CoefficientField, coefficients_to_grid,
+                              grid_bracket, grid_coordinates)
 from chaoslab.laxpairs import (VectorField3D, bracket_operator_matrix,
                                compatibility_residual_2d, isospectrality_check,
                                jacobi_defect, lax_3d_scalar, lax_3d_vector,
@@ -21,22 +21,20 @@ def unit_random_grid(rng, box=8, n=64):
 class TestLax2D:
     def test_self_bracket_vanishes(self, rng):
         omega = unit_random_grid(rng)
-        assert np.max(np.abs(grid_bracket(omega, omega).values)) == 0.0
+        assert np.max(np.abs(grid_bracket(omega, omega))) == 0.0
 
     def test_oblique_pair_hand_value(self):
         # f_x g_y - f_y g_x with f = cos(x+y), g = cos(x-y):
         # (-s+)(+s-) - (-s+)(-s-) = -2 s+ s-
-        omega = GridField2D.from_function(64, lambda x, y: np.cos(x + y))
-        phi = GridField2D.from_function(64, lambda x, y: np.cos(x - y))
-        got = grid_bracket(omega, phi)
-        expected = GridField2D.from_function(
-            64, lambda x, y: -2.0 * np.sin(x + y) * np.sin(x - y))
-        assert np.max(np.abs(got.values - expected.values)) < 1e-13
+        x, y = grid_coordinates(64)
+        got = grid_bracket(np.cos(x + y), np.cos(x - y))
+        expected = -2.0 * np.sin(x + y) * np.sin(x - y)
+        assert np.max(np.abs(got - expected)) < 1e-13
 
     def test_constant_eigenfunction(self, rng):
         omega = unit_random_grid(rng)
-        const = GridField2D(np.full((64, 64), 2.2))
-        assert np.max(np.abs(grid_bracket(omega, const).values)) < 1e-13
+        const = np.full((64, 64), 2.2)
+        assert np.max(np.abs(grid_bracket(omega, const))) < 1e-13
 
     def test_jacobi_battery(self, rng):
         worst = 0.0
@@ -105,11 +103,11 @@ class TestIsospectrality:
                  for k2 in range(-box, box + 1) if (k1, k2) != (0, 0)]
         q = (1, -2)
         jq = modes.index(q)
-        x, y = GridField2D.coordinates(64)
+        x, y = grid_coordinates(64)
         omega_grid = coefficients_to_grid(omega, 64)
-        phi = GridField2D(np.exp(1j * (q[0] * x + q[1] * y)))
+        phi = np.exp(1j * (q[0] * x + q[1] * y))
         n = 64
-        bracket_hat = np.fft.fft2(grid_bracket(omega_grid, phi).values) / (n * n)
+        bracket_hat = np.fft.fft2(grid_bracket(omega_grid, phi)) / (n * n)
         for i, k in enumerate(modes):
             assert abs(bracket_hat[k[0] % n, k[1] % n] - mat[i, jq]) < 1e-11
 
@@ -165,19 +163,17 @@ class TestRossby:
         omega, phi = unit_random_grid(rng), unit_random_grid(rng)
         a = rossby_L(omega, 0.0, phi)
         b = grid_bracket(omega, phi)
-        assert np.max(np.abs(a.values - b.values)) == 0.0
+        assert np.max(np.abs(a - b)) == 0.0
 
     def test_zero_vorticity_pure_drift(self):
-        omega = GridField2D(np.zeros((64, 64)))
-        phi = GridField2D.from_function(64, lambda x, y: np.cos(x))
-        got = rossby_L(omega, 1.0, phi)
-        expected = GridField2D.from_function(64, lambda x, y: np.sin(x))
-        assert np.max(np.abs(got.values - expected.values)) < 1e-13
+        x, y = grid_coordinates(64)
+        got = rossby_L(np.zeros((64, 64)), 1.0, np.cos(x))
+        assert np.max(np.abs(got - np.sin(x))) < 1e-13
 
     def test_constant_phi(self, rng):
         omega = unit_random_grid(rng)
-        const = GridField2D(np.full((64, 64), 1.0))
-        assert np.max(np.abs(rossby_L(omega, 0.7, const).values)) < 1e-13
+        const = np.full((64, 64), 1.0)
+        assert np.max(np.abs(rossby_L(omega, 0.7, const))) < 1e-13
 
 
 class TestLax3D:
@@ -192,7 +188,7 @@ class TestLax3D:
     def test_beltrami_scalar_identity(self):
         u = VectorField3D.abc_flow(16)
         omega = u.curl()
-        x, y, z = VectorField3D.coordinates(16)
+        x, y, z = grid_coordinates(16, 3)
         phi = np.cos(x) * np.sin(y) + np.cos(z)
         L, A = lax_3d_scalar(omega, u, phi)
         assert np.max(np.abs(L - A)) < 1e-10
@@ -206,7 +202,7 @@ class TestLax3D:
         n = 16
         u = VectorField3D.uniform(n, (1.0, 0.0, 0.0))
         zero = VectorField3D(np.zeros((3, n, n, n)))
-        x, y, z = VectorField3D.coordinates(n)
+        x, y, z = grid_coordinates(n, 3)
         phi = np.cos(x) * np.sin(y)
         L, A = lax_3d_scalar(zero, u, phi)
         assert np.max(np.abs(L)) == 0.0
@@ -240,13 +236,13 @@ class TestLax3D:
     def test_curl_mismatch_rejected(self):
         u = VectorField3D.abc_flow(16)
         wrong = VectorField3D(2.0 * u.curl().components)
-        x, y, z = VectorField3D.coordinates(16)
+        x, y, z = grid_coordinates(16, 3)
         with pytest.raises(PreconditionError):
             lax_3d_scalar(wrong, u, np.cos(x))
 
     def test_divergent_velocity_rejected(self):
         n = 16
-        x, y, z = VectorField3D.coordinates(n)
+        x, y, z = grid_coordinates(n, 3)
         bad = VectorField3D(np.stack([np.sin(x), np.zeros((n, n, n)),
                                       np.zeros((n, n, n))]))
         with pytest.raises(PreconditionError):
