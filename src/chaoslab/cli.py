@@ -241,7 +241,7 @@ def _cmd_nls_sim(args, run) -> None:
 
     params = NLSParams(N=args.N, omega=args.omega, alpha=args.alpha,
                        beta=args.beta, epsilon=args.epsilon)
-    params.check_dt(args.dt)  # before the saddle's eigensolve
+    params.check_dt(args.dt)  # before any work
     saddle = discrete_saddle(params)
     q0 = saddle.q
     if args.kick != 0.0:
@@ -578,6 +578,8 @@ def main(argv=None) -> int:
             values = value if isinstance(value, tuple) else (value,)
             if not all(np.isfinite(v) for v in values if isinstance(v, float)):
                 raise PreconditionError(f"{action.option_strings[0]} must be finite")
+            if action.dest == "rng_seed" and value < 0:
+                raise PreconditionError(f"--rng-seed must be >= 0, got {value}")
             config[action.dest] = list(value) if isinstance(value, tuple) else value
         run = _Run(args.command, config, args.output_dir)
         args.func(args, run)

@@ -404,7 +404,8 @@ def coefficients_to_grid(field_: CoefficientField, n: int) -> np.ndarray:
     """Sample sum_k w_k exp(i k.X) on an n x n grid (real by the pairing)."""
     check_resolution(n)
     if n < 2 * field_.box + 2:
-        raise PreconditionError("grid too coarse for the coefficient box")
+        raise PreconditionError(f"grid too coarse for the coefficient box: n = {n} "
+                                f"below 2*box + 2 = {2 * field_.box + 2}")
     fhat = np.zeros((n, n), dtype=np.complex128)
     fhat.ravel()[grid_index(field_.box, n)] = field_._data.ravel() * (n * n)
     return np.fft.ifft2(fhat).real

@@ -84,8 +84,13 @@ def compatibility_residual_2d(omega: CoefficientField,
     defaults to the truncated quadratic vector field; the Galerkin box is
     doubled before differentiation so the bracket closure is untruncated and
     the transport residual {dOmega/dt + {Psi, Omega}, phi} vanishes exactly
-    for the true evolution.  A non-Euler rule makes it visibly nonzero.
+    for the true evolution.  A non-Euler rule makes it visibly nonzero.  The
+    doubled box needs resolution >= 4 * box + 2.
     """
+    if resolution < 4 * omega.box + 2:
+        raise PreconditionError(
+            f"resolution {resolution} below 4*box + 2 = {4 * omega.box + 2} for box "
+            f"{omega.box}: the time derivative is sampled on the doubled box")
     check_grids(*phi_samples)
     if time_derivative is None:
         time_derivative = lambda w: galerkin_rhs(w.embedded(2 * w.box))

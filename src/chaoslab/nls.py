@@ -37,9 +37,9 @@ UNSTABLE_TOL = 1e-4
 FLAT_TOL = 1e-12
 # center_wing_encode: unambiguous samples a new basin must persist for.
 MIN_RUN = 5
-# NLSParams: the largest N.  discrete_saddle's dense 2N x 2N Jacobian took
-# 0.87-0.97 s and 148 MB of peak RSS at N = 1024, against 3.5-4.5 s and
-# 543 MB at N = 2048 (2 vCPUs, numpy on OpenBLAS).
+# NLSParams: the largest N.  At N = 1024 (2 vCPUs, OpenBLAS, 4 GB cap) `nls-sim
+# --steps 1` took 0.24 s and 31 MB peak RSS; `shadow --map nls-poincare --m 1`
+# 57 s and 1.07 GB, 46 s of it the O(N^3) variational RK4 of the 2N x 2N tangent.
 MAX_N = 1024
 
 
@@ -353,19 +353,6 @@ def pdnls_jacobian_full(q: np.ndarray, p: NLSParams) -> np.ndarray:
     return jac
 
 
-def even_sector_basis(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding E and restriction P between the even sector and the lattice.
-
-    The even sector stacks (Re q_0..Re q_M, Im q_0..Im q_M); the half-period
-    translation symmetry of the full lattice doubles interior modes, so
-    saddle-type counts are taken in this sector.
-    """
-    M, n = N // 2, np.arange(N)
-    # site n of the lattice is site min(n, N - n) of the even sector
-    E1 = (np.minimum(n, N - n)[:, None] == np.arange(M + 1)).astype(float)
-    return np.kron(np.eye(2), E1), np.kron(np.eye(2), np.eye(M + 1, N))
-
-
 @dataclass
 class DiscreteSaddle:
     """Uniform saddle q = (Q, ..., Q) with its linearization spectrum.
@@ -383,13 +370,25 @@ class DiscreteSaddle:
         return int(np.sum(self.eigenvalues.real > UNSTABLE_TOL))
 
 
+def lattice_eigenvalues(p: NLSParams, R: float) -> np.ndarray:
+    """Even-sector spectrum at the uniform state of amplitude R: row m holds
+    mode m's 2 x 2 block pair lam_m^+- = -eps (alpha + h^-2 s_m) +- sqrt(4 R^4 -
+    c_m^2), s_m = 4 sin^2(pi m/N), c_m = h^-2 s_m + 2 w^2 - 2 R^2 (1 + cos(2 pi m/N))."""
+    m = np.arange(p.M + 1)
+    lap = p.N ** 2 * 4.0 * np.sin(np.pi * m / p.N) ** 2
+    rr = 2.0 * R * R
+    c = lap + 2.0 * p.omega ** 2 - rr * (1.0 + np.cos(2.0 * np.pi * m / p.N))
+    # 4 R^4 - c^2 as a product, exactly 0 at a zero crossing
+    root = np.sqrt(((rr - c) * (rr + c)).astype(np.complex128))
+    damp = -p.epsilon * (p.alpha + lap)
+    return np.stack([damp + root, damp - root], axis=1)
+
+
 def discrete_saddle(p: NLSParams) -> DiscreteSaddle:
     """Uniform saddle of the lattice with its even-sector spectrum."""
     Q = solve_uniform_saddle(p)
-    q = np.full(p.N, Q, dtype=np.complex128)
-    E, P = even_sector_basis(p.N)
-    return DiscreteSaddle(Q=Q, q=q, eigenvalues=np.linalg.eigvals(
-        P @ pdnls_jacobian_full(q, p) @ E))
+    return DiscreteSaddle(Q=Q, q=np.full(p.N, Q, dtype=np.complex128),
+                          eigenvalues=lattice_eigenvalues(p, abs(Q)).ravel())
 
 
 # -- simulation ----------------------------------------------------------------

@@ -187,9 +187,10 @@ def shadow_distance(orbit_start: np.ndarray, pseudo: PseudoOrbit,
     return worst
 
 
-def palmer_assembly(x0: np.ndarray, y_segment: np.ndarray, word,
+def palmer_assembly(x0: np.ndarray, y_segment: np.ndarray, word: str,
                     system: MapSystem) -> PseudoOrbit:
-    """Concatenate saddle and homoclinic-segment blocks along a binary word.
+    """Concatenate saddle and homoclinic-segment blocks along a word of
+    '0's and '1's.
 
     Block 0 repeats the saddle x0 2m+1 times; block 1 is the provided true
     orbit segment of odd length 2m+1 centered on the homoclinic point.  The
@@ -200,11 +201,10 @@ def palmer_assembly(x0: np.ndarray, y_segment: np.ndarray, word,
     seg = np.asarray(y_segment, dtype=float)
     if seg.ndim != 2 or seg.shape[0] % 2 == 0:
         raise PreconditionError("segment must contain an odd number of states")
-    letters = [int(ch) for ch in (word.window if isinstance(word, SymbolSequence) else word)]
-    if not letters or any(ch not in (0, 1) for ch in letters):
-        raise PreconditionError("word must be a nonempty binary sequence")
+    if not word or set(word) - {"0", "1"}:
+        raise PreconditionError(f"word must be a nonempty string of 0s and 1s, got {word!r}")
     block0 = np.tile(x0, (seg.shape[0], 1))
-    blocks = [block0 if a == 0 else seg for a in letters]
+    blocks = [block0 if a == "0" else seg for a in word]
     points = np.vstack(blocks)
     defect = float(step_defects(points, system).max())
     return PseudoOrbit(points=points, delta=defect)

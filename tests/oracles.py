@@ -5,7 +5,8 @@ formulas (explicit loops, high-precision arithmetic, closed-form series) and
 never calls the implementation paths it is used to check.  It also holds
 the reference code that only tests call: the dense class matrix and the
 spectral mapping check on it (the one user of scipy), the grid-to-box
-projection and the lattice evenness defect.
+projection, the lattice evenness defect and the even-sector basis of the
+dense lattice spectrum.
 """
 
 from __future__ import annotations
@@ -101,6 +102,20 @@ def evenness_defect(q: np.ndarray) -> float:
     q = np.asarray(q)
     refl = np.roll(q[::-1], 1)
     return float(np.max(np.abs(q - refl)))
+
+
+def even_sector_basis(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding E and restriction P between the even sector and the lattice.
+
+    The even sector stacks (Re q_0..Re q_M, Im q_0..Im q_M); the half-period
+    translation symmetry of the full lattice doubles interior modes, so
+    saddle-type counts are taken in this sector.  The dense even-sector
+    spectrum at q is eigvals(P @ pdnls_jacobian_full(q, p) @ E).
+    """
+    M, n = N // 2, np.arange(N)
+    # site n of the lattice is site min(n, N - n) of the even sector
+    E1 = (np.minimum(n, N - n)[:, None] == np.arange(M + 1)).astype(float)
+    return np.kron(np.eye(2), E1), np.kron(np.eye(2), np.eye(M + 1, N))
 
 
 def pdnls_rhs_ref(q: np.ndarray, N: int, omega: float, alpha: float,

@@ -170,8 +170,23 @@ class TestDispatch:
                 field_file("side12", **dict.fromkeys(names, np.zeros((12, 12)))),
                 field_file("flat", **dict.fromkeys(names, np.zeros(16))),
                 field_file("mixed", F=shear_power_construction(0.3, 32)[4]))]
+        # a negative seed, which numpy's generator refuses, in every subcommand
+        cases += [[*command, "--rng-seed=-1"] for command in (
+            ["spectrum"], ["euler-sim"], ["dashed-line"], ["nls-sim"], ["nls-saddle"],
+            ["lax-check", "--case", "isospec"], ["darboux"],
+            ["shadow", "--map", "linear-test"], ["shadow", "--map", "nls-poincare"])]
+        # a shadow word with a letter other than 0 and 1
+        cases.append(["shadow", "--map", "linear-test", "--word", "0a1"])
         for args in cases:
             assert run_cli(args, tmp_path / "out") == 4, args
+        # a compat2d grid too coarse for the doubled box of the time
+        # derivative, with the resolution that the box needs in the message
+        capsys.readouterr()
+        for box, n in ((4, 16), (128, 512)):
+            assert run_cli(["lax-check", "--case", "compat2d", "--box", str(box),
+                            "--resolution", str(n)], tmp_path / "out") == 4
+            assert (f"resolution {n} below 4*box + 2 = {4 * box + 2} for box {box}"
+                    in capsys.readouterr().err)
         # inputs rejected before any work, so nothing overflows or warns on
         # the way: a shadow segment above the bound, before any orbit is
         # built; an isospectrality horizon shorter than one step or of more
@@ -210,8 +225,8 @@ class TestDispatch:
         assert "RuntimeWarning" not in capsys.readouterr().err
 
     def test_nls_dt_bound_checked_before_the_saddle(self, tmp_path, monkeypatch):
-        # the default dt is above the N = 1000 bound 1e-7; the saddle's
-        # eigensolve is never reached
+        # the default dt is above the N = 1000 bound 1e-7; the saddle is
+        # never solved
         import chaoslab.nls
 
         def unreachable(params):

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from chaoslab import kernels
 from chaoslab.dashed_line import DashedLineParams, integrate
 from chaoslab.errors import NumericError, PreconditionError
-from chaoslab.nls import (NLSParams, center_wing_encode,
+from chaoslab.nls import (DiscreteSaddle, NLSParams, center_wing_encode,
                           classify_profile, continuum_eigenvalues,
                           continuum_saddle, discrete_saddle, eigenvalue_table,
-                          flow_map, half_period_translate, make_even,
-                          mollifier, pdnls_jacobian_full, pdnls_rhs,
+                          flow_map, half_period_translate, lattice_eigenvalues,
+                          make_even, mollifier, pdnls_jacobian_full, pdnls_rhs,
                           second_measurement, silnikov_check, simulate,
                           solve_uniform_saddle, swap_symbols)
 from chaoslab.util import Trajectory
-from oracles import evenness_defect, pdnls_rhs_ref
+from oracles import even_sector_basis, evenness_defect, pdnls_rhs_ref
 
 P7 = dict(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.01)
 
@@ -268,6 +268,70 @@ class TestDiscreteSaddle:
                 for z in eigs:
                     assert np.min(np.abs(prev - z)) < bound
             prev = eigs
+
+
+def dense_even_spectrum(q, p):
+    """Even-sector spectrum at q by a dense eigensolve of P J E."""
+    E, P = even_sector_basis(p.N)
+    return np.linalg.eigvals(P @ pdnls_jacobian_full(q, p) @ E)
+
+
+def paired_gap(a, b):
+    """Largest gap between two spectra, each eigenvalue of a paired with the
+    nearest one of b not yet taken."""
+    rest = list(b)
+    worst = 0.0
+    for z in a:
+        j = int(np.argmin(np.abs(np.array(rest) - z)))
+        worst = max(worst, abs(rest.pop(j) - z))
+    return worst
+
+
+class TestLatticeEigenvalues:
+    @pytest.mark.parametrize("N", [7, 8, 16, 64, 256])
+    @pytest.mark.parametrize("omega,alpha,beta,eps", [(4.0, 1.0, 5.0, 0.01),
+                                                      (5.0, 0.5, 3.0, 0.05)])
+    def test_matches_dense_even_sector(self, N, omega, alpha, beta, eps):
+        p = NLSParams(N=N, omega=omega, alpha=alpha, beta=beta, epsilon=eps)
+        sad = discrete_saddle(p)
+        dense = dense_even_spectrum(sad.q, p)
+        assert sad.eigenvalues.shape == dense.shape == (2 * (p.M + 1),)
+        assert paired_gap(sad.eigenvalues, dense) <= 1e-12 * np.max(np.abs(dense))
+        assert (sad.unstable_count()
+                == DiscreteSaddle(sad.Q, sad.q, dense).unstable_count())
+
+    @pytest.mark.parametrize("N", [7, 8, 16])
+    def test_window_ends_are_zero_crossings(self, N):
+        # at eps = 0 the saddle amplitude is omega, and mode m is unstable
+        # exactly when N tan(pi m / N) < omega: the window's lower end is
+        # mode 1's crossing and its upper end mode 2's
+        p = NLSParams(N=N, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.0)
+        lo, hi = p.window()
+        m = np.arange(1, p.M + 1)
+        for omega, count in ((lo * (1 - 1e-6), 0), (lo * (1 + 1e-6), 1),
+                             (hi * (1 - 1e-6), 1), (hi * (1 + 1e-6), 2)):
+            p.omega = omega  # past the window ends NLSParams would refuse
+            lam = lattice_eigenvalues(p, omega)
+            assert np.array_equal(lam[1:, 0].real > 0,
+                                  N * np.tan(np.pi * m / N) < omega), omega
+            assert int(np.sum(lam.real > 0)) == count, omega
+            assert np.all(lam[:, 1].real <= 0)
+            assert np.array_equal(lam[0], [0, 0])  # the defective double zero
+
+    def test_continuum_limit(self):
+        # omega = 2 pi omega_c on the unit lattice is omega_c on the 2 pi
+        # circle; eigenvalues scale by (2 pi)^2, and the gap falls as h^2
+        omega_c = 0.8
+        target = continuum_eigenvalues(1, omega_c, 1.0, 0.0, omega_c ** 2)[0]
+        gaps = []
+        for N in (16, 64, 256, 1024):
+            p = NLSParams(N=N, omega=2 * math.pi * omega_c, alpha=1.0, beta=8.0,
+                          epsilon=0.0)
+            lam = lattice_eigenvalues(p, p.omega)[1, 0] / (2 * math.pi) ** 2
+            gaps.append(abs(lam - target))
+        assert target.real > 0
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine < coarse / 10, gaps
 
 
 class TestSimulate:
