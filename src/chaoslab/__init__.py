@@ -8,7 +8,7 @@ truncated quadratic vorticity system, periodic-grid calculus), ``spectra``
 connecting orbits), ``nls`` (the perturbed lattice Schroedinger system and
 its saddle diagnostics), ``laxpairs`` and ``darboux`` (operator pairs and
 transforms on periodic grids), and ``shadowing`` (pseudo-orbits, Newton
-shadow solving, symbol dynamics).  ``chaoslab.cli`` provides the command
+shadow solving, dichotomy estimates).  ``chaoslab.cli`` provides the command
 line front end; ``chaoslab.kernels.BACKEND`` names the active hot-kernel
 implementation ("compiled" or "python").
 """

@@ -1,13 +1,12 @@
 /* Compiled lattice and dashed-line RK4 loops: chaoslab._kernels_py's pdnls_rk4
- * and dashed_rk4, with their arithmetic, blow-up rule, schedule and state
- * checks, in C loops.  They return only the samples; at the first step that
- * breaks the blow-up rule they stop and call chaoslab.util.blew_up, which
- * raises NumericError.  The right-hand sides stay numpy only.  Inputs go
- * through numpy.ascontiguousarray(x, dtype), outputs come from numpy.empty,
- * and the items are read and written through the buffer protocol.  A real
- * times a complex value is the complex product with (x, +0), as in numpy;
- * unlike numpy's BLAS dot, the dashed-line coupling sum adds its terms in
- * sequence.
+ * and dashed_rk4, with their arithmetic, blow-up rule, schedule, state and
+ * sample-array checks, in C loops.  They return only the samples; at the first
+ * step that breaks the blow-up rule they stop and call chaoslab.util.blew_up,
+ * which raises NumericError.  The right-hand sides stay numpy only.  Inputs go
+ * through numpy.ascontiguousarray(x, dtype), outputs come from numpy.empty, and
+ * the items are read and written through the buffer protocol.  A real times a
+ * complex value is the complex product with (x, +0), as in numpy; unlike
+ * numpy's BLAS dot, the dashed-line coupling sum adds its terms in sequence.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -17,7 +16,7 @@ typedef double complex cplx;
 #define R(x) CMPLX((x), 0.0)
 
 static PyObject *np_empty, *np_contiguous, *c128, *f64, *check_schedule, *check_state,
-    *blew_up;
+    *check_samples, *blew_up;
 
 typedef struct { double h2inv, two_omega_sq, alpha, beta, eps; } Lattice;
 
@@ -61,6 +60,13 @@ static int schedule_ok(double dt, long steps, long every)
 static int state_ok(Py_ssize_t n)
 {
     PyObject *r = PyObject_CallFunction(check_state, "n", n);
+    Py_XDECREF(r);
+    return r != NULL;
+}
+
+static int samples_ok(long rows, Py_ssize_t n)
+{
+    PyObject *r = PyObject_CallFunction(check_samples, "ln", rows, n);
     Py_XDECREF(r);
     return r != NULL;
 }
@@ -121,7 +127,8 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
                           &p.beta, &p.eps, &dt, &steps, &every)
         || !schedule_ok(dt, steps, every) || (in = vector(obj, c128, &q0, &n)) == NULL)
         return NULL;
-    if (state_ok(n) && (work = empty(6, n, c128, &q)) != NULL
+    if (state_ok(n) && samples_ok(steps / every + 1, n)
+        && (work = empty(6, n, c128, &q)) != NULL
         && (samples = empty(steps / every + 1, n, c128, &s)) != NULL) {
         cplx *k1 = q + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *t = k4 + n;
         double half = 0.5 * dt, sixth = dt / 6.0;
@@ -153,7 +160,7 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
 
 static PyObject *dashed_rk4(PyObject *self, PyObject *args)
 {
-    PyObject *obj[4], *a[4], *work, *samples = NULL, *result = NULL;
+    PyObject *obj[4], *a[4], *work = NULL, *samples = NULL, *result = NULL;
     double op, dt, *d[4], *y, *s;
     long steps, every, step, blow = 0;
     Py_ssize_t L, n, i;
@@ -161,7 +168,8 @@ static PyObject *dashed_rk4(PyObject *self, PyObject *args)
                           &dt, &steps, &every)
         || !schedule_ok(dt, steps, every) || !dashed_inputs(obj, a, d, &L))
         return NULL;
-    if ((work = empty(6, n = L + 1, f64, &y)) != NULL /* y = (op, om), then the stages */
+    if (samples_ok(steps / every + 1, n = L + 1)
+        && (work = empty(6, n, f64, &y)) != NULL /* y = (op, om), then the stages */
         && (samples = empty(steps / every + 1, n, f64, &s)) != NULL) {
         double *k1 = y + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *t = k4 + n;
         double half = 0.5 * dt, sixth = dt / 6.0, *const *c = d + 1;
@@ -210,6 +218,7 @@ PyMODINIT_FUNC PyInit__kernels(void)
         && (f64 = PyObject_GetAttrString(np, "float64"))
         && (check_schedule = PyObject_GetAttrString(util, "check_schedule"))
         && (check_state = PyObject_GetAttrString(util, "check_state"))
+        && (check_samples = PyObject_GetAttrString(util, "check_samples"))
         && (blew_up = PyObject_GetAttrString(util, "blew_up"))
         && (m = PyModule_Create(&module))
         && PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0)

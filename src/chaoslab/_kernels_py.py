@@ -4,7 +4,8 @@ The two trajectory loops pdnls_rk4 and dashed_rk4 have a C twin in
 _kernels.c, the extension chaoslab._kernels, with the same formulas;
 chaoslab.kernels picks their backend once at import time.  They run on the
 shared RK4 driver chaoslab.util.rk4, whose blow-up rule, schedule check and
-empty-state check the C loops apply too, and return only the samples; on
+empty-state check the C loops apply too, check the sample array's size
+against chaoslab.util.MAX_SAMPLE_VALUES first, and return only the samples; on
 every backend a blow-up raises NumericError through chaoslab.util.blew_up.
 The C loops are far faster on the long runs.  The right-hand sides exist
 only here and serve both backends: galerkin_rhs, with the box maps that
@@ -21,7 +22,7 @@ import functools
 
 import numpy as np
 
-from .util import check_state, rk4
+from .util import check_samples, check_schedule, check_state, rk4
 
 BACKEND = "python"
 
@@ -167,8 +168,10 @@ def pdnls_rk4(q0, h2inv, two_omega_sq, alpha, beta, eps, dt, steps, sample_every
     """Fixed-step RK4 trajectory of the lattice; returns the sampled states
     and raises NumericError, through util.blew_up, on blow-up."""
     args = (h2inv, two_omega_sq, alpha, beta, eps)
-    return rk4(lambda q: pdnls_rhs(q, *args), np.array(q0, dtype=np.complex128),
-               dt, steps, sample_every)
+    q0 = np.array(q0, dtype=np.complex128)
+    check_schedule(dt, steps, sample_every)
+    check_samples(steps // sample_every + 1, q0.size)
+    return rk4(lambda q: pdnls_rhs(q, *args), q0, dt, steps, sample_every)
 
 
 def dashed_coupling_matrix(sub, sup, pair) -> np.ndarray:
@@ -227,7 +230,9 @@ def dashed_rk4(op0, om0, sub, sup, pair, dt, steps, sample_every):
     sampled stacked vectors, shape (samples, L+1).
     """
     om0 = np.asarray(om0, dtype=np.float64)
+    check_schedule(dt, steps, sample_every)
     check_state(om0.size)
+    check_samples(steps // sample_every + 1, om0.size + 1)
     c = dashed_coupling_matrix(sub, sup, pair)
     y0 = np.concatenate(([float(op0)], om0))
     return rk4(lambda y: dashed_field(y, c), y0, dt, steps, sample_every)

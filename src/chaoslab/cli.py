@@ -275,9 +275,9 @@ def _cmd_nls_saddle(args, run) -> None:
 def _cmd_lax_check(args, run) -> None:
     from .fourier import (CoefficientField, check_resolution,
                           coefficients_to_grid, grid_bracket, grid_coordinates)
-    from .laxpairs import (LaxReport, VectorField3D, compatibility_residual_2d,
-                           isospectrality_check, jacobi_defect, lax_3d_scalar,
-                           lax_3d_vector, rossby_L)
+    from .laxpairs import (LaxReport, VectorField3D, check_compat2d,
+                           compatibility_residual_2d, isospectrality_check,
+                           jacobi_defect, lax_3d_scalar, lax_3d_vector, rossby_L)
 
     check_resolution(args.resolution)
     rng = np.random.default_rng(args.rng_seed)
@@ -294,6 +294,7 @@ def _cmd_lax_check(args, run) -> None:
             worst = max(worst, jacobi_defect(rand_grid(), rand_grid(), rand_grid()))
         report.residuals["jacobi_max"] = worst
     elif args.case == "compat2d":
+        check_compat2d(args.box, n)  # before any field or grid is drawn
         omega = CoefficientField.random(args.box, rng, decay=0.2)
         phis = [rand_grid() for _ in range(3)]
         report = compatibility_residual_2d(omega, phis, n)

@@ -46,6 +46,12 @@ MAX_BOX = 256
 # run took 0.61-0.66 s and 47 MB of peak RSS at 256, 1.8-2.1 s and 80 MB at
 # 512, and 9.2-9.3 s and 206 MB at 1024 (same machine and runs).
 MAX_RESOLUTION = 1024
+# ClassIndex: the largest |component| of khat and p.  zeta costs O(|p|) and
+# class_intersects_disk O(|khat| / |p|): a whole spectrum run took 0.62-0.97 s
+# with components at 10^6 (--p=1000000,1000000, --khat=1000000,3 and
+# --khat=1000000,1000000 --p=1,0) and 3.9-4.2 s at --p=10000000,1 or
+# --khat=10000000,3 (one run each, same machine).
+MAX_CLASS_COMPONENT = 10**6
 
 
 def _check_nonzero(v: Vec, name: str) -> None:
@@ -101,6 +107,10 @@ class ClassIndex:
     def __post_init__(self) -> None:
         _check_nonzero(self.p, "p")
         _check_nonzero(self.khat, "khat")
+        if max(abs(c) for c in (*self.khat, *self.p)) > MAX_CLASS_COMPONENT:
+            raise PreconditionError(
+                f"khat and p components must be at most {MAX_CLASS_COMPONENT} "
+                "in size (fourier.MAX_CLASS_COMPONENT)")
 
     def member(self, n: int) -> Vec:
         return (self.khat[0] + n * self.p[0], self.khat[1] + n * self.p[1])
@@ -188,11 +198,7 @@ class CoefficientField:
         out._data[lo:hi, lo:hi] = self._data
         return out
 
-    # -- invariants and diagnostics ----------------------------------------
-
-    def reality_defect(self) -> float:
-        flipped = np.conj(self._data[::-1, ::-1])
-        return float(np.max(np.abs(self._data - flipped)))
+    # -- invariants ---------------------------------------------------------
 
     def energy(self) -> float:
         """Sum of |w_k|^2 / |k|^2 over every stored nonzero mode.
@@ -281,18 +287,6 @@ def galerkin_rhs(state: CoefficientField) -> CoefficientField:
     out._data[:, :] = rhs
     out._data[state.box, state.box] = 0.0
     return out
-
-
-def energy_derivative(state: CoefficientField) -> float:
-    """d(energy)/dt along galerkin_rhs, by direct summation."""
-    rhs = galerkin_rhs(state)
-    return float(np.sum(np.real(np.conj(state._data) * rhs._data)
-                        / box_norm_sq(state.box)))
-
-
-def enstrophy_derivative(state: CoefficientField) -> float:
-    rhs = galerkin_rhs(state)
-    return float(np.sum(np.real(np.conj(state._data) * rhs._data)))
 
 
 def integrate_galerkin(state: CoefficientField, dt: float,

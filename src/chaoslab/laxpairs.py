@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels_py import _pair_tables
 from .errors import NumericError, PreconditionError
-from .fourier import (CoefficientField, check_grids, check_resolution,
+from .fourier import (MAX_BOX, CoefficientField, check_grids, check_resolution,
                       coefficients_to_grid, galerkin_rhs, grid_bracket,
                       grid_coordinates, integrate_galerkin, invert_laplacian,
                       spectral_gradient)
@@ -74,6 +74,20 @@ def jacobi_defect(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
     return sup_norm(total)
 
 
+def check_compat2d(box: int, resolution: int) -> None:
+    """Reject a box that compatibility_residual_2d cannot double within
+    fourier.MAX_BOX, or a grid too coarse for the doubled box, which needs
+    resolution >= 4 * box + 2."""
+    if 2 * box > MAX_BOX:
+        raise PreconditionError(
+            f"box {box} doubles to {2 * box} for the time derivative, above "
+            f"fourier.MAX_BOX = {MAX_BOX}")
+    if resolution < 4 * box + 2:
+        raise PreconditionError(
+            f"resolution {resolution} below 4*box + 2 = {4 * box + 2} for box "
+            f"{box}: the time derivative is sampled on the doubled box")
+
+
 def compatibility_residual_2d(omega: CoefficientField,
                               phi_samples: list[np.ndarray],
                               resolution: int = 64,
@@ -85,12 +99,9 @@ def compatibility_residual_2d(omega: CoefficientField,
     doubled before differentiation so the bracket closure is untruncated and
     the transport residual {dOmega/dt + {Psi, Omega}, phi} vanishes exactly
     for the true evolution.  A non-Euler rule makes it visibly nonzero.  The
-    doubled box needs resolution >= 4 * box + 2.
+    doubled box must pass check_compat2d.
     """
-    if resolution < 4 * omega.box + 2:
-        raise PreconditionError(
-            f"resolution {resolution} below 4*box + 2 = {4 * omega.box + 2} for box "
-            f"{omega.box}: the time derivative is sampled on the doubled box")
+    check_compat2d(omega.box, resolution)
     check_grids(*phi_samples)
     if time_derivative is None:
         time_derivative = lambda w: galerkin_rhs(w.embedded(2 * w.box))

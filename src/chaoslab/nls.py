@@ -41,6 +41,10 @@ MIN_RUN = 5
 # --steps 1` took 0.24 s and 31 MB peak RSS; `shadow --map nls-poincare --m 1`
 # 57 s and 1.07 GB, 46 s of it the O(N^3) variational RK4 of the 2N x 2N tangent.
 MAX_N = 1024
+# eigenvalue_table: the highest continuum mode it lists.  A whole nls-saddle
+# run took 0.51 s and 47 MB of peak RSS at --n-max 10^4, 2.5 s and 204 MB at
+# 10^5, and 17 s and 1.8 GB at 10^6 (one run each, 2 vCPUs).
+MAX_MODE = 10**4
 
 
 @dataclass
@@ -180,9 +184,10 @@ def continuum_eigenvalues(n: int, omega: float, alpha: float, epsilon: float,
 def eigenvalue_table(omega: float, alpha: float, beta: float, epsilon: float,
                      n_max: int = 6, n_cut: int = 10,
                      variant: str = "regular") -> tuple[SaddleInfo, list]:
-    """Saddle data plus (n, lam+, lam-) for n = 0..n_max."""
-    if n_max < 0:
-        raise PreconditionError(f"n_max must be >= 0, got {n_max}")
+    """Saddle data plus (n, lam+, lam-) for n = 0..n_max <= MAX_MODE."""
+    if not 0 <= n_max <= MAX_MODE:
+        raise PreconditionError(
+            f"n_max must be in [0, {MAX_MODE}] (nls.MAX_MODE), got {n_max}")
     info = continuum_saddle(omega, alpha, beta, epsilon)
     table = []
     for n in range(n_max + 1):

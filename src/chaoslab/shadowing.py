@@ -1,12 +1,13 @@
-"""Pseudo-orbits, segment assembly, shadow solving, and shift machinery.
+"""Pseudo-orbits, segment assembly, shadow solving and dichotomy surrogates.
 
 Maps are supplied as plain callables so the same tools serve synthetic test
 maps, the dashed-line flow map, and the lattice stroboscopic map.  A map
 and its Jacobian take one state of shape (d,) or a stack of states of
 shape (B, d) and act row by row, so the Newton residual, the defects of a
 pseudo-orbit and the Jacobians along an orbit each take one call; only
-the sequential orbit and shadow_distance call the map point by point.  A flow map raises NumericError on blow-up, for a stack at the
-earliest step at which any row blows up.
+the sequential orbit calls the map point by point.  A flow map raises
+NumericError on blow-up, for a stack at the earliest step at which any row
+blows up.
 
 The shadow Newton step is the minimum-norm solution of the block-bidiagonal
 orbit equations, found by a sweep of one small Householder QR per orbit
@@ -14,15 +15,13 @@ point (min_norm_orbit_step), so a step costs O(L d^3) for L points in R^d
 and no (L-1)d x Ld matrix is ever formed.
 
 All distances between states are sup-norms over components, and all claims
-are made on finite windows: doubly infinite symbol sequences are represented
-by a finite window plus a declared extension rule, and hyperbolicity data
-are finite-time surrogates, never certificates.
+are made on finite windows: hyperbolicity data are finite-time surrogates,
+never certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Callable
 
 import numpy as np
@@ -175,18 +174,6 @@ class PseudoOrbit:
         return self.points.shape[0]
 
 
-def shadow_distance(orbit_start: np.ndarray, pseudo: PseudoOrbit,
-                    system: MapSystem) -> float:
-    """sup_j |f^j(x) - y_j| over the pseudo-orbit window."""
-    x = np.asarray(orbit_start, dtype=float)
-    worst = 0.0
-    for j in range(len(pseudo)):
-        if j > 0:
-            x = system.map(x)
-        worst = max(worst, float(np.max(np.abs(x - pseudo.points[j]))))
-    return worst
-
-
 def palmer_assembly(x0: np.ndarray, y_segment: np.ndarray, word: str,
                     system: MapSystem) -> PseudoOrbit:
     """Concatenate saddle and homoclinic-segment blocks along a word of
@@ -305,69 +292,6 @@ def find_shadow(pseudo: PseudoOrbit, system: MapSystem) -> ShadowResult:
                                history=history)
         x = x + step
     raise NumericError("shadow Newton did not converge", history=history)
-
-
-# -- symbol sequences -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolSequence:
-    """Finite window of a doubly infinite sequence with an extension rule.
-
-    ``window[i]`` is the symbol at index ``start + i``; outside the window
-    the sequence continues by the nearest window value ("constant") or
-    periodically ("periodic").
-    """
-
-    window: tuple
-    start: int = 0
-    extension: str = "constant"
-
-    def __post_init__(self) -> None:
-        if len(self.window) == 0:
-            raise PreconditionError("window must be nonempty")
-        if self.extension not in ("constant", "periodic"):
-            raise PreconditionError("extension must be 'constant' or 'periodic'")
-
-    @classmethod
-    def from_word(cls, word: str, start: int = 0,
-                  extension: str = "constant") -> "SymbolSequence":
-        return cls(tuple(word), start, extension)
-
-    def value_at(self, k: int):
-        i = k - self.start
-        n = len(self.window)
-        if self.extension == "periodic":
-            return self.window[i % n]
-        return self.window[min(max(i, 0), n - 1)]
-
-
-def shift_map(seq: SymbolSequence) -> SymbolSequence:
-    """The shift b_k = a_{k+1}."""
-    return SymbolSequence(seq.window, seq.start - 1, seq.extension)
-
-
-def _comparison_reach(a: SymbolSequence, b: SymbolSequence) -> int:
-    pa = len(a.window) if a.extension == "periodic" else 1
-    pb = len(b.window) if b.extension == "periodic" else 1
-    lcm = pa * pb // gcd(pa, pb)
-    reach = max(abs(a.start) + len(a.window), abs(b.start) + len(b.window))
-    return reach + min(lcm, 4096) + 1
-
-
-def cylinder_distance(a: SymbolSequence, b: SymbolSequence) -> float:
-    """2^{-j*} with j* the largest j such that the sequences agree on |k| < j.
-
-    Returns 0.0 when they agree everywhere (decidable from the windows and
-    extension rules).
-    """
-    reach = _comparison_reach(a, b)
-    if a.value_at(0) != b.value_at(0):
-        return 1.0
-    for j in range(1, reach + 1):
-        if a.value_at(j) != b.value_at(j) or a.value_at(-j) != b.value_at(-j):
-            return 2.0 ** (-j)
-    return 0.0
 
 
 # -- finite-time dichotomy surrogates -------------------------------------------

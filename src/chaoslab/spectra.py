@@ -218,14 +218,6 @@ def truncated_spectrum(op: ClassOperator) -> SpectrumReport:
                           cls=op.cls, gamma=op.gamma)
 
 
-def count_nonimaginary(report: SpectrumReport, tol: float) -> int:
-    """Eigenvalues with |Re lam| above tol, a finite number > 0; bounded by
-    2*zeta(p)."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise PreconditionError("tol must be a finite number > 0")
-    return int(np.sum(np.abs(report.eigenvalues.real) > tol))
-
-
 def continued_fraction_eigen(op: ClassOperator, seed: complex) -> complex:
     """Refine a point eigenvalue via the continued-fraction root equation.
 
@@ -283,19 +275,3 @@ def continued_fraction_eigen(op: ClassOperator, seed: complex) -> complex:
         f"continued-fraction Newton did not reach residual {CF_TOL} in "
         f"{CF_MAX_ITER} steps",
         last_iterate=lam)
-
-
-def quadruple_symmetry_defect(report: SpectrumReport) -> float:
-    """Deviation of the spectrum from symmetry under negation and conjugation.
-
-    For each eigenvalue the three images -lam, conj(lam), -conj(lam) must be
-    matched by some eigenvalue of the set.
-    """
-    eigs = report.eigenvalues
-    if eigs.size == 0:
-        return 0.0
-    defect = 0.0
-    for lam in eigs:
-        for image in (-lam, np.conj(lam), -np.conj(lam)):
-            defect = max(defect, float(np.min(np.abs(eigs - image))))
-    return defect

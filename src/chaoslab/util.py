@@ -11,6 +11,13 @@ from .errors import NumericError, PreconditionError
 
 # the blow-up rule's bound on every real and imaginary part of a state
 BLOWUP_LIMIT = 1e150
+# check_samples: the most values a sampled lattice or dashed-line trajectory
+# may hold, samples times state size.  The text of trajectory.csv takes most
+# of a run's memory: a whole nls-sim --N 1024 --sample-every 1 run took 2.1 s
+# and 233 MB of peak RSS at 1.0e6 values and 8.9-9.6 s and 860 MB at 2**22;
+# dashed-line --trunc 1000 --sample-every 1 took 15 s and 271 MB at 2**22
+# (two runs each at 2**22, one below, 2 vCPUs, numpy kernels).
+MAX_SAMPLE_VALUES = 2**22
 
 
 def _below_blowup_limit(y: np.ndarray) -> bool:
@@ -40,6 +47,16 @@ def check_state(size: int) -> None:
     """Reject an empty state, which the RK4 loops cannot step."""
     if size < 1:
         raise PreconditionError("the state must have at least one component")
+
+
+def check_samples(rows: int, size: int) -> None:
+    """Reject a sample array of rows states of size values above
+    MAX_SAMPLE_VALUES.  pdnls_rk4 and dashed_rk4, on both backends, call it
+    after check_schedule and before they allocate anything."""
+    if rows * size > MAX_SAMPLE_VALUES:
+        raise PreconditionError(
+            f"{rows} samples of {size} values exceed util.MAX_SAMPLE_VALUES = "
+            f"{MAX_SAMPLE_VALUES}; raise --sample-every")
 
 
 def blew_up(step: int) -> NoReturn:

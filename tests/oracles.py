@@ -6,7 +6,11 @@ never calls the implementation paths it is used to check.  It also holds
 the reference code that only tests call: the dense class matrix and the
 spectral mapping check on it (the one user of scipy), the grid-to-box
 projection, the lattice evenness defect and the even-sector basis of the
-dense lattice spectrum.
+dense lattice spectrum.  And it holds the reference checks that tests hold
+the runs' results against: the reality defect of a coefficient field, the
+energy and enstrophy derivatives along the Galerkin field, the count of
+nonimaginary eigenvalues and the quadruple symmetry defect of a spectrum,
+and the distance from a true orbit to a pseudo-orbit.
 """
 
 from __future__ import annotations
@@ -353,3 +357,61 @@ def double_well_homoclinic(t: float) -> np.ndarray:
     sech = 1.0 / np.cosh(t)
     return np.array([np.sqrt(2.0) * sech,
                      -np.sqrt(2.0) * sech * np.tanh(t)])
+
+
+def reality_defect(field) -> float:
+    """Largest gap |w_k - conj(w_-k)| of a CoefficientField from the
+    reality pairing."""
+    data = field.data
+    return float(np.max(np.abs(data - np.conj(data[::-1, ::-1]))))
+
+
+def energy_derivative(state) -> float:
+    """d(energy)/dt along fourier.galerkin_rhs, by direct summation."""
+    from chaoslab._kernels_py import box_norm_sq
+    from chaoslab.fourier import galerkin_rhs
+
+    rhs = galerkin_rhs(state)
+    return float(np.sum(np.real(np.conj(state.data) * rhs.data)
+                        / box_norm_sq(state.box)))
+
+
+def enstrophy_derivative(state) -> float:
+    """d(enstrophy)/dt along fourier.galerkin_rhs, by direct summation."""
+    from chaoslab.fourier import galerkin_rhs
+
+    rhs = galerkin_rhs(state)
+    return float(np.sum(np.real(np.conj(state.data) * rhs.data)))
+
+
+def count_nonimaginary(report, tol: float) -> int:
+    """Eigenvalues of a SpectrumReport with |Re lam| above tol, a finite
+    number > 0; bounded by 2*zeta(p)."""
+    from chaoslab.errors import PreconditionError
+
+    if not (np.isfinite(tol) and tol > 0):
+        raise PreconditionError("tol must be a finite number > 0")
+    return int(np.sum(np.abs(report.eigenvalues.real) > tol))
+
+
+def quadruple_symmetry_defect(report) -> float:
+    """Deviation of a SpectrumReport's spectrum from symmetry under negation
+    and conjugation.
+
+    For each eigenvalue the three images -lam, conj(lam), -conj(lam) must be
+    matched by some eigenvalue of the set.
+    """
+    eigs = report.eigenvalues
+    if eigs.size == 0:
+        return 0.0
+    defect = 0.0
+    for lam in eigs:
+        for image in (-lam, np.conj(lam), -np.conj(lam)):
+            defect = max(defect, float(np.min(np.abs(eigs - image))))
+    return defect
+
+
+def shadow_distance(start, pseudo, system) -> float:
+    """sup_j |f^j(x) - y_j| over the window of a PseudoOrbit, from the true
+    orbit of x under a MapSystem."""
+    return float(np.max(np.abs(system.orbit(start, len(pseudo)) - pseudo.points)))

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from chaoslab.fourier import (ClassIndex, CoefficientField,
-                              coefficients_to_grid, energy_derivative,
-                              enstrophy_derivative, grid_coordinates,
+                              coefficients_to_grid, grid_coordinates,
                               integrate_galerkin, zeta)
 from chaoslab.spectra import (build_class_operator, continued_fraction_eigen,
-                              count_nonimaginary, quadruple_symmetry_defect,
                               truncated_spectrum)
 from oracles import (BENCH_EIGENVALUE_NORMALIZED, class_eigenvalue_mp,
-                     double_well_homoclinic, double_well_jacobian,
-                     double_well_rhs, exact_linear_shadow)
+                     count_nonimaginary, double_well_homoclinic,
+                     double_well_jacobian, double_well_rhs, energy_derivative,
+                     enstrophy_derivative, exact_linear_shadow,
+                     quadruple_symmetry_defect)
 
 QUOTED_EIGENVALUE = 0.24822302478255 + 1j * 0.35172076526520
 BENCH = ClassIndex(khat=(-3, -2), p=(1, 1))

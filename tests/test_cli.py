@@ -223,6 +223,23 @@ class TestDispatch:
                 assert run_cli(args, tmp_path / "out") == 4, args
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err
+        # inputs that ask for unbounded work or memory, each stopped before
+        # any work by a named cap, which the message names
+        capped = [
+            (["dashed-line", f"--trunc={2**40}"], "dashed_line.MAX_TRUNC"),
+            (["dashed-line", f"--steps={2**40}"], "util.MAX_SAMPLE_VALUES"),
+            (["nls-sim", f"--steps={2**40}"], "util.MAX_SAMPLE_VALUES"),
+            (["nls-saddle", f"--n-max={2**40}"], "nls.MAX_MODE"),
+            (["spectrum", "--p=100000000,1"], "fourier.MAX_CLASS_COMPONENT"),
+            (["spectrum", "--khat=100000000,3"], "fourier.MAX_CLASS_COMPONENT"),
+            # compat2d differentiates on the doubled box, so box 129 passes
+            # the resolution rule at 1024 but doubles past fourier.MAX_BOX
+            (["lax-check", "--case", "compat2d", "--box", "129", "--resolution", "1024"],
+             "box 129 doubles to 258 for the time derivative, above fourier.MAX_BOX = 256"),
+        ]
+        for args, cap in capped:
+            assert run_cli(args, tmp_path / "out") == 4, args
+            assert cap in capsys.readouterr().err, args
 
     def test_nls_dt_bound_checked_before_the_saddle(self, tmp_path, monkeypatch):
         # the default dt is above the N = 1000 bound 1e-7; the saddle is

@@ -10,9 +10,9 @@ import chaoslab
 from chaoslab import _kernels_py, kernels
 from chaoslab._kernels_py import _FFT_MIN_BOX
 from chaoslab.errors import NumericError, PreconditionError
-from chaoslab.fourier import CoefficientField, energy_derivative, enstrophy_derivative
+from chaoslab.fourier import CoefficientField
 from chaoslab.util import _below_blowup_limit, rk4
-from oracles import galerkin_rhs_ref
+from oracles import energy_derivative, enstrophy_derivative, galerkin_rhs_ref
 
 
 def random_symmetric(rng, box):
@@ -258,6 +258,17 @@ def test_rk4_rejects_empty_state(kernel_backend):
         kernel_backend.pdnls_rk4([], 64.0, 22.4, 1.0, 5.7, 0.07, 1e-3, 10, 1)
     with pytest.raises(PreconditionError):
         kernel_backend.dashed_rk4(0.8, [], [], [], [], 1e-3, 10, 1)
+
+
+def test_rk4_rejects_sample_array_above_cap(kernel_backend):
+    # both backends apply chaoslab.util.check_samples before they allocate:
+    # 2**40 samples of 8 or 6 values would take tens of TiB
+    q = np.ones(8, dtype=complex)
+    with pytest.raises(PreconditionError, match="MAX_SAMPLE_VALUES"):
+        kernel_backend.pdnls_rk4(q, 64.0, 22.4, 1.0, 5.7, 0.07, 1e-3, 2**40, 1)
+    om = np.zeros(5)
+    with pytest.raises(PreconditionError, match="MAX_SAMPLE_VALUES"):
+        kernel_backend.dashed_rk4(0.8, om, om, om, om[:4], 1e-3, 2**40, 1)
 
 
 class TestBlowupRule:

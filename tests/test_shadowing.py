@@ -3,19 +3,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chaoslab.errors import NumericError, PreconditionError
-from chaoslab.shadowing import (MapSystem, PseudoOrbit, SymbolSequence,
-                                cylinder_distance, find_shadow,
+from chaoslab.shadowing import (MapSystem, PseudoOrbit, find_shadow,
                                 hyperbolicity_estimate, linear_map_system,
                                 min_norm_orbit_step, palmer_assembly,
-                                rk4_flow_system, shadow_distance, shift_map,
-                                step_defects)
+                                rk4_flow_system, step_defects)
 from oracles import (double_well_homoclinic, double_well_jacobian,
                      double_well_rhs, exact_linear_shadow,
-                     min_norm_orbit_step_ref)
+                     min_norm_orbit_step_ref, shadow_distance)
 
 HYP = linear_map_system(np.diag([2.0, 0.5]))
 
@@ -308,58 +304,6 @@ class TestPalmerAssembly:
         seg = np.zeros((5, 2))
         with pytest.raises(PreconditionError):
             palmer_assembly(np.zeros(2), seg, "012", well_map)
-
-
-class TestSymbolSequences:
-    def test_shift_moves_index(self):
-        a = SymbolSequence.from_word("01011", start=-2, extension="periodic")
-        b = shift_map(a)
-        for k in range(-8, 8):
-            assert b.value_at(k) == a.value_at(k + 1)
-
-    def test_constant_sequence_shift_invariant(self):
-        a = SymbolSequence.from_word("1")
-        assert cylinder_distance(shift_map(a), a) == 0.0
-
-    def test_distance_first_disagreement(self):
-        a = SymbolSequence(tuple("00000000"), start=-4)
-        b = SymbolSequence(tuple("00000010"), start=-4)  # differs at k = +2
-        assert cylinder_distance(a, b) == 0.25
-
-    def test_distance_symmetric_negative_side(self):
-        a = SymbolSequence(tuple("00000000"), start=-4)
-        c = SymbolSequence(tuple("01000000"), start=-4)  # differs at k = -3
-        assert cylinder_distance(a, c) == 2.0 ** (-3)
-
-    def test_center_disagreement_distance_one(self):
-        a = SymbolSequence.from_word("0")
-        b = SymbolSequence.from_word("1")
-        assert cylinder_distance(a, b) == 1.0
-
-    def test_shift_is_lipschitz_two(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            wa = "".join(rng.choice(["0", "1"], size=9))
-            wb = "".join(rng.choice(["0", "1"], size=9))
-            a = SymbolSequence(tuple(wa), start=-4, extension="periodic")
-            b = SymbolSequence(tuple(wb), start=-4, extension="periodic")
-            assert cylinder_distance(shift_map(a), shift_map(b)) \
-                <= 2.0 * cylinder_distance(a, b) + 1e-15
-
-    @given(st.lists(st.sampled_from("01"), min_size=1, max_size=8),
-           st.lists(st.sampled_from("01"), min_size=1, max_size=8),
-           st.lists(st.sampled_from("01"), min_size=1, max_size=8))
-    @settings(max_examples=200, deadline=None)
-    def test_ultrametric_inequality(self, wa, wb, wc):
-        a = SymbolSequence(tuple(wa), start=-len(wa) // 2)
-        b = SymbolSequence(tuple(wb), start=-len(wb) // 2)
-        c = SymbolSequence(tuple(wc), start=-len(wc) // 2)
-        assert cylinder_distance(a, c) <= max(cylinder_distance(a, b),
-                                              cylinder_distance(b, c)) + 1e-15
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(PreconditionError):
-            SymbolSequence(tuple(), 0)
 
 
 class TestHyperbolicity:

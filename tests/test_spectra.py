@@ -5,11 +5,11 @@ from chaoslab.errors import PreconditionError
 from chaoslab.fourier import ClassIndex, class_intersects_disk, coef_A
 from chaoslab.spectra import (SpectrumCase, _even_odd_product, _tridiagonal,
                               build_class_operator, continued_fraction_eigen,
-                              count_nonimaginary, quadruple_symmetry_defect,
                               truncated_spectrum)
 from chaoslab.util import hausdorff_distance
 from oracles import (BENCH_EIGENVALUE_NORMALIZED, class_eigenvalue_mp,
-                     class_matrix, class_spectrum_mp, spectral_mapping_check)
+                     class_matrix, class_spectrum_mp, count_nonimaginary,
+                     quadruple_symmetry_defect, spectral_mapping_check)
 
 BENCH = ClassIndex(khat=(-3, -2), p=(1, 1))
 # the (khat, p) classes of the perfbench spectrum jobs: the benchmark class,
