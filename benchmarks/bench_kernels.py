@@ -56,9 +56,8 @@ import numpy as np
 from chaoslab import (_kernels_py, darboux, dashed_line, kernels, laxpairs,
                       nls, shadowing, spectra)
 from chaoslab.errors import NumericError
-from chaoslab.fourier import (ClassIndex, CoefficientField,
-                              coefficients_to_grid, grid_bracket,
-                              grid_coordinates)
+from chaoslab.fourier import (ClassIndex, coefficients_to_grid, grid_bracket,
+                              grid_coordinates, random_field)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
@@ -91,20 +90,12 @@ def median_seconds(fn, repeat, rounds):
     return statistics.median(times)
 
 
-def random_field(rng, box):
-    side = 2 * box + 1
-    w = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    w = 0.5 * (w + np.conj(w[::-1, ::-1]))
-    w[box, box] = 0.0
-    return w
-
-
 def galerkin_medians_ms(galerkin_rhs, boxes):
     """Median milliseconds per call of galerkin_rhs(w, box) for each box."""
     rng = np.random.default_rng(0)
     out = {}
     for box in boxes:
-        w = random_field(rng, box)
+        w = random_field(box, rng)
         out[str(box)] = 1e3 * median_seconds(lambda: galerkin_rhs(w, box),
                                              repeat=20, rounds=7)
     return out
@@ -115,7 +106,7 @@ def operator_matrix_medians_ms(boxes):
     rng = np.random.default_rng(0)
     out = {}
     for box in boxes:
-        omega = CoefficientField.random(box, rng)
+        omega = random_field(box, rng)
         out[str(box)] = 1e3 * median_seconds(
             lambda: laxpairs.bracket_operator_matrix(omega), repeat=20, rounds=7)
     return out
@@ -127,8 +118,7 @@ def grid_layer_ms():
     rng = np.random.default_rng(0)
     out = {}
     for n in GRID_BRACKET_SIZES:
-        f, g = (coefficients_to_grid(CoefficientField.random(max(2, n // 8), rng,
-                                                             decay=0.2), n)
+        f, g = (coefficients_to_grid(random_field(max(2, n // 8), rng, decay=0.2), n)
                 for _ in range(2))
         out[f"grid_bracket_n{n}"] = 1e3 * median_seconds(
             lambda: grid_bracket(f, g), repeat=20, rounds=7)

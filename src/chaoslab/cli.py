@@ -14,6 +14,7 @@ violation.  CHAOSLAB_OUTDIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -32,12 +33,14 @@ from .util import blew_up, check_schedule
 SHADOW_MAX_M = 500
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, lines) -> None:
+    """Write the strings of the iterable lines to a temporary file as they
+    come, then rename it to path; on any error neither file is left."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -51,14 +54,14 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """One line per row of the iterable rows, formatted as it is written."""
+    _write_atomic(path, itertools.chain(
+        [",".join(header) + "\n"],
+        (",".join(_fmt(v) for v in row) + "\n" for row in rows)))
 
 
 def write_json(path: str, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    _write_atomic(path, [json.dumps(obj, indent=1, sort_keys=True) + "\n"])
 
 
 def _parse_values(text: str, kind=int, count=2):
@@ -179,37 +182,38 @@ def _cmd_spectrum(args, run) -> None:
 
 
 def _cmd_euler_sim(args, run) -> None:
-    from .fourier import CoefficientField, integrate_galerkin
+    from .fourier import (energy, enstrophy, field_json, integrate_galerkin,
+                          random_field)
 
     check_schedule(args.dt, args.steps, args.sample_every)
     if args.box < 1 or args.steps < 1:
         raise PreconditionError("box >= 1 and steps >= 1 required")
     rng = np.random.default_rng(args.rng_seed)
-    state = CoefficientField.random(args.box, rng, decay=args.decay)
-    enstrophy = state.enstrophy()
-    if enstrophy == 0.0:
+    w = random_field(args.box, rng, decay=args.decay)
+    z = enstrophy(w)
+    if z == 0.0:
         raise PreconditionError(
             f"the initial field's enstrophy is 0: its modes underflow at decay {args.decay}")
-    state = state.scaled(args.amplitude / np.sqrt(enstrophy))
-    # a field past the blow-up limit may overflow here; step 1 then fails
-    with np.errstate(over="ignore"):
-        rows = [(0.0, state.energy(), state.enstrophy())]
+    # a field past the blow-up limit may overflow here, and the origin then
+    # holds 0 * inf; it is reset to 0, and step 1 fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = w * (args.amplitude / np.sqrt(z))
+        w[args.box, args.box] = 0.0
+        rows = [(0.0, energy(w), enstrophy(w))]
 
-    sample_every = args.sample_every
-    current = state
     remaining = args.steps
     t = 0.0
     while remaining > 0:
-        chunk = min(sample_every, remaining)
+        chunk = min(args.sample_every, remaining)
         try:
-            current = integrate_galerkin(current, args.dt, chunk)
+            w = integrate_galerkin(w, args.dt, chunk)
         except NumericError as exc:
             blew_up(args.steps - remaining + exc.step)
         remaining -= chunk
         t += chunk * args.dt
-        rows.append((t, current.energy(), current.enstrophy()))
+        rows.append((t, energy(w), enstrophy(w)))
     write_csv(run.path("energy.csv"), ["t", "energy", "enstrophy"], rows)
-    write_json(run.path("final_state.json"), current.to_json_dict())
+    write_json(run.path("final_state.json"), field_json(w))
 
 
 def _cmd_dashed_line(args, run) -> None:
@@ -233,7 +237,7 @@ def _cmd_dashed_line(args, run) -> None:
     traj = integrate(x0, params, args.dt, args.steps, args.sample_every)
     header = ["t", "omega_p"] + [f"omega_{n}" for n in range(-args.trunc, args.trunc + 1)]
     write_csv(run.path("trajectory.csv"), header,
-              [(t, *x) for t, x in zip(traj.times, traj.states)])
+              ((t, *x) for t, x in zip(traj.times, traj.states)))
 
 
 def _cmd_nls_sim(args, run) -> None:
@@ -250,7 +254,7 @@ def _cmd_nls_sim(args, run) -> None:
     traj = simulate(q0, params, args.dt, args.steps, args.sample_every)
     header = (["t"] + [f"re_q{n}" for n in range(args.N)]
               + [f"im_q{n}" for n in range(args.N)])
-    rows = [(t, *q.real, *q.imag) for t, q in zip(traj.times, traj.states)]
+    rows = ((t, *q.real, *q.imag) for t, q in zip(traj.times, traj.states))
     write_csv(run.path("trajectory.csv"), header, rows)
     saddle_doc = {"Q": [saddle.Q.real, saddle.Q.imag],
                   "I": abs(saddle.Q) ** 2,
@@ -260,7 +264,7 @@ def _cmd_nls_sim(args, run) -> None:
     write_json(run.path("saddle.json"), saddle_doc)
     if args.encode:
         enc = center_wing_encode(traj.states)
-        _write_atomic(run.path("symbols.txt"), enc.symbols + "\n")
+        _write_atomic(run.path("symbols.txt"), [enc.symbols + "\n"])
 
 
 def _cmd_nls_saddle(args, run) -> None:
@@ -273,8 +277,8 @@ def _cmd_nls_saddle(args, run) -> None:
 
 
 def _cmd_lax_check(args, run) -> None:
-    from .fourier import (CoefficientField, check_resolution,
-                          coefficients_to_grid, grid_bracket, grid_coordinates)
+    from .fourier import (check_resolution, coefficients_to_grid, enstrophy,
+                          grid_bracket, grid_coordinates, random_field)
     from .laxpairs import (LaxReport, VectorField3D, check_compat2d,
                            compatibility_residual_2d, isospectrality_check,
                            jacobi_defect, lax_3d_scalar, lax_3d_vector, rossby_L)
@@ -285,7 +289,7 @@ def _cmd_lax_check(args, run) -> None:
 
     def rand_grid():
         box = max(2, n // 8)
-        return coefficients_to_grid(CoefficientField.random(box, rng, decay=0.2), n)
+        return coefficients_to_grid(random_field(box, rng, decay=0.2), n)
 
     report = LaxReport()
     if args.case == "jacobi":
@@ -295,12 +299,12 @@ def _cmd_lax_check(args, run) -> None:
         report.residuals["jacobi_max"] = worst
     elif args.case == "compat2d":
         check_compat2d(args.box, n)  # before any field or grid is drawn
-        omega = CoefficientField.random(args.box, rng, decay=0.2)
+        omega = random_field(args.box, rng, decay=0.2)
         phis = [rand_grid() for _ in range(3)]
         report = compatibility_residual_2d(omega, phis, n)
     elif args.case == "isospec":
-        omega0 = CoefficientField.random(args.box, rng, decay=0.3)
-        omega0 = omega0.scaled(0.1 / np.sqrt(omega0.enstrophy()))
+        omega0 = random_field(args.box, rng, decay=0.3)
+        omega0 = omega0 * (0.1 / np.sqrt(enstrophy(omega0)))
         report = isospectrality_check(omega0, args.T, args.dt)
     elif args.case == "rossby":
         omega = rand_grid()

@@ -4,9 +4,12 @@ Conventions used package-wide:
 
 * A wavevector is a pair of integers ``(k1, k2)``; the origin is never a
   valid mode index.
-* A coefficient field stores the full square box ``|k1|,|k2| <= box`` of
-  complex amplitudes with the conjugate pairing ``w[-k] == conj(w[k])``
-  enforced on every write, and nothing at the origin.
+* A coefficient field is a plain complex array ``w`` of shape
+  ``(2*box+1, 2*box+1)`` over the square box ``|k1|,|k2| <= box``, mode k
+  at ``w[box + k1, box + k2]``.  random_field and single_pair build it
+  with the conjugate pairing ``w[-k] == conj(w[k])`` and exactly 0 at the
+  origin; integrate_galerkin and scaling by a finite real number keep
+  both.  Nothing checks them, so a caller that writes modes keeps them.
 * The quadratic vector field is the ordered-pair convolution
   ``dw[k] = sum_{p+q=k} A(p,q) w[p] w[q]`` restricted to the box (sharp
   Galerkin truncation), which reproduces minus the grid bracket of the
@@ -24,7 +27,6 @@ Conventions used package-wide:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,7 +39,7 @@ from .util import rk4
 
 Vec = tuple[int, int]
 
-# CoefficientField: the largest box half-width.  A whole euler-sim
+# The largest coefficient box half-width.  A whole euler-sim
 # --steps 1 run took 0.36-0.40 s and 49 MB of peak RSS at box 64,
 # 0.70-0.73 s and 99 MB at 128, and 2.4-3.2 s and 242 MB at 256 (two runs
 # each, 2 vCPUs, numpy on OpenBLAS).
@@ -135,173 +137,92 @@ def class_intersects_disk(cls: ClassIndex) -> bool:
     return False
 
 
-class CoefficientField:
-    """Truncated vorticity coefficients on the box |k1|,|k2| <= box.
-
-    The full box is stored densely; set_mode writes a coefficient together
-    with its conjugate at -k so the reality pairing is an enforced invariant
-    rather than a storage convention.
-    """
-
-    def __init__(self, box: int, data: np.ndarray | None = None):
-        if not 1 <= box <= MAX_BOX:
-            raise PreconditionError(f"box half-width must be in [1, {MAX_BOX}]")
-        self.box = box
-        side = 2 * box + 1
-        if data is None:
-            data = np.zeros((side, side), dtype=np.complex128)
-        else:
-            data = np.asarray(data, dtype=np.complex128)
-            if data.shape != (side, side):
-                raise PreconditionError(f"data must have shape {(side, side)}")
-            data = data.copy()
-            data[box, box] = 0.0
-        self._data = data
-
-    # -- indexing -----------------------------------------------------------
-
-    def _idx(self, k: Vec) -> tuple[int, int]:
-        if abs(k[0]) > self.box or abs(k[1]) > self.box:
-            raise PreconditionError(f"mode {k} outside box {self.box}")
-        return (k[0] + self.box, k[1] + self.box)
-
-    def __getitem__(self, k: Vec) -> complex:
-        return complex(self._data[self._idx(k)])
-
-    def set_mode(self, k: Vec, value: complex) -> None:
-        _check_nonzero(k, "k")
-        self._data[self._idx(k)] = value
-        self._data[self._idx((-k[0], -k[1]))] = np.conj(value)
-
-    @property
-    def data(self) -> np.ndarray:
-        """Dense coefficient array (read-only view)."""
-        view = self._data.view()
-        view.flags.writeable = False
-        return view
-
-    def modes(self) -> list[tuple[Vec, complex]]:
-        """Nonzero modes as (k, amplitude) pairs."""
-        out = []
-        for i in range(2 * self.box + 1):
-            for j in range(2 * self.box + 1):
-                if self._data[i, j] != 0:
-                    out.append(((i - self.box, j - self.box), complex(self._data[i, j])))
-        return out
-
-    def embedded(self, box: int) -> "CoefficientField":
-        """The same field stored in a (possibly larger) box."""
-        if box < self.box:
-            raise PreconditionError("cannot embed into a smaller box")
-        out = CoefficientField(box)
-        lo, hi = box - self.box, box + self.box + 1
-        out._data[lo:hi, lo:hi] = self._data
-        return out
-
-    # -- invariants ---------------------------------------------------------
-
-    def energy(self) -> float:
-        """Sum of |w_k|^2 / |k|^2 over every stored nonzero mode.
-
-        Both members of a +-k pair are counted (doubling convention).
-        """
-        return float(np.sum(np.abs(self._data) ** 2 / box_norm_sq(self.box)))
-
-    def enstrophy(self) -> float:
-        """Sum of |w_k|^2 over every stored nonzero mode."""
-        return float(np.sum(np.abs(self._data) ** 2))
-
-    # -- construction helpers -----------------------------------------------
-
-    @classmethod
-    def from_modes(cls, box: int, modes: dict[Vec, complex]) -> "CoefficientField":
-        out = cls(box)
-        for k, v in modes.items():
-            out.set_mode(k, v)
-        return out
-
-    @classmethod
-    def single_pair(cls, box: int, p: Vec, gamma: complex) -> "CoefficientField":
-        """The one-mode steady state w_p = gamma, w_{-p} = conj(gamma)."""
-        return cls.from_modes(box, {p: gamma})
-
-    @classmethod
-    def random(cls, box: int, rng: np.random.Generator,
-               decay: float = 0.0) -> "CoefficientField":
-        """Random field with the reality pairing, optional |k|^2 decay."""
-        if not (np.isfinite(decay) and decay >= 0):
-            raise PreconditionError(f"decay must be a finite number >= 0, got {decay}")
-        out = cls(box)
-        for k1 in range(-box, box + 1):
-            for k2 in range(-box, box + 1):
-                k = (k1, k2)
-                if k == (0, 0) or (k1, k2) < (-k1, -k2):
-                    continue
-                amp = rng.standard_normal() + 1j * rng.standard_normal()
-                if decay > 0.0:
-                    amp *= np.exp(-decay * norm_sq(k))
-                out.set_mode(k, amp)
-        return out
-
-    def scaled(self, c: float) -> "CoefficientField":
-        return CoefficientField(self.box, self._data * c)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Half-lattice JSON form; the loader reconstructs conjugates."""
-        modes = []
-        for (k, v) in self.modes():
-            if k > (-k[0], -k[1]):  # lexicographically positive representative
-                modes.append({"k": [k[0], k[1]], "re": v.real, "im": v.imag})
-        modes.sort(key=lambda m: (m["k"][0], m["k"][1]))
-        return {"box": self.box, "modes": modes}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CoefficientField":
-        out = cls(int(obj["box"]))
-        for m in obj["modes"]:
-            out.set_mode((int(m["k"][0]), int(m["k"][1])), complex(m["re"], m["im"]))
-        return out
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "CoefficientField":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+def _zeros(box: int) -> np.ndarray:
+    """The zero coefficient field of the box, which must be in [1, MAX_BOX]."""
+    if not 1 <= box <= MAX_BOX:
+        raise PreconditionError(f"box half-width must be in [1, {MAX_BOX}]")
+    return np.zeros((2 * box + 1, 2 * box + 1), dtype=np.complex128)
 
 
-def galerkin_rhs(state: CoefficientField) -> CoefficientField:
-    """Time derivative of the truncated vorticity system.
+def _positive_modes(box: int):
+    """The modes k > -k of the box in lexicographic order, one per +-k pair."""
+    for k1 in range(box + 1):
+        for k2 in range(-box if k1 else 1, box + 1):
+            yield k1, k2
 
-    Ordered-pair convolution over the box; conserves energy and enstrophy
-    algebraically and preserves the reality pairing.  Large boxes compute it
-    by FFT on a grid zero-padded to n >= 3*box+1 points per side, which
-    keeps the sharp truncation exact.
-    """
-    rhs = kernels.galerkin_rhs(state._data, state.box)
-    out = CoefficientField(state.box)
-    out._data[:, :] = rhs
-    out._data[state.box, state.box] = 0.0
+
+def random_field(box: int, rng: np.random.Generator,
+                 decay: float = 0.0) -> np.ndarray:
+    """Random field with the reality pairing, optional exp(-decay |k|^2)
+    decay: one standard normal real and imaginary part per positive mode,
+    drawn in lexicographic order."""
+    if not (np.isfinite(decay) and decay >= 0):
+        raise PreconditionError(f"decay must be a finite number >= 0, got {decay}")
+    w = _zeros(box)
+    for k in _positive_modes(box):
+        amp = rng.standard_normal() + 1j * rng.standard_normal()
+        if decay > 0.0:
+            amp *= np.exp(-decay * norm_sq(k))
+        w[box + k[0], box + k[1]] = amp
+        w[box - k[0], box - k[1]] = np.conj(amp)
+    return w
+
+
+def single_pair(box: int, p: Vec, gamma: complex) -> np.ndarray:
+    """The one-mode steady state w_p = gamma, w_{-p} = conj(gamma)."""
+    w = _zeros(box)
+    if p == (0, 0) or max(abs(p[0]), abs(p[1])) > box:
+        raise PreconditionError(f"p = {p} must be a nonzero mode of box {box}")
+    w[box + p[0], box + p[1]] = gamma
+    w[box - p[0], box - p[1]] = np.conj(gamma)
+    return w
+
+
+def embedded(w: np.ndarray, box: int) -> np.ndarray:
+    """The field w stored in the box of half-width box, at least its own."""
+    inner = w.shape[0] // 2
+    if box < inner:
+        raise PreconditionError("cannot embed into a smaller box")
+    out = _zeros(box)
+    out[box - inner:box + inner + 1, box - inner:box + inner + 1] = w
     return out
 
 
-def integrate_galerkin(state: CoefficientField, dt: float,
-                       steps: int) -> CoefficientField:
-    """Fixed-step RK4 on the coefficient box; returns the final state.
+def energy(w: np.ndarray) -> float:
+    """Sum of |w_k|^2 / |k|^2 over every stored nonzero mode.
+
+    Both members of a +-k pair are counted (doubling convention).
+    """
+    return float(np.sum(np.abs(w) ** 2 / box_norm_sq(w.shape[0] // 2)))
+
+
+def enstrophy(w: np.ndarray) -> float:
+    """Sum of |w_k|^2 over every stored nonzero mode."""
+    return float(np.sum(np.abs(w) ** 2))
+
+
+def field_json(w: np.ndarray) -> dict:
+    """Half-lattice JSON form: the box and each nonzero mode k > -k once,
+    sorted by k; the conjugates at -k follow from the pairing."""
+    box = w.shape[0] // 2
+    modes = []
+    for k in _positive_modes(box):
+        v = complex(w[box + k[0], box + k[1]])
+        if v != 0:
+            modes.append({"k": list(k), "re": v.real, "im": v.imag})
+    return {"box": box, "modes": modes}
+
+
+def integrate_galerkin(w: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """Fixed-step RK4 of kernels.galerkin_rhs on the coefficient box;
+    returns the final field.
 
     Raises NumericError with the step index, counted from this call, on
     blow-up.
     """
-    box = state.box
-    samples = rk4(lambda w: kernels.galerkin_rhs(w, box), state._data, dt,
-                  steps, max(steps, 1))
-    out = CoefficientField(box)
-    out._data[:, :] = samples[-1]
-    return out
+    box = w.shape[0] // 2
+    return rk4(lambda x: kernels.galerkin_rhs(x, box), w, dt, steps,
+               max(steps, 1))[-1]
 
 
 # -- periodic grids ----------------------------------------------------------
@@ -394,12 +315,13 @@ def invert_laplacian(f: np.ndarray) -> np.ndarray:
     return _inverse(psi, f)
 
 
-def coefficients_to_grid(field_: CoefficientField, n: int) -> np.ndarray:
+def coefficients_to_grid(w: np.ndarray, n: int) -> np.ndarray:
     """Sample sum_k w_k exp(i k.X) on an n x n grid (real by the pairing)."""
     check_resolution(n)
-    if n < 2 * field_.box + 2:
+    box = w.shape[0] // 2
+    if n < 2 * box + 2:
         raise PreconditionError(f"grid too coarse for the coefficient box: n = {n} "
-                                f"below 2*box + 2 = {2 * field_.box + 2}")
+                                f"below 2*box + 2 = {2 * box + 2}")
     fhat = np.zeros((n, n), dtype=np.complex128)
-    fhat.ravel()[grid_index(field_.box, n)] = field_._data.ravel() * (n * n)
+    fhat.ravel()[grid_index(box, n)] = w.ravel() * (n * n)
     return np.fft.ifft2(fhat).real

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from ._kernels_py import _pair_tables
 from .errors import NumericError, PreconditionError
-from .fourier import (MAX_BOX, CoefficientField, check_grids, check_resolution,
-                      coefficients_to_grid, galerkin_rhs, grid_bracket,
+from .fourier import (MAX_BOX, check_grids, check_resolution,
+                      coefficients_to_grid, embedded, grid_bracket,
                       grid_coordinates, integrate_galerkin, invert_laplacian,
                       spectral_gradient)
 from .util import check_schedule, hausdorff_distance, sup_norm
@@ -88,7 +89,7 @@ def check_compat2d(box: int, resolution: int) -> None:
             f"{box}: the time derivative is sampled on the doubled box")
 
 
-def compatibility_residual_2d(omega: CoefficientField,
+def compatibility_residual_2d(omega: np.ndarray,
                               phi_samples: list[np.ndarray],
                               resolution: int = 64,
                               time_derivative=None) -> LaxReport:
@@ -101,10 +102,11 @@ def compatibility_residual_2d(omega: CoefficientField,
     for the true evolution.  A non-Euler rule makes it visibly nonzero.  The
     doubled box must pass check_compat2d.
     """
-    check_compat2d(omega.box, resolution)
+    box = omega.shape[0] // 2
+    check_compat2d(box, resolution)
     check_grids(*phi_samples)
     if time_derivative is None:
-        time_derivative = lambda w: galerkin_rhs(w.embedded(2 * w.box))
+        time_derivative = lambda w: kernels.galerkin_rhs(embedded(w, 2 * box), 2 * box)
     omega_grid = coefficients_to_grid(omega, resolution)
     psi_grid = invert_laplacian(omega_grid)
     dometa = time_derivative(omega)
@@ -122,7 +124,7 @@ def compatibility_residual_2d(omega: CoefficientField,
     return report
 
 
-def bracket_operator_matrix(omega: CoefficientField) -> np.ndarray:
+def bracket_operator_matrix(omega: np.ndarray) -> np.ndarray:
     """Matrix of phi -> {Omega, phi} on the truncated exponential basis.
 
     Basis vectors are the nonzero modes of Omega's box in row-major order;
@@ -130,8 +132,8 @@ def bracket_operator_matrix(omega: CoefficientField) -> np.ndarray:
     which is minus the pair-table form B(Omega, phi) that galerkin_rhs
     evaluates, read from the same tables.
     """
-    det, gather = _pair_tables(omega.box)
-    w = omega.data.ravel()[gather]
+    det, gather = _pair_tables(omega.shape[0] // 2)
+    w = omega.ravel()[gather]
     # -det(k, q) * w as the integer -det times the complex amplitude, and an
     # exact +0 wherever omega_{k-q} is zero (the origin slot included), so
     # the entries keep the bits of a mode-by-mode assembly, signed zeros too
@@ -140,7 +142,7 @@ def bracket_operator_matrix(omega: CoefficientField) -> np.ndarray:
     return mat[np.ix_(keep, keep)]
 
 
-def isospectrality_check(omega0: CoefficientField, T: float,
+def isospectrality_check(omega0: np.ndarray, T: float,
                          dt: float) -> LaxReport:
     """Hausdorff drift of the truncated bracket-operator spectrum.
 
@@ -150,7 +152,7 @@ def isospectrality_check(omega0: CoefficientField, T: float,
     general data the distance is a truncation measurement, reported rather
     than asserted.
     """
-    if omega0.box > 6:
+    if omega0.shape[0] // 2 > 6:
         raise PreconditionError("operator box above 6 (matrix growth)")
     if not (np.isfinite(T) and T > 0):
         raise PreconditionError(f"T must be a finite number > 0, got {T}")
@@ -201,13 +203,6 @@ class VectorField3D:
         x, y, z = grid_coordinates(n, 3)
         return cls(np.stack([np.sin(z) + np.cos(y), np.sin(x) + np.cos(z),
                              np.sin(y) + np.cos(x)]))
-
-    @classmethod
-    def uniform(cls, n: int, vec) -> "VectorField3D":
-        comp = np.zeros((3, n, n, n))
-        for i in range(3):
-            comp[i] = vec[i]
-        return cls(comp)
 
     def gradients(self) -> list[tuple[np.ndarray, ...]]:
         """grads[i][j] = d(component i)/dx_j, one forward FFT per component

@@ -107,12 +107,6 @@ def make_even(q: np.ndarray) -> np.ndarray:
     return 0.5 * (q + refl)
 
 
-def pdnls_rhs(q, params: NLSParams) -> np.ndarray:
-    """dq/dt at the lattice vector q."""
-    return kernels.pdnls_rhs(np.asarray(q), params.N ** 2, 2.0 * params.omega ** 2,
-                             params.alpha, params.beta, params.epsilon)
-
-
 # -- continuum closed forms ---------------------------------------------------
 
 

@@ -34,9 +34,6 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 # hyperbolicity_estimate's neutral-rate and bundle-angle threshold
 RATE_TOL = 1e-3
-# validate_jacobian's central-difference step and accepted mismatch
-FD_STEP = 1e-6
-JACOBIAN_RTOL = 1e-5
 
 
 @dataclass
@@ -63,26 +60,6 @@ class MapSystem:
             out[j] = y
         return out
 
-    def validate_jacobian(self, points) -> float:
-        """Worst relative mismatch between the Jacobian and central differences
-        of step FD_STEP; raises PreconditionError above JACOBIAN_RTOL."""
-        if self.jacobian is None:
-            raise PreconditionError("system has no jacobian")
-        worst = 0.0
-        shifts = FD_STEP * np.eye(self.dimension)
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            jac = self.jacobian(x)
-            # all 2d perturbed states x + e_j, then x - e_j, in one map call
-            images = self.map(np.concatenate((x + shifts, x - shifts)))
-            fd = (images[:self.dimension] - images[self.dimension:]).T / (2 * FD_STEP)
-            scale = max(np.max(np.abs(jac)), 1e-30)
-            worst = max(worst, float(np.max(np.abs(jac - fd)) / scale))
-        if worst > JACOBIAN_RTOL:
-            raise PreconditionError(
-                f"jacobian mismatches finite differences by {worst:.2e}")
-        return worst
-
 
 def linear_map_system(matrix: np.ndarray) -> MapSystem:
     """The linear test map x -> M x, on the rows of a stack as x @ M^T."""
@@ -102,8 +79,8 @@ def rk4_flow_system(rhs, jacobian, dimension: int, dt: float,
     stack the earliest step at which any row blows up.  The Jacobian runs
     util.rk4 too, on the stacked state (y, vec(J)) of shape (..., d + d^2)
     with right-hand side (rhs(y), jacobian(y) @ J), so it is the exact
-    derivative of the numerical map (validate_jacobian holds to roundoff)
-    and obeys the same blow-up rule.
+    derivative of the numerical map (central differences of the map match
+    it to their own truncation error) and obeys the same blow-up rule.
     """
 
     def run(f, z0):
@@ -156,19 +133,6 @@ class PseudoOrbit:
             raise PreconditionError("pseudo-orbit points must be finite")
         if not self.delta >= 0:
             raise PreconditionError("delta must be a number >= 0")
-
-    @classmethod
-    def verified(cls, points: np.ndarray, system: MapSystem,
-                 delta: float | None = None) -> "PseudoOrbit":
-        """Construct with the defect bound checked (or measured)."""
-        checked = cls(points, 0.0 if delta is None else delta)
-        defect = float(step_defects(checked.points, system).max())
-        if delta is None:
-            return cls(checked.points, defect)
-        if not defect <= delta:
-            raise PreconditionError(
-                f"measured defect {defect:.3e} exceeds declared delta {delta:.3e}")
-        return checked
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -5,12 +5,15 @@ formulas (explicit loops, high-precision arithmetic, closed-form series) and
 never calls the implementation paths it is used to check.  It also holds
 the reference code that only tests call: the dense class matrix and the
 spectral mapping check on it (the one user of scipy), the grid-to-box
-projection, the lattice evenness defect and the even-sector basis of the
-dense lattice spectrum.  And it holds the reference checks that tests hold
-the runs' results against: the reality defect of a coefficient field, the
-energy and enstrophy derivatives along the Galerkin field, the count of
-nonimaginary eigenvalues and the quadruple symmetry defect of a spectrum,
-and the distance from a true orbit to a pseudo-orbit.
+projection, the reader of a coefficient field's JSON form, the unit-
+enstrophy random field, the constant 3D vector field, the lattice evenness
+defect and the even-sector basis of the dense lattice spectrum.  And it
+holds the reference checks that tests hold the runs' results against: the
+reality defect of a coefficient field, the energy and enstrophy
+derivatives along the Galerkin field, the count of nonimaginary
+eigenvalues and the quadruple symmetry defect of a spectrum, the
+finite-difference check of a map's Jacobian, the defect-checked
+pseudo-orbit and the distance from a true orbit to a pseudo-orbit.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ def bracket_operator_matrix_ref(omega) -> np.ndarray:
     """Matrix of phi -> {Omega, phi} on the nonzero modes of Omega's box, in
     row-major order, assembled mode by mode: the entry coupling basis mode q
     into row k = m + q is -det(k, q) * omega_m for every nonzero omega_m."""
-    box = omega.box
-    data = omega.data
+    box = omega.shape[0] // 2
+    data = omega
     modes = [(k1, k2) for k1 in range(-box, box + 1)
              for k2 in range(-box, box + 1) if (k1, k2) != (0, 0)]
     index = {k: i for i, k in enumerate(modes)}
@@ -91,14 +94,34 @@ def grid_to_coefficients(grid, box: int):
     """Project grid samples onto the coefficient box |k1|,|k2| <= box.
 
     Reads each box mode straight off the normalized 2D FFT; content outside
-    the box is discarded (sharp truncation) and the origin is not stored.
+    the box is discarded (sharp truncation) and the origin is set to 0.
     """
-    from chaoslab.fourier import CoefficientField
-
     n = grid.shape[0]
     fhat = np.fft.fft2(grid) / (n * n)
     k = np.arange(-box, box + 1) % n
-    return CoefficientField(box, fhat[np.ix_(k, k)])
+    w = fhat[np.ix_(k, k)]
+    w[box, box] = 0.0
+    return w
+
+
+def field_from_json(doc: dict) -> np.ndarray:
+    """The coefficient array of fourier.field_json's form: each listed mode
+    k at k and its conjugate at -k, zero elsewhere."""
+    box = doc["box"]
+    w = np.zeros((2 * box + 1, 2 * box + 1), dtype=np.complex128)
+    for mode in doc["modes"]:
+        k1, k2 = mode["k"]
+        w[box + k1, box + k2] = complex(mode["re"], mode["im"])
+        w[box - k1, box - k2] = complex(mode["re"], -mode["im"])
+    return w
+
+
+def unit_field(box: int, rng, decay: float = 0.0) -> np.ndarray:
+    """fourier.random_field scaled to enstrophy 1."""
+    from chaoslab.fourier import enstrophy, random_field
+
+    w = random_field(box, rng, decay)
+    return w * (1.0 / np.sqrt(enstrophy(w)))
 
 
 def evenness_defect(q: np.ndarray) -> float:
@@ -359,29 +382,28 @@ def double_well_homoclinic(t: float) -> np.ndarray:
                      -np.sqrt(2.0) * sech * np.tanh(t)])
 
 
-def reality_defect(field) -> float:
-    """Largest gap |w_k - conj(w_-k)| of a CoefficientField from the
+def reality_defect(w: np.ndarray) -> float:
+    """Largest gap |w_k - conj(w_-k)| of a coefficient field from the
     reality pairing."""
-    data = field.data
-    return float(np.max(np.abs(data - np.conj(data[::-1, ::-1]))))
+    return float(np.max(np.abs(w - np.conj(w[::-1, ::-1]))))
 
 
-def energy_derivative(state) -> float:
-    """d(energy)/dt along fourier.galerkin_rhs, by direct summation."""
+def energy_derivative(w: np.ndarray) -> float:
+    """d(energy)/dt along kernels.galerkin_rhs, by direct summation."""
+    from chaoslab import kernels
     from chaoslab._kernels_py import box_norm_sq
-    from chaoslab.fourier import galerkin_rhs
 
-    rhs = galerkin_rhs(state)
-    return float(np.sum(np.real(np.conj(state.data) * rhs.data)
-                        / box_norm_sq(state.box)))
+    box = w.shape[0] // 2
+    rhs = kernels.galerkin_rhs(w, box)
+    return float(np.sum(np.real(np.conj(w) * rhs) / box_norm_sq(box)))
 
 
-def enstrophy_derivative(state) -> float:
-    """d(enstrophy)/dt along fourier.galerkin_rhs, by direct summation."""
-    from chaoslab.fourier import galerkin_rhs
+def enstrophy_derivative(w: np.ndarray) -> float:
+    """d(enstrophy)/dt along kernels.galerkin_rhs, by direct summation."""
+    from chaoslab import kernels
 
-    rhs = galerkin_rhs(state)
-    return float(np.sum(np.real(np.conj(state.data) * rhs.data)))
+    rhs = kernels.galerkin_rhs(w, w.shape[0] // 2)
+    return float(np.sum(np.real(np.conj(w) * rhs)))
 
 
 def count_nonimaginary(report, tol: float) -> int:
@@ -409,6 +431,59 @@ def quadruple_symmetry_defect(report) -> float:
         for image in (-lam, np.conj(lam), -np.conj(lam)):
             defect = max(defect, float(np.min(np.abs(eigs - image))))
     return defect
+
+
+def uniform_vector_field(n: int, vec):
+    """The constant laxpairs.VectorField3D with value vec on the n^3 grid."""
+    from chaoslab.laxpairs import VectorField3D
+
+    return VectorField3D(np.ones((3, n, n, n)) * np.reshape(vec, (3, 1, 1, 1)))
+
+
+# validate_jacobian's central-difference step and accepted mismatch
+FD_STEP = 1e-6
+JACOBIAN_RTOL = 1e-5
+
+
+def validate_jacobian(system, points) -> float:
+    """Worst relative mismatch between a MapSystem's Jacobian and central
+    differences of step FD_STEP at the points; raises PreconditionError
+    above JACOBIAN_RTOL."""
+    from chaoslab.errors import PreconditionError
+
+    if system.jacobian is None:
+        raise PreconditionError("system has no jacobian")
+    worst = 0.0
+    shifts = FD_STEP * np.eye(system.dimension)
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        jac = system.jacobian(x)
+        # all 2d perturbed states x + e_j, then x - e_j, in one map call
+        images = system.map(np.concatenate((x + shifts, x - shifts)))
+        fd = (images[:system.dimension] - images[system.dimension:]).T / (2 * FD_STEP)
+        scale = max(np.max(np.abs(jac)), 1e-30)
+        worst = max(worst, float(np.max(np.abs(jac - fd)) / scale))
+    if worst > JACOBIAN_RTOL:
+        raise PreconditionError(
+            f"jacobian mismatches finite differences by {worst:.2e}")
+    return worst
+
+
+def verified_pseudo_orbit(points, system, delta: float | None = None):
+    """A PseudoOrbit whose delta is the measured step defect of the points
+    under a MapSystem, or the declared delta after checking that the
+    defect stays within it (PreconditionError otherwise)."""
+    from chaoslab.errors import PreconditionError
+    from chaoslab.shadowing import PseudoOrbit, step_defects
+
+    checked = PseudoOrbit(points, 0.0 if delta is None else delta)
+    defect = float(step_defects(checked.points, system).max())
+    if delta is None:
+        return PseudoOrbit(checked.points, defect)
+    if not defect <= delta:
+        raise PreconditionError(
+            f"measured defect {defect:.3e} exceeds declared delta {delta:.3e}")
+    return checked
 
 
 def shadow_distance(start, pseudo, system) -> float:

@@ -11,16 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from chaoslab.fourier import (ClassIndex, CoefficientField,
-                              coefficients_to_grid, grid_coordinates,
-                              integrate_galerkin, zeta)
+from chaoslab.fourier import (ClassIndex, coefficients_to_grid, energy,
+                              enstrophy, grid_coordinates, integrate_galerkin,
+                              single_pair, zeta)
 from chaoslab.spectra import (build_class_operator, continued_fraction_eigen,
                               truncated_spectrum)
 from oracles import (BENCH_EIGENVALUE_NORMALIZED, class_eigenvalue_mp,
                      count_nonimaginary, double_well_homoclinic,
                      double_well_jacobian, double_well_rhs, energy_derivative,
                      enstrophy_derivative, exact_linear_shadow,
-                     quadruple_symmetry_defect)
+                     quadruple_symmetry_defect, unit_field,
+                     verified_pseudo_orbit)
 
 QUOTED_EIGENVALUE = 0.24822302478255 + 1j * 0.35172076526520
 BENCH = ClassIndex(khat=(-3, -2), p=(1, 1))
@@ -139,17 +140,15 @@ class TestGalerkinConservation:
     def test_criterion_galerkin_conservation(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(11)
-        state = CoefficientField.random(8, rng, decay=0.0)
-        state = state.scaled(1.0 / np.sqrt(state.enstrophy()))
+        state = unit_field(8, rng, decay=0.0)
         de = abs(energy_derivative(state))
         dz = abs(enstrophy_derivative(state))
 
-        smooth = CoefficientField.random(8, rng, decay=0.15)
-        smooth = smooth.scaled(1.0 / np.sqrt(smooth.enstrophy()))
-        e0, z0 = smooth.energy(), smooth.enstrophy()
+        smooth = unit_field(8, rng, decay=0.15)
+        e0, z0 = energy(smooth), enstrophy(smooth)
         final = integrate_galerkin(smooth, 1e-3, 10000)
-        drift_e = abs(final.energy() - e0) / e0
-        drift_z = abs(final.enstrophy() - z0) / z0
+        drift_e = abs(energy(final) - e0) / e0
+        drift_z = abs(enstrophy(final) - z0) / z0
         elapsed = time.perf_counter() - t0
         ok = de < 1e-12 and dz < 1e-12 and drift_e < 1e-8 and drift_z < 1e-8 \
             and elapsed < 30.0
@@ -208,8 +207,9 @@ class TestNLSFormulas:
 
 class TestDiscreteSaddle:
     def test_criterion_discrete_saddle(self):
+        from chaoslab import kernels
         from chaoslab.nls import (NLSParams, discrete_saddle, make_even,
-                                  pdnls_jacobian_full, pdnls_rhs)
+                                  pdnls_jacobian_full)
         p = NLSParams(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.01)
         rng = np.random.default_rng(2)
         q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7))
@@ -217,7 +217,8 @@ class TestDiscreteSaddle:
         x0 = np.concatenate([q.real, q.imag])
 
         def rhs_r(x):
-            d = pdnls_rhs(x[:7] + 1j * x[7:], p)
+            d = kernels.pdnls_rhs(x[:7] + 1j * x[7:], p.N ** 2, 2.0 * p.omega ** 2,
+                                  p.alpha, p.beta, p.epsilon)
             return np.concatenate([d.real, d.imag])
 
         fd = np.empty_like(jac)
@@ -306,19 +307,17 @@ class TestLaxVerification:
         rng = np.random.default_rng(3)
 
         def unit_grid():
-            c = CoefficientField.random(8, rng, decay=0.15)
-            return coefficients_to_grid(c.scaled(1 / np.sqrt(c.enstrophy())), 64)
+            return coefficients_to_grid(unit_field(8, rng, decay=0.15), 64)
 
         jac_worst = max(jacobi_defect(unit_grid(), unit_grid(), unit_grid())
                         for _ in range(3))
 
-        omega = CoefficientField.random(5, rng, decay=0.2)
-        omega = omega.scaled(1.0 / np.sqrt(omega.enstrophy()))
+        omega = unit_field(5, rng, decay=0.2)
         phis = [unit_grid() for _ in range(2)]
         neg = compatibility_residual_2d(omega, phis, 64,
                                         time_derivative=lambda w: w)
 
-        steady = CoefficientField.single_pair(4, (1, 1), 1.3)
+        steady = single_pair(4, (1, 1), 1.3)
         iso = isospectrality_check(steady, T=1.0, dt=0.01)
 
         u = VectorField3D.abc_flow(32)
@@ -361,8 +360,7 @@ class TestDarbouxVerification:
 
 class TestShadowing:
     def test_criterion_shadowing(self):
-        from chaoslab.shadowing import (PseudoOrbit, find_shadow,
-                                        hyperbolicity_estimate,
+        from chaoslab.shadowing import (find_shadow, hyperbolicity_estimate,
                                         linear_map_system, palmer_assembly,
                                         rk4_flow_system)
         rng = np.random.default_rng(4)
@@ -370,7 +368,7 @@ class TestShadowing:
         orbit = hyp.orbit(np.array([1e-6, 1.0]), 24)
         delta = 1e-5
         pts = orbit + rng.uniform(-delta, delta, orbit.shape)
-        pseudo = PseudoOrbit.verified(pts, hyp)
+        pseudo = verified_pseudo_orbit(pts, hyp)
         result = find_shadow(pseudo, hyp)
         oracle = exact_linear_shadow([2.0, 0.5], pts)
         oracle_gap = float(np.max(np.abs(result.orbit - oracle)))

@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from chaoslab.cli import SHADOW_MAX_M, _apply_config_file, build_parser, main
+from chaoslab.cli import (SHADOW_MAX_M, _apply_config_file, build_parser, main,
+                          write_csv)
 from oracles import BENCH_EIGENVALUE_NORMALIZED
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -561,6 +562,29 @@ class TestConfigFiles:
 
 
 class TestOutputs:
+    def test_csv_rows_streamed_and_failed_write_leaves_no_file(self, tmp_path):
+        # rows reach the temporary file as they come; a row source that
+        # raises partway leaves neither the target nor the temporary file
+        seen = {}
+
+        def rows(fail_at):
+            for i in range(20000):
+                if i == fail_at:
+                    seen.update((p.name, p.stat().st_size) for p in tmp_path.iterdir())
+                    raise RuntimeError("row source failed")
+                yield (i, 0.5 * i)
+
+        path = tmp_path / "rows.csv"
+        write_csv(str(path), ["i", "x"], rows(None))
+        assert read(path).decode() == "i,x\n" + "".join(
+            f"{float(i)!r},{0.5 * i!r}\n" for i in range(20000))
+        path.unlink()
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(str(path), ["i", "x"], rows(10000))
+        assert [name[:5] for name in seen] == [".tmp-"]
+        assert min(seen.values()) > 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_nls_sim_outputs(self, tmp_path):
         code = run_cli(["nls-sim", "--N", "8", "--omega", "3.5", "--beta", "4.0",
                         "--steps", "500", "--sample-every", "100", "--encode"],

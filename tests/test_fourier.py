@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab.errors import PreconditionError
-from chaoslab.fourier import (MAX_RESOLUTION, ClassIndex, CoefficientField,
-                              check_grids, check_resolution,
-                              class_intersects_disk, coef_A,
+from chaoslab.fourier import (MAX_BOX, MAX_RESOLUTION, ClassIndex, check_grids,
+                              check_resolution, class_intersects_disk, coef_A,
                               coefficients_to_grid, dealias_two_thirds,
-                              galerkin_rhs, grid_bracket, grid_coordinates,
+                              embedded, energy, enstrophy, field_json,
+                              grid_bracket, grid_coordinates,
                               integrate_galerkin, invert_laplacian, laplacian,
-                              zeta)
-from oracles import (energy_derivative, enstrophy_derivative, galerkin_rhs_ref,
-                     grid_to_coefficients, reality_defect, zeta_ref)
+                              random_field, single_pair, zeta)
+from chaoslab.kernels import galerkin_rhs
+from oracles import (energy_derivative, enstrophy_derivative, field_from_json,
+                     galerkin_rhs_ref, grid_to_coefficients, reality_defect,
+                     unit_field, zeta_ref)
 
 nonzero_vec = st.tuples(st.integers(-10, 10), st.integers(-10, 10)).filter(
     lambda v: v != (0, 0))
@@ -86,87 +88,103 @@ class TestClasses:
         assert not class_intersects_disk(ClassIndex(khat=(10, 0), p=(1, 1)))
 
 
-class TestCoefficientField:
-    def test_reality_enforced_on_write(self):
-        f = CoefficientField(3)
-        f.set_mode((1, 2), 0.5 + 0.25j)
-        assert f[(-1, -2)] == pytest.approx(0.5 - 0.25j)
-        assert reality_defect(f) == 0.0
+class TestCoefficientArray:
+    def test_reality_enforced_on_write(self, rng):
+        # random_field and single_pair write each mode with its conjugate,
+        # bit for bit
+        for w in (random_field(4, rng), random_field(3, rng, decay=0.2),
+                  single_pair(3, (1, 2), 0.5 + 0.25j)):
+            assert reality_defect(w) == 0.0
+        assert single_pair(3, (1, 2), 0.5 + 0.25j)[3 - 1, 3 - 2] == 0.5 - 0.25j
 
     def test_origin_never_stored(self, rng):
-        f = CoefficientField.random(4, rng)
-        assert f[(0, 0)] == 0.0
+        for box in (1, 4):
+            w = random_field(box, rng)
+            assert w.shape == (2 * box + 1, 2 * box + 1)
+            assert w[box, box] == 0.0
+            assert np.count_nonzero(w) == w.size - 1
         with pytest.raises(PreconditionError):
-            f.set_mode((0, 0), 1.0)
+            single_pair(3, (0, 0), 1.0)
+        with pytest.raises(PreconditionError):
+            single_pair(3, (4, 0), 1.0)
+        for box in (0, MAX_BOX + 1):
+            with pytest.raises(PreconditionError):
+                random_field(box, rng)
+        with pytest.raises(PreconditionError):
+            random_field(3, rng, decay=-1.0)
 
     def test_energy_enstrophy_single_pair(self):
-        f = CoefficientField.single_pair(3, (1, 1), 1.0)
-        assert f.energy() == pytest.approx(1.0)
-        assert f.enstrophy() == pytest.approx(2.0)
+        f = single_pair(3, (1, 1), 1.0)
+        assert energy(f) == pytest.approx(1.0)
+        assert enstrophy(f) == pytest.approx(2.0)
 
     def test_zero_field(self):
-        f = CoefficientField(3)
-        assert f.energy() == 0.0
-        assert f.enstrophy() == 0.0
+        f = np.zeros((7, 7), dtype=complex)
+        assert energy(f) == 0.0
+        assert enstrophy(f) == 0.0
 
     def test_quadratic_scaling(self, rng):
-        f = CoefficientField.random(4, rng)
-        g = f.scaled(2.5)
-        assert g.energy() == pytest.approx(2.5 ** 2 * f.energy())
-        assert g.enstrophy() == pytest.approx(2.5 ** 2 * f.enstrophy())
+        f = random_field(4, rng)
+        g = f * 2.5
+        assert energy(g) == pytest.approx(2.5 ** 2 * energy(f))
+        assert enstrophy(g) == pytest.approx(2.5 ** 2 * enstrophy(f))
 
-    def test_json_roundtrip(self, rng, tmp_path):
-        f = CoefficientField.random(3, rng)
-        path = tmp_path / "field.json"
-        f.dump(path)
-        g = CoefficientField.load(path)
-        assert g.box == f.box
-        assert np.allclose(g.data, f.data)
-        # stored representatives are the lexicographically positive half
-        doc = json.loads(path.read_text())
-        for mode in doc["modes"]:
-            k = tuple(mode["k"])
-            assert k > (-k[0], -k[1])
+    def test_embedded_keeps_modes_and_invariants(self, rng):
+        f = random_field(3, rng)
+        g = embedded(f, 5)
+        assert np.array_equal(g[2:9, 2:9], f)
+        assert np.count_nonzero(g) == np.count_nonzero(f)
+        assert energy(g) == pytest.approx(energy(f), rel=1e-15)
+        with pytest.raises(PreconditionError):
+            embedded(f, 2)
+
+    def test_json_roundtrip(self, rng):
+        # each positive-half mode once, sorted by k, and the reader rebuilds
+        # the array bit for bit through the JSON text
+        f = random_field(3, rng)
+        doc = json.loads(json.dumps(field_json(f)))
+        assert doc["box"] == 3
+        assert [tuple(mode["k"]) for mode in doc["modes"]] == [
+            (k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)
+            if (k1, k2) > (-k1, -k2)]
+        g = field_from_json(doc)
+        assert g.tobytes() == f.tobytes()
+        pair = field_json(single_pair(3, (-1, 2), 0.5 - 0.25j))
+        assert pair == {"box": 3, "modes": [{"k": [1, -2], "re": 0.5, "im": 0.25}]}
 
 
 class TestGalerkinRHS:
     def test_single_pair_is_steady(self):
-        f = CoefficientField.single_pair(6, (1, 1), 1.5 + 0.5j)
-        assert np.max(np.abs(galerkin_rhs(f).data)) == 0.0
+        f = single_pair(6, (1, 1), 1.5 + 0.5j)
+        assert np.max(np.abs(galerkin_rhs(f, 6))) == 0.0
 
     def test_empty_field(self):
-        assert np.max(np.abs(galerkin_rhs(CoefficientField(4)).data)) == 0.0
+        assert np.max(np.abs(galerkin_rhs(np.zeros((9, 9), dtype=complex), 4))) == 0.0
 
     def test_matches_loop_oracle(self, rng):
-        f = CoefficientField.random(3, rng)
-        expected = galerkin_rhs_ref(f.data, 3)
-        assert np.max(np.abs(galerkin_rhs(f).data - expected)) < 1e-13
+        f = random_field(3, rng)
+        expected = galerkin_rhs_ref(f, 3)
+        assert np.max(np.abs(galerkin_rhs(f, 3) - expected)) < 1e-13
 
     def test_preserves_reality(self, rng):
         worst = 0.0
         for _ in range(1000):
-            f = CoefficientField.random(3, rng)
-            f = f.scaled(1.0 / np.sqrt(f.enstrophy()))
-            worst = max(worst, reality_defect(galerkin_rhs(f)))
+            worst = max(worst, reality_defect(galerkin_rhs(unit_field(3, rng), 3)))
         for _ in range(50):
-            f = CoefficientField.random(5, rng)
-            f = f.scaled(1.0 / np.sqrt(f.enstrophy()))
-            worst = max(worst, reality_defect(galerkin_rhs(f)))
+            worst = max(worst, reality_defect(galerkin_rhs(unit_field(5, rng), 5)))
         assert worst < 1e-14
 
     def test_conservation_b8(self, rng):
-        f = CoefficientField.random(8, rng, decay=0.05)
-        f = f.scaled(1.0 / np.sqrt(f.enstrophy()))
+        f = unit_field(8, rng, decay=0.05)
         assert abs(energy_derivative(f)) < 1e-12
         assert abs(enstrophy_derivative(f)) < 1e-12
 
     def test_rk4_drift_short(self, rng):
-        f = CoefficientField.random(6, rng, decay=0.2)
-        f = f.scaled(1.0 / np.sqrt(f.enstrophy()))
-        e0, z0 = f.energy(), f.enstrophy()
+        f = unit_field(6, rng, decay=0.2)
+        e0, z0 = energy(f), enstrophy(f)
         g = integrate_galerkin(f, 1e-3, 400)
-        assert abs(g.energy() - e0) / e0 < 1e-10
-        assert abs(g.enstrophy() - z0) / z0 < 1e-10
+        assert abs(energy(g) - e0) / e0 < 1e-10
+        assert abs(enstrophy(g) - z0) / z0 < 1e-10
 
 
 class TestGridCalculus:
@@ -189,8 +207,8 @@ class TestGridCalculus:
         assert np.max(np.abs(grid_bracket(np.cos(x), np.cos(y)) - expected)) < 1e-13
 
     def test_bracket_antisymmetry_and_constants(self, rng):
-        f = coefficients_to_grid(CoefficientField.random(6, rng), 64)
-        g = coefficients_to_grid(CoefficientField.random(6, rng), 64)
+        f = coefficients_to_grid(random_field(6, rng), 64)
+        g = coefficients_to_grid(random_field(6, rng), 64)
         assert np.max(np.abs(grid_bracket(f, f))) == 0.0
         c = np.full((64, 64), 3.7)
         assert np.max(np.abs(grid_bracket(f, c))) < 1e-12
@@ -198,11 +216,7 @@ class TestGridCalculus:
         assert np.max(np.abs(asym)) < 1e-12
 
     def test_bracket_bilinearity(self, rng):
-        def unit_field():
-            c = CoefficientField.random(5, rng)
-            return coefficients_to_grid(c.scaled(1 / np.sqrt(c.enstrophy())), 64)
-
-        f, g, h = unit_field(), unit_field(), unit_field()
+        f, g, h = (coefficients_to_grid(unit_field(5, rng), 64) for _ in range(3))
         lhs = grid_bracket(2.0 * f + 0.5 * g, h)
         rhs = 2.0 * grid_bracket(f, h) + 0.5 * grid_bracket(g, h)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -231,7 +245,7 @@ class TestGridCalculus:
         assert np.max(np.abs(psi + 0.5 * np.cos(x + y))) < 1e-14
 
     def test_invert_laplacian_roundtrip(self, rng):
-        f = coefficients_to_grid(CoefficientField.random(8, rng), 64)
+        f = coefficients_to_grid(random_field(8, rng), 64)
         back = laplacian(invert_laplacian(f))
         rel = np.max(np.abs(back - f)) / np.max(np.abs(f))
         assert rel < 1e-12
@@ -244,12 +258,12 @@ class TestGridCalculus:
         assert np.max(np.abs(invert_laplacian(np.zeros((32, 32))))) == 0.0
 
     def test_coefficient_grid_roundtrip(self, rng):
-        f = CoefficientField.random(5, rng)
+        f = random_field(5, rng)
         grid = coefficients_to_grid(f, 64)
         back = grid_to_coefficients(grid, 5)
-        assert np.max(np.abs(back.data - f.data)) < 1e-13
+        assert np.max(np.abs(back - f)) < 1e-13
 
     def test_dealias_idempotent(self, rng):
-        f = coefficients_to_grid(CoefficientField.random(6, rng), 64)
+        f = coefficients_to_grid(random_field(6, rng), 64)
         once = dealias_two_thirds(f)
         assert np.max(np.abs(dealias_two_thirds(once) - once)) < 1e-13

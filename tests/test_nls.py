@@ -13,7 +13,7 @@ from chaoslab.nls import (DiscreteSaddle, NLSParams, center_wing_encode,
                           classify_profile, continuum_eigenvalues,
                           continuum_saddle, discrete_saddle, eigenvalue_table,
                           flow_map, half_period_translate, lattice_eigenvalues,
-                          make_even, mollifier, pdnls_jacobian_full, pdnls_rhs,
+                          make_even, mollifier, pdnls_jacobian_full,
                           second_measurement, silnikov_check, simulate,
                           solve_uniform_saddle, swap_symbols)
 from chaoslab.util import Trajectory
@@ -22,15 +22,20 @@ from oracles import even_sector_basis, evenness_defect, pdnls_rhs_ref
 P7 = dict(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.01)
 
 
+def rhs_args(p):
+    """The parameter arguments of kernels.pdnls_rhs for NLSParams p."""
+    return (p.N ** 2, 2.0 * p.omega ** 2, p.alpha, p.beta, p.epsilon)
+
+
 def jacobian_fd_mismatch(q, p):
     """Sup-norm gap, relative to the Jacobian, between pdnls_jacobian_full
-    and central differences (step 1e-6) of pdnls_rhs on (Re q, Im q)."""
+    and central differences (step 1e-6) of kernels.pdnls_rhs on (Re q, Im q)."""
     N = p.N
     jac = pdnls_jacobian_full(q, p)
     x0 = np.concatenate([q.real, q.imag])
 
     def rhs_r(x):
-        d = pdnls_rhs(x[:N] + 1j * x[N:], p)
+        d = kernels.pdnls_rhs(x[:N] + 1j * x[N:], *rhs_args(p))
         return np.concatenate([d.real, d.imag])
 
     fd = np.empty_like(jac)
@@ -59,8 +64,8 @@ class TestRHS:
     def test_uniform_state_translation_invariant(self):
         p = NLSParams(**P7)
         c = 0.7 - 0.2j
-        d = pdnls_rhs(np.full(7, c, dtype=np.complex128), NLSParams(
-            N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.0))
+        d = kernels.pdnls_rhs(np.full(7, c, dtype=np.complex128), *rhs_args(NLSParams(
+            N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.0)))
         expected = -1j * (2 * abs(c) ** 2 * c - 2 * p.omega ** 2 * c)
         assert np.max(np.abs(d - expected)) < 1e-14
 
@@ -68,7 +73,7 @@ class TestRHS:
         p = NLSParams(N=7, omega=4.0, alpha=1.0, beta=5.0, epsilon=0.0)
         for phase in (0.0, 0.9, 2.2):
             q = np.full(7, p.omega * cmath.exp(1j * phase), dtype=np.complex128)
-            assert np.max(np.abs(pdnls_rhs(q, p))) < 1e-13
+            assert np.max(np.abs(kernels.pdnls_rhs(q, *rhs_args(p)))) < 1e-13
 
     def test_matches_loop_oracle(self, rng):
         # omega = 0.8 lies outside the lattice window, so the raw kernel
@@ -80,7 +85,7 @@ class TestRHS:
     def test_matches_loop_oracle_window_scale(self, rng):
         p = NLSParams(**P7)
         q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        got = pdnls_rhs(q, p)
+        got = kernels.pdnls_rhs(q, *rhs_args(p))
         ref = pdnls_rhs_ref(make_even(q), 7, 4.0, 1.0, 5.0, 0.01)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-15
 
@@ -99,7 +104,7 @@ class TestRHS:
         worst = 0.0
         for _ in range(50):
             q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7))
-            d = pdnls_rhs(q, p)
+            d = kernels.pdnls_rhs(q, *rhs_args(p))
             worst = max(worst, evenness_defect(d) / np.max(np.abs(d)))
         assert worst < 1e-14
 
@@ -110,8 +115,8 @@ class TestRHS:
         rng = np.random.default_rng(99)
         q = make_even(rng.standard_normal(7) + 1j * rng.standard_normal(7))
         rot = cmath.exp(1j * phase)
-        lhs = pdnls_rhs(q * rot, p)
-        rhs = rot * pdnls_rhs(q, p)
+        lhs = kernels.pdnls_rhs(q * rot, *rhs_args(p))
+        rhs = rot * kernels.pdnls_rhs(q, *rhs_args(p))
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_phase_equivariance_bulk_trials(self, rng):
@@ -254,7 +259,7 @@ class TestDiscreteSaddle:
     def test_saddle_is_stationary(self):
         p = NLSParams(**P7)
         sad = discrete_saddle(p)
-        assert np.max(np.abs(pdnls_rhs(sad.q, p))) < 1e-12
+        assert np.max(np.abs(kernels.pdnls_rhs(sad.q, *rhs_args(p)))) < 1e-12
 
     def test_eigenvalue_paths_continuous_in_eps(self):
         # nearest-neighbor matching between consecutive spectra; increments

@@ -11,7 +11,8 @@ from chaoslab.shadowing import (MapSystem, PseudoOrbit, find_shadow,
                                 rk4_flow_system, step_defects)
 from oracles import (double_well_homoclinic, double_well_jacobian,
                      double_well_rhs, exact_linear_shadow,
-                     min_norm_orbit_step_ref, shadow_distance)
+                     min_norm_orbit_step_ref, shadow_distance,
+                     validate_jacobian, verified_pseudo_orbit)
 
 HYP = linear_map_system(np.diag([2.0, 0.5]))
 
@@ -66,7 +67,7 @@ class TestPseudoOrbit:
         orbit = HYP.orbit(np.array([1e-4, 1.0]), 8)
         pts = orbit + 1e-3
         with pytest.raises(PreconditionError):
-            PseudoOrbit.verified(pts, HYP, delta=1e-9)
+            verified_pseudo_orbit(pts, HYP, delta=1e-9)
 
     def test_non_finite_point_rejected(self):
         # a NaN defect is never > delta, so it once passed as delta = nan
@@ -75,8 +76,8 @@ class TestPseudoOrbit:
             pts = orbit.copy()
             pts[3, 1] = bad
             for build in (lambda: PseudoOrbit(pts, 0.1),
-                          lambda: PseudoOrbit.verified(pts, HYP),
-                          lambda: PseudoOrbit.verified(pts, HYP, delta=1.0)):
+                          lambda: verified_pseudo_orbit(pts, HYP),
+                          lambda: verified_pseudo_orbit(pts, HYP, delta=1.0)):
                 with pytest.raises(PreconditionError):
                     build()
         with pytest.raises(PreconditionError):
@@ -144,14 +145,14 @@ class TestFlowMap:
 class TestShadowDistance:
     def test_true_orbit_shadows_itself(self):
         orbit = HYP.orbit(np.array([1e-4, 1.0]), 10)
-        pseudo = PseudoOrbit.verified(orbit, HYP)
+        pseudo = verified_pseudo_orbit(orbit, HYP)
         assert shadow_distance(orbit[0], pseudo, HYP) == 0.0
 
     def test_uniform_defect_two_delta_bound(self, rng):
         orbit = HYP.orbit(np.array([1e-5, 1.0]), 30)
         delta = 1e-5
         pts = orbit + rng.uniform(-delta, delta, orbit.shape)
-        pseudo = PseudoOrbit.verified(pts, HYP)
+        pseudo = verified_pseudo_orbit(pts, HYP)
         shadow = exact_linear_shadow([2.0, 0.5], pts)
         eps = float(np.max(np.abs(shadow - pts)))
         assert eps <= 2.0 * pseudo.delta
@@ -159,7 +160,7 @@ class TestShadowDistance:
 
     def test_far_start_grows_along_unstable(self):
         orbit = HYP.orbit(np.array([1e-5, 1.0]), 10)
-        pseudo = PseudoOrbit.verified(orbit, HYP)
+        pseudo = verified_pseudo_orbit(orbit, HYP)
         start = orbit[0] + np.array([0.1, 0.0])
         d = shadow_distance(start, pseudo, HYP)
         assert d >= 0.1 * 2.0 ** 9 * 0.99
@@ -169,7 +170,7 @@ class TestFindShadow:
     def test_matches_closed_form_oracle(self, rng):
         orbit = HYP.orbit(np.array([1e-6, 1.0]), 24)
         pts = orbit + rng.uniform(-1e-5, 1e-5, orbit.shape)
-        pseudo = PseudoOrbit.verified(pts, HYP)
+        pseudo = verified_pseudo_orbit(pts, HYP)
         result = find_shadow(pseudo, HYP)
         oracle = exact_linear_shadow([2.0, 0.5], pts)
         assert np.max(np.abs(result.orbit - oracle)) < 1e-12
@@ -177,14 +178,14 @@ class TestFindShadow:
 
     def test_true_orbit_returned_unchanged(self):
         orbit = HYP.orbit(np.array([1e-6, 1.0]), 16)
-        pseudo = PseudoOrbit.verified(orbit, HYP)
+        pseudo = verified_pseudo_orbit(orbit, HYP)
         result = find_shadow(pseudo, HYP)
         assert result.epsilon < 1e-14
 
     def test_shadow_is_true_orbit(self, rng):
         orbit = HYP.orbit(np.array([1e-6, 1.0]), 20)
         pts = orbit + rng.uniform(-1e-4, 1e-4, orbit.shape)
-        pseudo = PseudoOrbit.verified(pts, HYP)
+        pseudo = verified_pseudo_orbit(pts, HYP)
         result = find_shadow(pseudo, HYP)
         assert step_defects(result.orbit, HYP).max() < 1e-10
 
@@ -194,7 +195,7 @@ class TestFindShadow:
         deltas = (1e-6, 1e-5, 1e-4)
         for delta in deltas:
             pts = orbit + rng.uniform(-delta, delta, orbit.shape)
-            result = find_shadow(PseudoOrbit.verified(pts, HYP), HYP)
+            result = find_shadow(verified_pseudo_orbit(pts, HYP), HYP)
             eps_values.append(result.epsilon)
         slopes = [e / d for e, d in zip(eps_values, deltas)]
         assert max(slopes) < 3.0  # finite slope, consistent with the 2-delta bound
@@ -203,7 +204,7 @@ class TestFindShadow:
         x0 = np.array([0.35, -0.2])
         orbit = well_map.orbit(x0, 10)
         pts = orbit + rng.uniform(-1e-6, 1e-6, orbit.shape)
-        result = find_shadow(PseudoOrbit.verified(pts, well_map), well_map)
+        result = find_shadow(verified_pseudo_orbit(pts, well_map), well_map)
         assert step_defects(result.orbit, well_map).max() <= 1e-11
 
     def test_missing_jacobian_rejected(self):
@@ -431,12 +432,12 @@ class TestHyperbolicity:
         assert err.value.step == 3
 
     def test_jacobian_validation(self, well_map):
-        assert well_map.validate_jacobian(
-            [np.array([0.2, 0.1]), np.array([-0.8, 0.4])]) < 1e-7
+        assert validate_jacobian(
+            well_map, [np.array([0.2, 0.1]), np.array([-0.8, 0.4])]) < 1e-7
         bad = MapSystem(dimension=2, map=lambda x: x * 2.0,
                         jacobian=lambda x: np.eye(2) * 2.5)
         with pytest.raises(PreconditionError):
-            bad.validate_jacobian([np.array([1.0, 1.0])])
+            validate_jacobian(bad, [np.array([1.0, 1.0])])
 
     def test_jacobian_validation_one_map_call_per_point(self, well_map):
         calls = []
@@ -446,5 +447,5 @@ class TestHyperbolicity:
             return well_map.map(x)
 
         system = MapSystem(dimension=2, map=counted, jacobian=well_map.jacobian)
-        system.validate_jacobian([np.array([0.2, 0.1]), np.array([-0.8, 0.4])])
+        validate_jacobian(system, [np.array([0.2, 0.1]), np.array([-0.8, 0.4])])
         assert calls == [(4, 2), (4, 2)]

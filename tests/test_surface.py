@@ -1,9 +1,10 @@
-"""The library surface: every top-level function and class in src/chaoslab
-is referenced by code that a run executes, in src/, benchmarks/ or
-perfbench/, outside its own definition.  A reference is an AST name or
-attribute; an import alone, a string or a docstring is not one.  Code that
-only tests call belongs in tests/oracles.py; the only exceptions are the
-names in KEPT, each kept for the ROADMAP item that will call it."""
+"""The library surface: every top-level function and class in src/chaoslab,
+and every public method of a top-level class, is referenced by code that a
+run executes, in src/, benchmarks/ or perfbench/, outside its own
+definition.  A reference is an AST name or attribute; an import alone, a
+string or a docstring is not one.  Code that only tests call belongs in
+tests/oracles.py; the only exceptions are the names in KEPT, each kept for
+the ROADMAP item that will call it."""
 
 import ast
 import os
@@ -18,6 +19,9 @@ KEPT = {
     "nls.second_measurement": "items 3 and 7: beta(epsilon) against the phase-matching formula",
     "nls.half_period_translate": "item 5: symbols that carry information",
     "nls.swap_symbols": "item 5: symbols that carry information",
+    "nls.DiscreteSaddle.unstable_count": "item 15: the saddle's even-sector unstable count",
+    "nls.SilnikovReport.all_hold": "item 15: the Silnikov flags of the lattice saddle",
+    "fourier.single_pair": "item 13: the single-pair steady state and its growth test",
 }
 
 
@@ -33,9 +37,21 @@ def references(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def definitions(tree, prefix):
+    """(qualified name, node) of each top-level function and class of a
+    module, and of each public method of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{prefix}.{node.name}.{item.name}", item
+
+
 def uncalled() -> list[str]:
-    """'module.name' of each top-level function or class that nothing
-    references outside its own definition."""
+    """'module.name' or 'module.Class.method' of each definition that
+    nothing references outside itself."""
     total = Counter()
     for top in CALLERS:
         for path in python_files(top):
@@ -46,10 +62,8 @@ def uncalled() -> list[str]:
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
         module = os.path.splitext(os.path.basename(path))[0]
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and total[node.name] == references(node)[node.name]):
-                out.append(f"{module}.{node.name}")
+        out += [name for name, node in definitions(tree, module)
+                if total[node.name] == references(node)[node.name]]
     return out
 
 
