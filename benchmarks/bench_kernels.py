@@ -4,9 +4,9 @@
 The Galerkin convolution has one implementation for both backends and is
 timed per box half-width, and so is the Lax operator matrix
 `laxpairs.bracket_operator_matrix`, which reads the same pair tables, at
-boxes 4 and 6; the lattice and dashed-line RK4 loops are timed side by side
-on the numpy backend and, where the C extension chaoslab._kernels is built
-from _kernels.c, the compiled one.  The lattice right-hand side, numpy on
+boxes 4 and 6; the lattice RK4 loop is timed side by side on the numpy
+backend and, where the C extension chaoslab._kernels is built from
+_kernels.c, the compiled one.  The lattice right-hand side, numpy on
 both backends, is timed once, and so are the analytic lattice Jacobian and
 the variational-RK4 Jacobian of the lattice flow map that the shadow Newton
 calls (N=8, dt = 0.5*0.1*h^2, 20 steps, as `chaoslab shadow --map
@@ -19,12 +19,12 @@ linear solve, the minimum-norm correction of shadowing.min_norm_orbit_step
 tests/oracles.py that it replaced, on lattice flow-map Jacobians at L = 21,
 84 and 200 points 1e-3 off the saddle (d = 16); the dense solve runs only
 once after its warm-up at L = 200, where it takes seconds.  The dashed-line
-RK4 runs on the model's own couplings (trunc 10, epsilon 0.5) from a small
-kick off the stationary line, which it follows for all 10^5 steps; the
-bench fails if it reports a blow-up.  The numpy dashed-line RK4 is also
-timed per step at trunc 10 and 100, where its dense coupling-matrix product
-costs O(L^2), and the numpy dashed-line field dashed_field per single-state
-call on a prebuilt coupling matrix, as the numpy RK4 loop calls it.  The
+RK4, numpy on every backend, is timed per step at trunc 10 and 100, where
+its dense coupling-matrix product costs O(L^2), on the model's own
+couplings (epsilon 0.5) from a small kick off the stationary line, which it
+follows for all steps; the bench fails if it reports a blow-up.  So is the
+dashed-line field dashed_field per single-state call on a prebuilt coupling
+matrix, as the RK4 loop calls it.  The
 dense class-operator eigensolve `spectra.truncated_spectrum` is timed at
 trunc 50 and 400 for a real and a complex Gamma of the benchmark class, and
 the continued-fraction Newton `spectra.continued_fraction_eigen` at the
@@ -34,7 +34,8 @@ The grid layer is timed on its spectral-derivative operators: grid_bracket
 of two random fields at n 16 and 64, verify_darboux on the shear-power data
 (c 0.3) at n 64, and the 3D scalar and vector Lax pairs of the ABC flow at
 n 32, with phi = cos(x) sin(y) + cos(z) and phi = curl u, as `chaoslab
-lax-check --case 3dscalar|3dvector` runs them.
+lax-check --case 3dscalar|3dvector` runs them, on u's gradients taken once
+beforehand.
 Every figure is the median of several rounds, after one warm-up call that
 builds the convolution's pair tables or FFT plan and the lattice index
 caches.
@@ -125,14 +126,15 @@ def grid_layer_ms():
     omega, psi, p, f, F = darboux.shear_power_construction(0.3, 64)
     out["verify_darboux_shear_power_n64"] = 1e3 * median_seconds(
         lambda: darboux.verify_darboux(omega, psi, F, p, f), repeat=5, rounds=7)
-    u = laxpairs.VectorField3D.abc_flow(32)
-    omega3 = u.curl()
+    u = laxpairs.abc_flow(32)
+    u_grads = laxpairs.vector_gradients(u)
+    omega3 = laxpairs.curl(u_grads)
     x, y, z = grid_coordinates(32, 3)
     phi = np.cos(x) * np.sin(y) + np.cos(z)
     out["lax_3d_scalar_n32"] = 1e3 * median_seconds(
-        lambda: laxpairs.lax_3d_scalar(omega3, u, phi), repeat=3, rounds=7)
+        lambda: laxpairs.lax_3d_scalar(omega3, u, phi, u_grads), repeat=3, rounds=7)
     out["lax_3d_vector_n32"] = 1e3 * median_seconds(
-        lambda: laxpairs.lax_3d_vector(omega3, u, omega3), repeat=3, rounds=7)
+        lambda: laxpairs.lax_3d_vector(omega3, u, omega3, u_grads), repeat=3, rounds=7)
     return out
 
 
@@ -165,8 +167,8 @@ def continued_fraction_ms():
         lambda: spectra.continued_fraction_eigen(op, 0.09 + 0.31j), repeat=3, rounds=7)
 
 
-def dashed_call(mod, trunc, dargs):
-    """A call of mod.dashed_rk4 on the model's couplings (epsilon 0.5) at
+def dashed_call(trunc, dargs):
+    """A call of kernels.dashed_rk4 on the model's couplings (epsilon 0.5) at
     trunc from a small kick off the stationary line; it fails unless the run
     takes all steps."""
     params = dashed_line.DashedLineParams(gamma=1.0, epsilon=0.5, trunc=trunc)
@@ -174,23 +176,23 @@ def dashed_call(mod, trunc, dargs):
 
     def call():
         try:
-            mod.dashed_rk4(params.gamma, om, params.sub, params.sup, params.pair, *dargs)
+            kernels.dashed_rk4(params.gamma, om, params.sub, params.sup, params.pair, *dargs)
         except NumericError as exc:
             raise SystemExit(f"dashed_rk4 {exc}") from exc
     return call
 
 
 def dashed_numpy_us_per_step():
-    """Microseconds per step of the numpy dashed_rk4 at each trunc, from
-    runs of DASHED_STEPS steps."""
+    """Microseconds per step of dashed_rk4 at each trunc, from runs of
+    DASHED_STEPS steps."""
     dargs = (1e-3, DASHED_STEPS, DASHED_STEPS)
     return {f"trunc{trunc}": 1e6 / DASHED_STEPS * median_seconds(
-                dashed_call(_kernels_py, trunc, dargs), repeat=1, rounds=7)
+                dashed_call(trunc, dargs), repeat=1, rounds=7)
             for trunc in DASHED_TRUNCS}
 
 
 def dashed_field_us():
-    """Microseconds per single-state call of the numpy dashed_field at trunc
+    """Microseconds per single-state call of dashed_field at trunc
     10 on a prebuilt coupling matrix, as dashed_rk4 calls it."""
     params = dashed_line.DashedLineParams(gamma=1.0, epsilon=0.5, trunc=10)
     om = 1e-2 * np.random.default_rng(1).standard_normal(params.size)
@@ -231,7 +233,6 @@ def main():
 
     q = 0.1 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     args = (64.0, 2 * 3.35 ** 2, 1.0, 5.7, 0.07, 1.2e-3, 100_000, 10_000)
-    dargs = (1e-3, 100_000, 10_000)
     params = nls.NLSParams(N=8, omega=3.5, alpha=1.0, beta=4.0, epsilon=0.01)
     flow = nls.flow_map(params, 0.5 * params.max_stable_dt(), 20)
     x = np.concatenate([q.real, q.imag])
@@ -259,8 +260,6 @@ def main():
         "shadow_newton_step_ms_by_length": shadow_step_ms(flow, saddle),
         "pdnls_rk4_N8_1e5_steps_s": backend_medians_s(
             lambda mod: (lambda: mod.pdnls_rk4(q, *args))),
-        "dashed_rk4_1e5_steps_s": backend_medians_s(
-            lambda mod: dashed_call(mod, 10, dargs)),
         "dashed_rk4_numpy_us_per_step": dashed_numpy_us_per_step(),
         "dashed_field_one_state_us": dashed_field_us(),
         "truncated_spectrum_ms": spectrum_medians_ms(),

@@ -9,8 +9,8 @@ connecting orbits), ``nls`` (the perturbed lattice Schroedinger system and
 its saddle diagnostics), ``laxpairs`` and ``darboux`` (operator pairs and
 transforms on periodic grids), and ``shadowing`` (pseudo-orbits, Newton
 shadow solving, dichotomy estimates).  ``chaoslab.cli`` provides the command
-line front end; ``chaoslab.kernels.BACKEND`` names the active hot-kernel
-implementation ("compiled" or "python").
+line front end; ``chaoslab.kernels.BACKEND`` names the active
+implementation of the lattice RK4 loop ("compiled" or "python").
 """
 
 __version__ = "0.1.0"

@@ -1,12 +1,12 @@
-/* Compiled lattice and dashed-line RK4 loops: chaoslab._kernels_py's pdnls_rk4
- * and dashed_rk4, with their arithmetic, blow-up rule, schedule, state and
- * sample-array checks, in C loops.  They return only the samples; at the first
- * step that breaks the blow-up rule they stop and call chaoslab.util.blew_up,
- * which raises NumericError.  The right-hand sides stay numpy only.  Inputs go
- * through numpy.ascontiguousarray(x, dtype), outputs come from numpy.empty, and
- * the items are read and written through the buffer protocol.  A real times a
- * complex value is the complex product with (x, +0), as in numpy; unlike
- * numpy's BLAS dot, the dashed-line coupling sum adds its terms in sequence.
+/* Compiled lattice RK4 loop: chaoslab._kernels_py's pdnls_rk4, with its
+ * arithmetic, blow-up rule, schedule, state and sample-array checks, in a C
+ * loop.  It returns only the samples; at the first step that breaks the
+ * blow-up rule it stops and calls chaoslab.util.blew_up, which raises
+ * NumericError.  The right-hand sides stay numpy only.  The input goes
+ * through numpy.ascontiguousarray(x, complex128), outputs come from
+ * numpy.empty, and the items are read and written through the buffer
+ * protocol.  A real times a complex value is the complex product with
+ * (x, +0), as in numpy.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -15,7 +15,7 @@
 typedef double complex cplx;
 #define R(x) CMPLX((x), 0.0)
 
-static PyObject *np_empty, *np_contiguous, *c128, *f64, *check_schedule, *check_state,
+static PyObject *np_empty, *np_contiguous, *c128, *check_schedule, *check_state,
     *check_samples, *blew_up;
 
 typedef struct { double h2inv, two_omega_sq, alpha, beta, eps; } Lattice;
@@ -39,15 +39,16 @@ static PyObject *items(PyObject *arr, int ndim, void *data, Py_ssize_t *n)
     return NULL;
 }
 
-static PyObject *vector(PyObject *obj, PyObject *dtype, void *data, Py_ssize_t *n)
+/* numpy.ascontiguousarray(obj, complex128). */
+static PyObject *vector(PyObject *obj, void *data, Py_ssize_t *n)
 {
-    return items(PyObject_CallFunctionObjArgs(np_contiguous, obj, dtype, NULL), 1, data, n);
+    return items(PyObject_CallFunctionObjArgs(np_contiguous, obj, c128, NULL), 1, data, n);
 }
 
-/* A new numpy.empty((rows, n), dtype). */
-static PyObject *empty(Py_ssize_t rows, Py_ssize_t n, PyObject *dtype, void *data)
+/* A new numpy.empty((rows, n), complex128). */
+static PyObject *empty(Py_ssize_t rows, Py_ssize_t n, void *data)
 {
-    return items(PyObject_CallFunction(np_empty, "(nn)O", rows, n, dtype), 2, data, &rows);
+    return items(PyObject_CallFunction(np_empty, "(nn)O", rows, n, c128), 2, data, &rows);
 }
 
 static int schedule_ok(double dt, long steps, long every)
@@ -83,38 +84,6 @@ static void pdnls(const Lattice *p, const cplx *q, cplx *out, Py_ssize_t n)
     }
 }
 
-/* The dashed-line field at (op, om) with c = (sub, sup, pair): dom, and dop returned. */
-static double dashed(double *const c[3], double op, const double *om, double *dom, Py_ssize_t L)
-{
-    double acc = 0.0;
-    for (Py_ssize_t i = 0; i < L; i++) {
-        dom[i] = i > 0 ? c[0][i] * om[i - 1] : 0.0;
-        if (i + 1 < L)
-            dom[i] -= c[1][i] * om[i + 1];
-        dom[i] *= op;
-    }
-    for (Py_ssize_t i = 1; i < L; i++)
-        acc += c[2][i - 1] * om[i - 1] * om[i];
-    return -acc;
-}
-
-/* om, sub, sup, pair as float64 vectors of L >= 1, L, L, L - 1 items, held in a[]. */
-static int dashed_inputs(PyObject *obj[4], PyObject *a[4], double *d[4], Py_ssize_t *L)
-{
-    Py_ssize_t len[4] = {0};
-    int k = 0;
-    while (k < 4 && (a[k] = vector(obj[k], f64, &d[k], &len[k])) != NULL)
-        k++;
-    *L = len[0];
-    if (k == 4 && state_ok(*L)) {
-        if (len[1] == *L && len[2] == *L && len[3] == *L - 1)
-            return 1;
-        PyErr_SetString(PyExc_ValueError, "sub, sup and pair need L, L and L - 1 items");
-    }
-    while (k-- > 0) Py_DECREF(a[k]);
-    return 0;
-}
-
 static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
 {
     PyObject *obj, *in, *work = NULL, *samples = NULL, *result = NULL;
@@ -125,11 +94,11 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
     cplx *q0, *q, *s;
     if (!PyArg_ParseTuple(args, "Oddddddll", &obj, &p.h2inv, &p.two_omega_sq, &p.alpha,
                           &p.beta, &p.eps, &dt, &steps, &every)
-        || !schedule_ok(dt, steps, every) || (in = vector(obj, c128, &q0, &n)) == NULL)
+        || !schedule_ok(dt, steps, every) || (in = vector(obj, &q0, &n)) == NULL)
         return NULL;
     if (state_ok(n) && samples_ok(steps / every + 1, n)
-        && (work = empty(6, n, c128, &q)) != NULL
-        && (samples = empty(steps / every + 1, n, c128, &s)) != NULL) {
+        && (work = empty(6, n, &q)) != NULL
+        && (samples = empty(steps / every + 1, n, &s)) != NULL) {
         cplx *k1 = q + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *t = k4 + n;
         double half = 0.5 * dt, sixth = dt / 6.0;
         memcpy(q, q0, n * sizeof(cplx));
@@ -158,55 +127,13 @@ static PyObject *pdnls_rk4(PyObject *self, PyObject *args)
     return result;
 }
 
-static PyObject *dashed_rk4(PyObject *self, PyObject *args)
-{
-    PyObject *obj[4], *a[4], *work = NULL, *samples = NULL, *result = NULL;
-    double op, dt, *d[4], *y, *s;
-    long steps, every, step, blow = 0;
-    Py_ssize_t L, n, i;
-    if (!PyArg_ParseTuple(args, "dOOOOdll", &op, &obj[0], &obj[1], &obj[2], &obj[3],
-                          &dt, &steps, &every)
-        || !schedule_ok(dt, steps, every) || !dashed_inputs(obj, a, d, &L))
-        return NULL;
-    if (samples_ok(steps / every + 1, n = L + 1)
-        && (work = empty(6, n, f64, &y)) != NULL /* y = (op, om), then the stages */
-        && (samples = empty(steps / every + 1, n, f64, &s)) != NULL) {
-        double *k1 = y + n, *k2 = k1 + n, *k3 = k2 + n, *k4 = k3 + n, *t = k4 + n;
-        double half = 0.5 * dt, sixth = dt / 6.0, *const *c = d + 1;
-        y[0] = op;
-        memcpy(y + 1, d[0], L * sizeof(double));
-        memcpy(s, y, n * sizeof(double));
-        for (step = 1; step <= steps && !blow; step++) {
-            k1[0] = dashed(c, y[0], y + 1, k1 + 1, L);
-            for (i = 0; i < n; i++) t[i] = y[i] + half * k1[i];
-            k2[0] = dashed(c, t[0], t + 1, k2 + 1, L);
-            for (i = 0; i < n; i++) t[i] = y[i] + half * k2[i];
-            k3[0] = dashed(c, t[0], t + 1, k3 + 1, L);
-            for (i = 0; i < n; i++) t[i] = y[i] + dt * k3[i];
-            k4[0] = dashed(c, t[0], t + 1, k4 + 1, L);
-            for (i = 0; i < n; i++) {
-                y[i] = y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-                if (!below_limit(y[i]))
-                    blow = step;
-            }
-            if (step % every == 0)
-                memcpy(s + n * (step / every), y, n * sizeof(double));
-        }
-        result = blow ? PyObject_CallFunction(blew_up, "l", blow) : Py_NewRef(samples);
-    }
-    for (int k = 0; k < 4; k++) Py_DECREF(a[k]);
-    Py_XDECREF(work);
-    Py_XDECREF(samples);
-    return result;
-}
-
 #define METHOD(f) {#f, f, METH_VARARGS, "As chaoslab._kernels_py." #f "."}
 static PyMethodDef methods[] = {
-    METHOD(pdnls_rk4), METHOD(dashed_rk4), {NULL},
+    METHOD(pdnls_rk4), {NULL},
 };
 
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "chaoslab._kernels",
-                                    "Compiled lattice and dashed-line RK4 loops.", -1, methods};
+                                    "Compiled lattice RK4 loop.", -1, methods};
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {
@@ -215,7 +142,6 @@ PyMODINIT_FUNC PyInit__kernels(void)
     if (np && util && (np_empty = PyObject_GetAttrString(np, "empty"))
         && (np_contiguous = PyObject_GetAttrString(np, "ascontiguousarray"))
         && (c128 = PyObject_GetAttrString(np, "complex128"))
-        && (f64 = PyObject_GetAttrString(np, "float64"))
         && (check_schedule = PyObject_GetAttrString(util, "check_schedule"))
         && (check_state = PyObject_GetAttrString(util, "check_state"))
         && (check_samples = PyObject_GetAttrString(util, "check_samples"))

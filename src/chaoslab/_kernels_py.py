@@ -1,21 +1,21 @@
 """Pure numpy implementations of the hot kernels.
 
-The two trajectory loops pdnls_rk4 and dashed_rk4 have a C twin in
-_kernels.c, the extension chaoslab._kernels, with the same formulas;
-chaoslab.kernels picks their backend once at import time.  They run on the
+The lattice trajectory loop pdnls_rk4 has a C twin in _kernels.c, the
+extension chaoslab._kernels, with the same formulas; chaoslab.kernels picks
+its backend once at import time, and the C loop is far faster on the long
+runs.  The dashed-line loop dashed_rk4 exists only here.  Both run on the
 shared RK4 driver chaoslab.util.rk4, whose blow-up rule, schedule check and
-empty-state check the C loops apply too, check the sample array's size
-against chaoslab.util.MAX_SAMPLE_VALUES first, and return only the samples; on
-every backend a blow-up raises NumericError through chaoslab.util.blew_up.
-The C loops are far faster on the long runs.  The right-hand sides exist
-only here and serve both backends: galerkin_rhs, with the box maps that
-chaoslab.fourier and chaoslab.laxpairs share, pdnls_rhs and dashed_field.  They are vectorized and take a batch of
-states, which the shadowing flow maps of chaoslab.nls and
-chaoslab.dashed_line integrate in one RK4 run.  The lattice field gathers
-its periodic neighbours through index arrays cached per lattice size, which
-the analytic lattice Jacobian in chaoslab.nls shares.  The dashed-line field
-is one coupling-matrix product per state, which adds its terms in another
-order than the C loop, so the two loops agree to roundoff.
+empty-state check the C loop applies too, check the sample array's size
+against chaoslab.util.MAX_SAMPLE_VALUES first, and return only the samples;
+on every backend a blow-up raises NumericError through
+chaoslab.util.blew_up.  The right-hand sides exist only here and serve both
+backends: galerkin_rhs, with the box maps that chaoslab.fourier and
+chaoslab.laxpairs share, pdnls_rhs and dashed_field.  They are vectorized
+and take a batch of states, which the shadowing flow maps of chaoslab.nls
+and chaoslab.dashed_line integrate in one RK4 run.  The lattice field
+gathers its periodic neighbours through index arrays cached per lattice
+size, which the analytic lattice Jacobian in chaoslab.nls shares.  The
+dashed-line field is one coupling-matrix product per state.
 """
 
 import functools
@@ -181,7 +181,7 @@ def dashed_coupling_matrix(sub, sup, pair) -> np.ndarray:
     tridiagonal T, v[i] = sub[i]*om[i-1] - sup[i]*om[i+1] with zero
     Dirichlet ends, in its first L items and the pair coupling P,
     v[L+i] = pair[i]*om[i+1], in its last L-1.  Raises ValueError unless
-    sub, sup and pair hold L, L and L-1 items, as the C dashed_rk4 does.
+    sub, sup and pair hold L, L and L-1 items.
     """
     sub, sup, pair = (np.asarray(c, dtype=np.float64) for c in (sub, sup, pair))
     L = sub.size
@@ -206,8 +206,7 @@ def dashed_field(x, c):
     vector-matrix product, and the pair sum of one state and of each row of
     vecdot as the same BLAS dot product, so each row of a batch is the
     single-state result bit for bit; (B, L+1) @ c, a matrix-matrix product,
-    would not be.  The terms add in another order than in the C loop, so
-    the two agree to roundoff.
+    would not be.
     """
     L = x.shape[-1] - 1
     dx = np.empty(x.shape)

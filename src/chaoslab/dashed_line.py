@@ -38,8 +38,8 @@ DASH_PERIOD = 5
 # Truncation of orbit_residual's states; the residual's BLAS dot sums over
 # the truncation length, so another value changes its last bits.
 RESIDUAL_TRUNC = 10
-# DashedLineParams: the largest truncation.  The numpy dashed_rk4 builds a
-# dense (2T+2) x (4T+1) coupling matrix: a whole dashed-line --steps 1 run
+# DashedLineParams: the largest truncation.  dashed_rk4 builds a dense
+# (2T+2) x (4T+1) coupling matrix: a whole dashed-line --steps 1 run
 # took 0.34-0.40 s and 89-90 MB of peak RSS at trunc 1000, 0.50-0.68 s and
 # 272 MB at 2000, and 1.2 s and 1.0 GB at 4000 (2 vCPUs, numpy kernels).
 MAX_TRUNC = 1000

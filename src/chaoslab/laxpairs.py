@@ -176,98 +176,96 @@ def isospectrality_check(omega0: np.ndarray, T: float,
 # -- 3D fields and pairs -------------------------------------------------------
 
 
-class VectorField3D:
-    """Three read-only periodic scalar components on an n^3 grid, period
-    2*pi; n passes fourier.check_resolution, as a 2D grid's side does."""
-
-    def __init__(self, components: np.ndarray):
-        components = np.asarray(components, dtype=np.float64)
-        if components.ndim != 4 or components.shape[0] != 3:
-            raise PreconditionError("expected shape (3, n, n, n)")
-        n = components.shape[1]
-        if components.shape[1:] != (n, n, n):
-            raise PreconditionError("grid must be cubic")
-        check_resolution(n)
-        self.components = components.view()
-        self.components.flags.writeable = False
-        self._grads = None
-
-    @property
-    def resolution(self) -> int:
-        return self.components.shape[1]
-
-    @classmethod
-    def abc_flow(cls, n: int) -> "VectorField3D":
-        """The ABC velocity field with A = B = C = 1, an eigenfield of curl
-        (curl u = u)."""
-        x, y, z = grid_coordinates(n, 3)
-        return cls(np.stack([np.sin(z) + np.cos(y), np.sin(x) + np.cos(z),
-                             np.sin(y) + np.cos(x)]))
-
-    def gradients(self) -> list[tuple[np.ndarray, ...]]:
-        """grads[i][j] = d(component i)/dx_j, one forward FFT per component
-        on the first call only, so every user shares one transform."""
-        if self._grads is None:
-            self._grads = [spectral_gradient(c) for c in self.components]
-        return self._grads
-
-    def divergence(self) -> np.ndarray:
-        return _divergence(self.gradients())
-
-    def curl(self) -> "VectorField3D":
-        return VectorField3D(_curl(self.gradients()))
-
-    def divergence_defect(self) -> float:
-        return sup_norm(self.divergence())
+# A 3D vector field is a float64 (3, n, n, n) array: three periodic scalar
+# components on a cubic n^3 grid of period 2*pi.
 
 
-def _divergence(grads) -> np.ndarray:
+def abc_flow(n: int) -> np.ndarray:
+    """The ABC velocity field with A = B = C = 1 on the n^3 grid, an
+    eigenfield of curl (curl u = u)."""
+    x, y, z = grid_coordinates(n, 3)
+    return np.stack([np.sin(z) + np.cos(y), np.sin(x) + np.cos(z),
+                     np.sin(y) + np.cos(x)])
+
+
+def check_vector_field(w) -> np.ndarray:
+    """w as a float64 (3, n, n, n) array whose side n passes
+    fourier.check_resolution, as a 2D grid's side does; a float64 array
+    comes back as itself."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 4 or w.shape[0] != 3:
+        raise PreconditionError("expected shape (3, n, n, n)")
+    n = w.shape[1]
+    if w.shape[1:] != (n, n, n):
+        raise PreconditionError("grid must be cubic")
+    check_resolution(n)
+    return w
+
+
+def vector_gradients(w: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """grads[i][j] = d(w_i)/dx_j, one forward FFT per component."""
+    return [spectral_gradient(c) for c in w]
+
+
+def divergence(grads) -> np.ndarray:
+    """div w from grads = vector_gradients(w)."""
     return sum(grads[i][i] for i in range(3))
 
 
-def _curl(grads) -> np.ndarray:
+def curl(grads) -> np.ndarray:
+    """curl w, a (3, n, n, n) array, from grads = vector_gradients(w)."""
     return np.stack([grads[2][1] - grads[1][2],
                      grads[0][2] - grads[2][0],
                      grads[1][0] - grads[0][1]])
 
 
-def directional_derivative(w: VectorField3D, grad) -> np.ndarray:
+def directional_derivative(w: np.ndarray, grad) -> np.ndarray:
     """(w . grad) phi for scalar phi, from grad = spectral_gradient(phi)."""
-    return sum(w.components[i] * grad[i] for i in range(3))
+    return sum(w[i] * grad[i] for i in range(3))
 
 
-def _check_pair(omega: VectorField3D, u: VectorField3D) -> list:
-    """Check the preconditions of the 3D pairs; return u.gradients(), which
-    the check takes."""
-    if omega.resolution != u.resolution:
+def _check_pair(omega, u, grads):
+    """Check the preconditions of the 3D pairs; return omega and u as
+    arrays and u's gradients, which the check takes: grads, or
+    vector_gradients(u) if grads is None."""
+    omega, u = check_vector_field(omega), check_vector_field(u)
+    if omega.shape != u.shape:
         raise PreconditionError("resolution mismatch between vorticity and velocity")
-    grads = u.gradients()
-    div = sup_norm(_divergence(grads))
+    if grads is None:
+        grads = vector_gradients(u)
+    div = sup_norm(divergence(grads))
     if div > DIV_TOL:
         raise PreconditionError(f"velocity divergence defect {div:.2e} above {DIV_TOL}")
-    defect = sup_norm(_curl(grads) - omega.components)
+    defect = sup_norm(curl(grads) - omega)
     if defect > CURL_TOL:
         raise PreconditionError(f"curl(u) mismatch {defect:.2e} above {CURL_TOL}")
-    return grads
+    return omega, u, grads
 
 
-def lax_3d_scalar(omega: VectorField3D, u: VectorField3D, phi: np.ndarray):
-    """Scalar pair (L phi, A phi) = ((Omega.grad) phi, (u.grad) phi); u must
-    be divergence-free to DIV_TOL with curl(u) = Omega to CURL_TOL."""
-    _check_pair(omega, u)
+def lax_3d_scalar(omega, u, phi: np.ndarray, u_grads=None):
+    """Scalar pair (L phi, A phi) = ((Omega.grad) phi, (u.grad) phi) for
+    vector fields omega and u; u must be divergence-free to DIV_TOL with
+    curl(u) = Omega to CURL_TOL.  A caller that holds
+    u_grads = vector_gradients(u) passes it, and u is not transformed
+    again; the two checks read it."""
+    omega, u, _ = _check_pair(omega, u, u_grads)
     grad = spectral_gradient(phi)
     return directional_derivative(omega, grad), directional_derivative(u, grad)
 
 
-def lax_3d_vector(omega: VectorField3D, u: VectorField3D, phi: VectorField3D):
+def lax_3d_vector(omega, u, phi, u_grads=None):
     """Vector pair L phi = (Omega.grad) phi - (phi.grad) Omega and the same
-    combination with u for A, under the preconditions of lax_3d_scalar."""
-    u_grads = _check_pair(omega, u)
-    phi_grads = phi.gradients()
+    combination with u for A, under the preconditions and with the u_grads
+    of lax_3d_scalar.  Each distinct field is transformed once: phi passed
+    as the same float64 array as omega or u shares its gradients."""
+    omega, u, u_grads = _check_pair(omega, u, u_grads)
+    phi = check_vector_field(phi)
+    omega_grads = u_grads if omega is u else vector_gradients(omega)
+    phi_grads = (omega_grads if phi is omega else u_grads if phi is u
+                 else vector_gradients(phi))
 
-    def lie(w: VectorField3D, w_grads) -> VectorField3D:
-        return VectorField3D(np.stack([
-            directional_derivative(w, phi_grads[i])
-            - directional_derivative(phi, w_grads[i]) for i in range(3)]))
+    def lie(w, w_grads):
+        return np.stack([directional_derivative(w, phi_grads[i])
+                         - directional_derivative(phi, w_grads[i]) for i in range(3)])
 
-    return lie(omega, omega.gradients()), lie(u, u_grads)
+    return lie(omega, omega_grads), lie(u, u_grads)

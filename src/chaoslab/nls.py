@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels_py, kernels
+from . import kernels
 from ._kernels_py import neighbour_index
 from .errors import NumericError, PreconditionError
 from .util import BLOWUP_LIMIT, Trajectory
@@ -428,7 +428,7 @@ def flow_map(p: NLSParams, dt: float, steps: int):
         return np.concatenate([q.real, q.imag], axis=-1)
 
     def rhs_r(x):
-        return to_r(_kernels_py.pdnls_rhs(to_c(x).T, *args).T)
+        return to_r(kernels.pdnls_rhs(to_c(x).T, *args).T)
 
     def jac_r(x):
         return pdnls_jacobian_full(to_c(x), p)

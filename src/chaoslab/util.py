@@ -21,8 +21,9 @@ MAX_SAMPLE_VALUES = 2**22
 
 
 def _below_blowup_limit(y: np.ndarray) -> bool:
-    """The blow-up rule, also in the C loops of _kernels.c: every real and
-    imaginary part below BLOWUP_LIMIT (max propagates nan, which fails it).
+    """The blow-up rule, also in the C lattice loop of _kernels.c: every
+    real and imaginary part below BLOWUP_LIMIT (max propagates nan, which
+    fails it).
 
     A complex state is tested in one reduction over its flat real view,
     which interleaves the real and imaginary parts; ravel copies only a
@@ -51,7 +52,7 @@ def check_state(size: int) -> None:
 
 def check_samples(rows: int, size: int) -> None:
     """Reject a sample array of rows states of size values above
-    MAX_SAMPLE_VALUES.  pdnls_rk4 and dashed_rk4, on both backends, call it
+    MAX_SAMPLE_VALUES.  pdnls_rk4, on both backends, and dashed_rk4 call it
     after check_schedule and before they allocate anything."""
     if rows * size > MAX_SAMPLE_VALUES:
         raise PreconditionError(
@@ -61,9 +62,9 @@ def check_samples(rows: int, size: int) -> None:
 
 def blew_up(step: int) -> NoReturn:
     """Raise the one blow-up error, NumericError with `step`.  Every RK4 loop,
-    the C loops of _kernels.c too, calls it at the first step whose state
-    breaks the blow-up rule; euler-sim, which integrates in chunks, calls it
-    again with the step counted from the start of the run."""
+    the C lattice loop of _kernels.c too, calls it at the first step whose
+    state breaks the blow-up rule; euler-sim, which integrates in chunks,
+    calls it again with the step counted from the start of the run."""
     raise NumericError(f"state blew up at step {step}", step=step)
 
 
@@ -73,7 +74,7 @@ def rk4(rhs, y0, dt: float, steps: int, sample_every: int):
     Returns samples: y0 and the state after every sample_every-th step.  At
     the first step after which the state breaks the blow-up rule it calls
     blew_up, which raises NumericError with that step.  Time runs forward
-    only: check_schedule rejects a dt that is not > 0, as in the C loops.
+    only: check_schedule rejects a dt that is not > 0, as in the C loop.
     """
     check_schedule(dt, steps, sample_every)
     y = np.array(y0)

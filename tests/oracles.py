@@ -434,10 +434,9 @@ def quadruple_symmetry_defect(report) -> float:
 
 
 def uniform_vector_field(n: int, vec):
-    """The constant laxpairs.VectorField3D with value vec on the n^3 grid."""
-    from chaoslab.laxpairs import VectorField3D
-
-    return VectorField3D(np.ones((3, n, n, n)) * np.reshape(vec, (3, 1, 1, 1)))
+    """The constant 3D vector field with value vec on the n^3 grid, a
+    (3, n, n, n) array as chaoslab.laxpairs takes it."""
+    return np.ones((3, n, n, n)) * np.reshape(vec, (3, 1, 1, 1))
 
 
 # validate_jacobian's central-difference step and accepted mismatch

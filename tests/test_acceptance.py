@@ -300,10 +300,10 @@ class TestCenterWingSymbolics:
 
 class TestLaxVerification:
     def test_criterion_lax_verification(self):
-        from chaoslab.laxpairs import (VectorField3D,
-                                       compatibility_residual_2d,
-                                       isospectrality_check, jacobi_defect,
-                                       lax_3d_scalar)
+        from chaoslab.laxpairs import (abc_flow, compatibility_residual_2d,
+                                       curl, isospectrality_check,
+                                       jacobi_defect, lax_3d_scalar,
+                                       vector_gradients)
         rng = np.random.default_rng(3)
 
         def unit_grid():
@@ -320,9 +320,10 @@ class TestLaxVerification:
         steady = single_pair(4, (1, 1), 1.3)
         iso = isospectrality_check(steady, T=1.0, dt=0.01)
 
-        u = VectorField3D.abc_flow(32)
+        u = abc_flow(32)
         x, y, z = grid_coordinates(32, 3)
-        L, A = lax_3d_scalar(u.curl(), u, np.cos(x) * np.sin(y) + np.cos(z))
+        L, A = lax_3d_scalar(curl(vector_gradients(u)), u,
+                             np.cos(x) * np.sin(y) + np.cos(z))
         beltrami = float(np.max(np.abs(L - A)))
 
         ok = (jac_worst < 1e-10 and neg.residuals["transport_max"] > 1e-3

@@ -1,7 +1,7 @@
-"""Backend agreement: the compiled RK4 loops and their numpy twins must be
-interchangeable bit-for-bit up to summation order.  The right-hand sides
-have one numpy implementation for both backends and are checked against
-loop formulas instead."""
+"""Backend agreement: the compiled lattice RK4 loop and its numpy twin must
+be interchangeable bit-for-bit up to summation order.  The right-hand sides
+and the dashed-line RK4 loop have one numpy implementation for both backends
+and are checked against loop formulas and their own contracts instead."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,12 @@ from chaoslab.errors import NumericError, PreconditionError
 from chaoslab.util import _below_blowup_limit, rk4
 from oracles import (energy_derivative, enstrophy_derivative, galerkin_rhs_ref,
                      unit_field)
+
+
+# schedules that chaoslab.util.check_schedule rejects: (dt, steps, sample_every)
+BAD_SCHEDULES = [
+    (1e-3, 10, 0), (1e-3, 10, -2), (0.0, 10, 1), (float("nan"), 10, 1), (1e-3, -1, 1),
+    (float("inf"), 1, 1), (-1e-3, 10, 1)]
 
 
 def random_symmetric(rng, box):
@@ -73,9 +79,11 @@ class TestGalerkinKernel:
 
 
 def test_extension_compiles_only_the_rk4_loops(compiled_kernels):
+    # the extension holds the lattice loop only; the dashed-line loop and
     # the right-hand sides are the numpy ones on every backend
     public = {name for name in dir(compiled_kernels) if not name.startswith("_")}
-    assert public == {"BACKEND", "pdnls_rk4", "dashed_rk4"}
+    assert public == {"BACKEND", "pdnls_rk4"}
+    assert kernels.dashed_rk4 is _kernels_py.dashed_rk4
     assert kernels.pdnls_rhs is _kernels_py.pdnls_rhs
     assert kernels.galerkin_rhs is _kernels_py.galerkin_rhs
 
@@ -141,7 +149,8 @@ class TestDashedKernel:
 
     @staticmethod
     def field_loop(op, om, sub, sup, pair):
-        """(dop, dom) summed as the loop of _kernels.c sums them."""
+        """(dop, dom) summed term by term in sequence, the loop formula of
+        the dashed-line field."""
         L = len(om)
         dom = np.zeros(L)
         for i in range(L):
@@ -155,7 +164,7 @@ class TestDashedKernel:
         return -acc, dom
 
     def test_backends_agree(self, rng):
-        # the numpy field, which serves both backends, against the C loop
+        # the numpy field, which serves both backends, against the loop
         for L in self.CHAINS:
             x = np.concatenate(([0.8], rng.standard_normal(L)))
             sub, sup = rng.standard_normal(L), rng.standard_normal(L)
@@ -175,7 +184,7 @@ class TestDashedKernel:
                 assert abs(dx[0] - r_op) < 1e-13
                 assert np.max(np.abs(dx[1:] - r_om)) < 1e-13
                 if L == 1:
-                    # the empty pair sum is -0.0, as the C loop returns it
+                    # the empty pair sum is -0.0, as the loop returns it
                     assert dx[0] == r_op == 0.0
                     assert np.signbit(dx[0]) and np.signbit(r_op)
 
@@ -190,8 +199,7 @@ class TestDashedKernel:
         for j in range(6):
             assert np.array_equal(dx[j], _kernels_py.dashed_field(x[j], c))
 
-    def test_rk4_backends_agree(self, kernel_backend, rng):
-        from chaoslab import _kernels_py
+    def test_rk4_converts_inputs(self, rng):
         for L in self.CHAINS:
             om = 1e-3 * rng.standard_normal(L)
             sub, sup = rng.standard_normal(L), rng.standard_normal(L)
@@ -201,53 +209,61 @@ class TestDashedKernel:
             for forms in [(om, sub, sup, pair),
                           (om.tolist(), np.rint(3 * sub).astype(np.int64),
                            sup.astype(np.float32), np.repeat(pair, 2)[::2])]:
-                a = kernel_backend.dashed_rk4(0.8, *forms, 1e-3, 1000, 100)
-                b = _kernels_py.dashed_rk4(
+                a = kernels.dashed_rk4(0.8, *forms, 1e-3, 1000, 100)
+                b = kernels.dashed_rk4(
                     0.8, *(np.ascontiguousarray(x, np.float64) for x in forms), 1e-3, 1000, 100)
                 assert a.shape == b.shape == (11, L + 1)
-                assert np.max(np.abs(a - b)) < 1e-12
+                assert np.array_equal(a, b)
 
-    def test_mismatched_couplings_raise(self, kernel_backend):
-        # sub, sup and pair must fit om, as the numpy coupling matrix needs
-        # them to, so the compiled loop never reads past the end of one
+    def test_mismatched_couplings_raise(self):
+        # sub, sup and pair must fit om, as the coupling matrix needs them to
         om, sub, sup, pair = np.ones(6), np.ones(6), np.ones(6), np.ones(5)
-        if kernel_backend is _kernels_py:
-            check = _kernels_py.dashed_coupling_matrix
-        else:
-            def check(*couplings):
-                kernel_backend.dashed_rk4(0.8, om, *couplings, 1e-3, 10, 1)
         for couplings in [(sub[:3], sup, pair), (sub, sup[:5], pair),
                           (sub, sup, pair[:2])]:
             with pytest.raises(ValueError):
-                check(*couplings)
+                kernels.dashed_rk4(0.8, om, *couplings, 1e-3, 10, 1)
 
-    def test_rk4_blowup_step_agrees(self, kernel_backend, rng):
-        # quadratic couplings this large blow up in finite time; both
-        # backends must report the same step
-        from chaoslab import _kernels_py
+    def test_rk4_blowup_step(self, rng):
+        # quadratic couplings this large blow up in finite time: the run
+        # stops at the first step whose state breaks the blow-up rule, and
+        # one step fewer runs to the end below the limit
         om = 5.0 * rng.standard_normal(21)
         sub, sup = rng.standard_normal(21), rng.standard_normal(21)
         pair = rng.standard_normal(20)
-        steps = []
-        for mod in (kernel_backend, _kernels_py):
-            with pytest.raises(NumericError) as err:
-                mod.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
-            steps.append(err.value.step)
-        assert steps[0] == steps[1]
+        with pytest.raises(NumericError) as err:
+            kernels.dashed_rk4(0.8, om, sub, sup, pair, 0.05, 5000, 100)
+        step = err.value.step
+        assert 1 <= step <= 5000
+        before = kernels.dashed_rk4(0.8, om, sub, sup, pair, 0.05, step - 1, max(step - 1, 1))
+        assert _below_blowup_limit(before[-1])
+        with pytest.raises(NumericError) as err:
+            kernels.dashed_rk4(0.8, om, sub, sup, pair, 0.05, step, 1)
+        assert err.value.step == step
+
+    @pytest.mark.parametrize("dt, steps, sample_every", BAD_SCHEDULES)
+    def test_rk4_rejects_bad_schedule(self, dt, steps, sample_every):
+        om = np.zeros(5)
+        with pytest.raises(PreconditionError):
+            kernels.dashed_rk4(0.8, om, om, om, om[:4], dt, steps, sample_every)
+
+    def test_rk4_rejects_empty_state(self):
+        with pytest.raises(PreconditionError):
+            kernels.dashed_rk4(0.8, [], [], [], [], 1e-3, 10, 1)
+
+    def test_rk4_rejects_sample_array_above_cap(self):
+        # 2**40 samples of 6 values would take tens of TiB
+        om = np.zeros(5)
+        with pytest.raises(PreconditionError, match="MAX_SAMPLE_VALUES"):
+            kernels.dashed_rk4(0.8, om, om, om, om[:4], 1e-3, 2**40, 1)
 
 
-@pytest.mark.parametrize("dt, steps, sample_every", [
-    (1e-3, 10, 0), (1e-3, 10, -2), (0.0, 10, 1), (float("nan"), 10, 1), (1e-3, -1, 1),
-    (float("inf"), 1, 1), (-1e-3, 10, 1)])
+@pytest.mark.parametrize("dt, steps, sample_every", BAD_SCHEDULES)
 def test_rk4_rejects_bad_schedule(kernel_backend, dt, steps, sample_every):
     # both backends apply chaoslab.util.check_schedule: a bad schedule is a
-    # precondition error, never a crash of the compiled loops
+    # precondition error, never a crash of the compiled loop
     q = np.ones(8, dtype=complex)
     with pytest.raises(PreconditionError):
         kernel_backend.pdnls_rk4(q, 64.0, 22.4, 1.0, 5.7, 0.07, dt, steps, sample_every)
-    om = np.zeros(5)
-    with pytest.raises(PreconditionError):
-        kernel_backend.dashed_rk4(0.8, om, om, om, om[:4], dt, steps, sample_every)
 
 
 def test_rk4_rejects_empty_state(kernel_backend):
@@ -255,24 +271,19 @@ def test_rk4_rejects_empty_state(kernel_backend):
     # precondition error, not a raw numpy error
     with pytest.raises(PreconditionError):
         kernel_backend.pdnls_rk4([], 64.0, 22.4, 1.0, 5.7, 0.07, 1e-3, 10, 1)
-    with pytest.raises(PreconditionError):
-        kernel_backend.dashed_rk4(0.8, [], [], [], [], 1e-3, 10, 1)
 
 
 def test_rk4_rejects_sample_array_above_cap(kernel_backend):
     # both backends apply chaoslab.util.check_samples before they allocate:
-    # 2**40 samples of 8 or 6 values would take tens of TiB
+    # 2**40 samples of 8 values would take tens of TiB
     q = np.ones(8, dtype=complex)
     with pytest.raises(PreconditionError, match="MAX_SAMPLE_VALUES"):
         kernel_backend.pdnls_rk4(q, 64.0, 22.4, 1.0, 5.7, 0.07, 1e-3, 2**40, 1)
-    om = np.zeros(5)
-    with pytest.raises(PreconditionError, match="MAX_SAMPLE_VALUES"):
-        kernel_backend.dashed_rk4(0.8, om, om, om, om[:4], 1e-3, 2**40, 1)
 
 
 class TestBlowupRule:
     """util.rk4 stops at the first step after which a real or imaginary
-    part reaches 1e150 or is nan, as the compiled loops do."""
+    part reaches 1e150 or is nan, as the compiled loop does."""
 
     @staticmethod
     def spike_rhs(step, index, value):

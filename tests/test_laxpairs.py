@@ -7,10 +7,12 @@ from chaoslab.errors import PreconditionError
 from chaoslab.fourier import (coefficients_to_grid, embedded, enstrophy,
                               grid_bracket, grid_coordinates, random_field,
                               single_pair)
-from chaoslab.laxpairs import (VectorField3D, bracket_operator_matrix,
-                               compatibility_residual_2d, isospectrality_check,
-                               jacobi_defect, lax_3d_scalar, lax_3d_vector,
-                               rossby_L)
+from chaoslab import laxpairs
+from chaoslab.laxpairs import (abc_flow, bracket_operator_matrix,
+                               compatibility_residual_2d, curl, divergence,
+                               isospectrality_check, jacobi_defect,
+                               lax_3d_scalar, lax_3d_vector, rossby_L,
+                               vector_gradients)
 from oracles import bracket_operator_matrix_ref, uniform_vector_field, unit_field
 
 
@@ -174,32 +176,38 @@ class TestRossby:
         assert np.max(np.abs(rossby_L(omega, 0.7, const))) < 1e-13
 
 
+def abc_pair(n=16):
+    """The ABC velocity u and its spectral curl Omega on the n^3 grid."""
+    u = abc_flow(n)
+    return curl(vector_gradients(u)), u
+
+
 class TestLax3D:
     def test_divergence_free_and_curl(self):
-        u = VectorField3D.abc_flow(16)
-        assert u.divergence_defect() < 1e-12
-        curl = u.curl()
-        defect = max(np.max(np.abs(curl.components[i] - u.components[i]))
-                     for i in range(3))
-        assert defect < 1e-12  # ABC is a curl eigenfield
+        u = abc_flow(16)
+        grads = vector_gradients(u)
+        assert np.max(np.abs(divergence(grads))) < 1e-12
+        assert np.max(np.abs(curl(grads) - u)) < 1e-12  # ABC is a curl eigenfield
 
     def test_beltrami_scalar_identity(self):
-        u = VectorField3D.abc_flow(16)
-        omega = u.curl()
+        omega, u = abc_pair()
         x, y, z = grid_coordinates(16, 3)
         phi = np.cos(x) * np.sin(y) + np.cos(z)
         L, A = lax_3d_scalar(omega, u, phi)
         assert np.max(np.abs(L - A)) < 1e-10
+        # u's own gradients, passed in, give the same bytes
+        for got, ref in zip(lax_3d_scalar(omega, u, phi, vector_gradients(u)), (L, A)):
+            assert np.array_equal(got, ref)
 
     def test_constant_phi_annihilated(self):
-        u = VectorField3D.abc_flow(16)
-        L, A = lax_3d_scalar(u.curl(), u, np.full((16, 16, 16), 3.0))
+        omega, u = abc_pair()
+        L, A = lax_3d_scalar(omega, u, np.full((16, 16, 16), 3.0))
         assert np.max(np.abs(L)) < 1e-12 and np.max(np.abs(A)) < 1e-12
 
     def test_uniform_velocity_scalar(self):
         n = 16
         u = uniform_vector_field(n, (1.0, 0.0, 0.0))
-        zero = VectorField3D(np.zeros((3, n, n, n)))
+        zero = np.zeros((3, n, n, n))
         x, y, z = grid_coordinates(n, 3)
         phi = np.cos(x) * np.sin(y)
         L, A = lax_3d_scalar(zero, u, phi)
@@ -207,44 +215,78 @@ class TestLax3D:
         assert np.max(np.abs(A - (-np.sin(x) * np.sin(y)))) < 1e-12
 
     def test_vector_pair_annihilates_vorticity(self):
-        u = VectorField3D.abc_flow(16)
-        omega = u.curl()
+        omega, u = abc_pair()
         L, A = lax_3d_vector(omega, u, omega)
-        assert max(np.max(np.abs(L.components[i])) for i in range(3)) < 1e-12
+        assert L.shape == A.shape == (3, 16, 16, 16)
+        assert np.max(np.abs(L)) < 1e-12
         # Beltrami: u is also annihilated by both
         Lu, Au = lax_3d_vector(omega, u, u)
-        assert max(np.max(np.abs(Lu.components[i])) for i in range(3)) < 1e-10
-        assert max(np.max(np.abs(Au.components[i])) for i in range(3)) < 1e-10
+        assert np.max(np.abs(Lu)) < 1e-10
+        assert np.max(np.abs(Au)) < 1e-10
+
+    def test_vector_pair_transforms_each_field_once(self, monkeypatch):
+        # one spectral_gradient per component of each distinct field: phi
+        # passed as omega or as u shares that field's gradients, u_grads
+        # saves u's transform, and each gives the same bytes
+        omega, u = abc_pair()
+        u_grads = vector_gradients(u)
+        calls = []
+        grad = laxpairs.spectral_gradient
+        monkeypatch.setattr(laxpairs, "spectral_gradient",
+                            lambda f: calls.append(1) or grad(f))
+        counts, results = [], []
+        for phi, given in [(omega, None), (u, None), (omega.copy(), None),
+                           (omega, u_grads)]:
+            calls.clear()
+            results.append(lax_3d_vector(omega, u, phi, given))
+            counts.append(len(calls))
+        assert counts == [6, 6, 9, 3]
+        for res in (results[2], results[3]):
+            for got, ref in zip(res, results[0]):
+                assert np.array_equal(got, ref)
 
     def test_uniform_phi_gives_gradient_term(self):
-        u = VectorField3D.abc_flow(16)
-        omega = u.curl()
+        omega, u = abc_pair()
         phi = uniform_vector_field(16, (1.0, 0.0, 0.0))
         L, _ = lax_3d_vector(omega, u, phi)
         from chaoslab.fourier import spectral_gradient
         for i in range(3):
-            expected = -spectral_gradient(omega.components[i])[0]
-            assert np.max(np.abs(L.components[i] - expected)) < 1e-12
+            expected = -spectral_gradient(omega[i])[0]
+            assert np.max(np.abs(L[i] - expected)) < 1e-12
 
     @pytest.mark.parametrize("n", [8, 24])
     def test_grid_resolution_rejected(self, n):
+        zero = np.zeros((3, n, n, n))
         with pytest.raises(PreconditionError, match="power of two >= 16"):
-            VectorField3D(np.zeros((3, n, n, n)))
+            lax_3d_scalar(zero, zero, zero[0])
+
+    @pytest.mark.parametrize("shape, match", [
+        ((2, 16, 16, 16), "expected shape"), ((3, 16, 16), "expected shape"),
+        ((3, 16, 16, 32), "cubic")])
+    def test_field_shape_rejected(self, shape, match):
+        omega, u = abc_pair()
+        for args in [(np.zeros(shape), u, omega), (omega, np.zeros(shape), omega),
+                     (omega, u, np.zeros(shape))]:
+            with pytest.raises(PreconditionError, match=match):
+                lax_3d_vector(*args)
+
+    def test_resolution_mismatch_rejected(self):
+        omega, _ = abc_pair(16)
+        with pytest.raises(PreconditionError, match="resolution mismatch"):
+            lax_3d_scalar(omega, abc_flow(32), np.zeros((16, 16, 16)))
 
     def test_curl_mismatch_rejected(self):
-        u = VectorField3D.abc_flow(16)
-        wrong = VectorField3D(2.0 * u.curl().components)
+        omega, u = abc_pair()
         x, y, z = grid_coordinates(16, 3)
         with pytest.raises(PreconditionError):
-            lax_3d_scalar(wrong, u, np.cos(x))
+            lax_3d_scalar(2.0 * omega, u, np.cos(x))
 
     def test_divergent_velocity_rejected(self):
         n = 16
         x, y, z = grid_coordinates(n, 3)
-        bad = VectorField3D(np.stack([np.sin(x), np.zeros((n, n, n)),
-                                      np.zeros((n, n, n))]))
+        bad = np.stack([np.sin(x), np.zeros((n, n, n)), np.zeros((n, n, n))])
         with pytest.raises(PreconditionError):
-            lax_3d_scalar(bad.curl(), bad, np.cos(x))
+            lax_3d_scalar(curl(vector_gradients(bad)), bad, np.cos(x))
 
 
 FFT_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
